@@ -14,10 +14,10 @@ errors).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
-import os
 import random
 import sys
 import time
@@ -280,6 +280,8 @@ def cmd_validate(
         optimized = _single_function(optimized_path)
         alignment = load_alignment(_read_file(alignment_path))
         checker = EquivChecker(original, optimized, alignment, cfg)
+        # opened before the first check, so an unwritable path costs no run
+        report_file = None if report_path is None else open(report_path, "w", encoding="utf-8")
     except (OSError, ParseError, AlignmentError, WellformednessError, ValueError) as e:
         print(f"error: {e}", file=err)
         return 2
@@ -297,10 +299,27 @@ def cmd_validate(
         "bound": cfg.bound_source.value,
         "delta": str(cfg.params.delta),
         "eta": str(cfg.params.eta),
-        "threads": _threads_setting(err),
+        "threads": 1,
     }
     report = Report(config=config_echo)
+    with report_file if report_file is not None else contextlib.nullcontext():
+        _sample(checker, sampler, report)
+        report.timing_seconds = round(time.perf_counter() - started, 6)
+        if report_file is None:
+            out.write(report.render())
+            return report.exit_code
+        report_file.write(report.render())
+    summary = (
+        f"{report.verdict.upper()}: {report.samples_run['total']} checks, "
+        f"{report.counts['fail']} failures, {report.counts['unsupported']} unsupported; "
+        f"report written to {report_path}"
+    )
+    print(summary, file=out)
+    return report.exit_code
 
+
+def _sample(checker: EquivChecker, sampler: SamplerConfig, report: Report) -> None:
+    """Check the corpus, then the seeded random stream, and record the outcome in `report`."""
     counts = {
         "pass": 0,
         "fail": 0,
@@ -312,8 +331,9 @@ def cmd_validate(
     counterexamples: list[dict] = []
     paper_examples: list[dict] = []
     paper_discrepancies = 0
-    worst: tuple[float, int, dict] | None = None
-    n_random = n_corpus = 0
+    worst: tuple[float, dict] | None = None
+    corpus: list[tuple[float, ...]] = []
+    total = 0
     stopped_early = False
 
     if checker.static_unsupported is not None:
@@ -324,12 +344,15 @@ def cmd_validate(
         report.counterexamples = [{"index": None, **verdict.to_json()}]
     else:
         n_params = len(checker.params)
-        index = 0
-
-        def run_one(raw: tuple[float, ...], is_corpus: bool, index: int) -> bool:
-            nonlocal paper_discrepancies, worst
-            args = tuple(Double(x) for x in raw)
-            v = checker.check(args)
+        if sampler.include_special_corpus:
+            corpus = corpus_tuples(n_params)
+        rng = random.Random(sampler.seed)
+        stream = itertools.chain(
+            corpus, (sample_tuple(rng, n_params, sampler) for _ in range(sampler.samples))
+        )
+        for index, raw in enumerate(stream):
+            total += 1
+            v = checker.check(tuple(Double(x) for x in raw))
             d = v.detail
             counts[v.status.value] += 1
             if v.status is Status.PASS:
@@ -343,7 +366,6 @@ def cmd_validate(
                 if worst is None or d.observed_diff > worst[0]:
                     worst = (
                         d.observed_diff,
-                        index,
                         {
                             "index": index,
                             "args": [_dual(x) for x in raw],
@@ -357,27 +379,8 @@ def cmd_validate(
                 if len(paper_examples) < _MAX_COUNTEREXAMPLES:
                     paper_examples.append({"index": index, **v.to_json()})
             if v.status is not Status.PASS:
-                if len(counterexamples) < _MAX_COUNTEREXAMPLES:
-                    counterexamples.append({"index": index, **v.to_json()})
-                    return len(counterexamples) < _MAX_COUNTEREXAMPLES
-                return False
-            return True
-
-        for raw in corpus_tuples(n_params) if sampler.include_special_corpus else []:
-            keep_going = run_one(raw, True, index)
-            n_corpus += 1
-            index += 1
-            if not keep_going:
-                stopped_early = True
-                break
-        if not stopped_early:
-            rng = random.Random(sampler.seed)
-            for _ in range(sampler.samples):
-                raw = sample_tuple(rng, n_params, sampler)
-                keep_going = run_one(raw, False, index)
-                n_random += 1
-                index += 1
-                if not keep_going:
+                counterexamples.append({"index": index, **v.to_json()})
+                if len(counterexamples) == _MAX_COUNTEREXAMPLES:
                     stopped_early = True
                     break
 
@@ -392,41 +395,15 @@ def cmd_validate(
             report.exit_code = 0
         report.counterexamples = counterexamples
 
-    report.samples_run = {"random": n_random, "corpus": n_corpus, "total": n_random + n_corpus}
+    n_corpus = min(total, len(corpus))
+    report.samples_run = {"random": total - n_corpus, "corpus": n_corpus, "total": total}
     report.counts = counts
     report.stopped_early = stopped_early
     report.paper_formula_discrepancies = paper_discrepancies
     report.paper_formula_examples = paper_examples
     if worst is not None:
         report.max_observed_diff = worst[0]
-        report.worst_sample = worst[2]
-    report.timing_seconds = round(time.perf_counter() - started, 6)
-
-    if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(report.render())
-        summary = (
-            f"{report.verdict.upper()}: {report.samples_run['total']} checks, "
-            f"{counts['fail']} failures, {counts['unsupported']} unsupported; "
-            f"report written to {report_path}"
-        )
-        print(summary, file=out)
-    else:
-        out.write(report.render())
-    return report.exit_code
-
-
-def _threads_setting(err) -> int:
-    """FMA_TV_THREADS caps parallelism; this build always runs sequentially."""
-    raw = os.environ.get("FMA_TV_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer FMA_TV_THREADS={raw!r}", file=err)
-        return 1
-    return max(1, min(n, 1))
+        report.worst_sample = worst[1]
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,16 @@ def derive_bound(
     )
 
 
+def _paper_formula(A, B, C, d, h, one, two):
+    """The published formula over any coefficient type with + and *.
+
+    Serves both the exact dyadic `epsilon_fma_paper` and the polynomial
+    that `compile_paper_bound` compiles.
+    """
+    inner = A * B * C * d + h + A * B * (two * d + d * d) + h * (one + d) + C * d + h
+    return inner * (one + d) + h
+
+
 def epsilon_fma_paper(
     abs_a: Union[Binary64, Fraction],
     abs_b: Union[Binary64, Fraction],
@@ -343,21 +353,15 @@ def epsilon_fma_paper(
     (see the audit mode of the validator, which flags inputs where this
     formula and `derive_bound` disagree on the verdict).
     """
-    A = _coerce_mag("abs_a", abs_a)
-    B = _coerce_mag("abs_b", abs_b)
-    C = _coerce_mag("abs_c", abs_c)
-    d = _Dyadic.from_fraction(params.delta)
-    h = _Dyadic.from_fraction(params.eta)
-
-    inner = (
-        A * B * C * d
-        + h
-        + A * B * (_TWO * d + d * d)
-        + h * (_ONE + d)
-        + C * d
-        + h
-    )
-    return (inner * (_ONE + d) + h).to_fraction()
+    return _paper_formula(
+        _coerce_mag("abs_a", abs_a),
+        _coerce_mag("abs_b", abs_b),
+        _coerce_mag("abs_c", abs_c),
+        _Dyadic.from_fraction(params.delta),
+        _Dyadic.from_fraction(params.eta),
+        _ONE,
+        _TWO,
+    ).to_fraction()
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +563,7 @@ def compile_derived_bound(
 def compile_paper_bound(params: ErrorModelParams = ErrorModelParams()) -> CompiledBound:
     """Compile epsilon_fma_paper into a fast evaluator over (|a|, |b|, |c|)."""
     A, B, C = (_Poly.variable(i, 3) for i in range(3))
-    d = _Poly.const(params.delta, 3)
-    h = _Poly.const(params.eta, 3)
-    one = _Poly.const(Fraction(1), 3)
-    two = _Poly.const(Fraction(2), 3)
-    inner = A * B * C * d + h + A * B * (two * d + d * d) + h * (one + d) + C * d + h
-    return CompiledBound((inner * (one + d) + h,))
+    d, h, one, two = (
+        _Poly.const(q, 3) for q in (params.delta, params.eta, Fraction(1), Fraction(2))
+    )
+    return CompiledBound((_paper_formula(A, B, C, d, h, one, two),))

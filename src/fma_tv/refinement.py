@@ -10,6 +10,11 @@ magnitudes of the actual arguments.
 Two finiteness readings are supported.  Lenient treats a comparison whose
 endpoints or difference overflow as vacuously true (the published reading);
 strict demands finiteness.  Their divergence is observable and tested.
+
+The relation is defined once: `double_refine` and `local_refine` are built
+from the per-value comparison (`_classify`), the bound test (`_all_hold`)
+and the leftover test (`_leftover_ok`), and `EquivChecker` builds its
+verdicts, and the audit of the published bound, from the same three.
 """
 
 from __future__ import annotations
@@ -228,6 +233,53 @@ class Verdict:
 # Value and environment refinement
 
 
+def _compare(x_opt: float, x_orig: float) -> tuple[float, bool]:
+    """(|difference|, all-finite) of two defined doubles."""
+    diff = b64_sub(x_opt, x_orig)
+    return abs(diff), isfinite(x_opt) and isfinite(x_orig) and isfinite(diff)
+
+
+def _classify(v_opt: Value | None, v_orig: Value | None):
+    """Reduce one comparison to what remains to decide once a bound is known.
+
+    None: holds for any bound.  False: fails for any bound (a missing
+    value, or poison against anything but poison of the same type).
+    Otherwise the (|difference|, all-finite) pair of `_compare`.
+    """
+    if v_opt is None or v_orig is None:
+        return False
+    if isinstance(v_opt, Poison) and isinstance(v_orig, Poison):
+        return None if v_opt.ty is v_orig.ty else False
+    if isinstance(v_opt, Poison) or isinstance(v_orig, Poison):
+        return False
+    return _compare(v_opt.v, v_orig.v)
+
+
+def _all_hold(checks, bound: float, strict: bool) -> bool:
+    """Whether every classified comparison is within `bound`.
+
+    A non-finite comparison holds vacuously unless `strict`.
+    """
+    for c in checks:
+        if c is None:
+            continue
+        if c is False:
+            return False
+        absdiff, finite = c
+        if finite:
+            if not absdiff <= bound:
+                return False
+        elif strict:
+            return False
+    return True
+
+
+def _leftover_ok(opt_env: LocalEnv, orig_env: LocalEnv, align: AlignmentSpec) -> bool:
+    """Both environments, fresh ids removed, are equal as sequences, bit for bit."""
+    removal = align.fresh_optimized | align.fresh_original
+    return opt_env.remove_all(removal).entries == orig_env.remove_all(removal).entries
+
+
 def double_refine(
     d1: Value, d2: Value, bound: float, cfg: RefinementConfig = RefinementConfig()
 ) -> bool:
@@ -238,15 +290,7 @@ def double_refine(
     itself is non-finite, lenient mode accepts vacuously and strict mode
     rejects.
     """
-    if isinstance(d1, Poison) and isinstance(d2, Poison):
-        return d1.ty is d2.ty
-    if isinstance(d1, Poison) or isinstance(d2, Poison):
-        return False
-    diff = b64_sub(d1.v, d2.v)
-    finite = isfinite(d1.v) and isfinite(d2.v) and isfinite(diff)
-    if cfg.mode is Mode.STRICT:
-        return finite and abs(diff) <= bound
-    return (not finite) or abs(diff) <= bound
+    return _all_hold((_classify(d1, d2),), bound, cfg.mode is Mode.STRICT)
 
 
 def local_refine(
@@ -262,15 +306,10 @@ def local_refine(
     after removing all fresh ids from both environments, the leftovers must
     be equal as sequences, bit for bit.
     """
-    for opt_id, orig_id in align.pairs:
-        v_opt = opt_env.lookup(opt_id)
-        v_orig = orig_env.lookup(orig_id)
-        if v_opt is None or v_orig is None:
-            return False
-        if not double_refine(v_opt, v_orig, bound, cfg):
-            return False
-    removal = align.fresh_optimized | align.fresh_original
-    return opt_env.remove_all(removal).entries == orig_env.remove_all(removal).entries
+    checks = [_classify(opt_env.lookup(o), orig_env.lookup(g)) for o, g in align.pairs]
+    return _all_hold(checks, bound, cfg.mode is Mode.STRICT) and _leftover_ok(
+        opt_env, orig_env, align
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -431,36 +470,6 @@ class EquivChecker:
             paper = inf if self.paper_available else None
         return derived, paper
 
-    @staticmethod
-    def _classify(v_opt: Value | None, v_orig: Value | None):
-        """Reduce one comparison to what double_refine needs per bound.
-
-        None: holds for any bound.  False: fails for any bound.  Otherwise
-        (|difference|, all-finite) awaiting the bound and mode.
-        """
-        if v_opt is None or v_orig is None:
-            return False
-        if isinstance(v_opt, Poison) and isinstance(v_orig, Poison):
-            return None if v_opt.ty is v_orig.ty else False
-        if isinstance(v_opt, Poison) or isinstance(v_orig, Poison):
-            return False
-        return _compare(v_opt.v, v_orig.v)
-
-    def _ok_with(self, checks, bound: float) -> bool:
-        strict = self.config.mode is Mode.STRICT
-        for c in checks:
-            if c is None:
-                continue
-            if c is False:
-                return False
-            absdiff, finite = c
-            if strict:
-                if not (finite and absdiff <= bound):
-                    return False
-            elif finite and absdiff > bound:
-                return False
-        return True
-
     def check(self, args: tuple[Value, ...]) -> Verdict:
         """The verdict for one input tuple.
 
@@ -499,13 +508,8 @@ class EquivChecker:
         except EvalError as e:
             return Verdict(Status.UNSUPPORTED, VerdictDetail(args=args, message=str(e)))
 
-        removal = self.alignment.fresh_optimized | self.alignment.fresh_original
-        leftover_ok = (
-            ms_opt.locals.remove_all(removal).entries
-            == ms_orig.locals.remove_all(removal).entries
-        )
         pair_checks = [
-            self._classify(ms_opt.locals.lookup(opt_id), ms_orig.locals.lookup(orig_id))
+            _classify(ms_opt.locals.lookup(opt_id), ms_orig.locals.lookup(orig_id))
             for opt_id, orig_id in self.alignment.pairs
         ]
         ret_orig, ret_opt = ms_orig.result, ms_opt.result
@@ -513,9 +517,9 @@ class EquivChecker:
             args,
             tuple(abs(a.v) if isinstance(a, Double) else 0.0 for a in args),
             ms_opt.globals == ms_orig.globals,
-            leftover_ok,
+            _leftover_ok(ms_opt.locals, ms_orig.locals, self.alignment),
             pair_checks,
-            self._classify(ret_opt, ret_orig),
+            _classify(ret_opt, ret_orig),
             isinstance(ret_opt, Poison) and isinstance(ret_orig, Poison),
         )
 
@@ -541,15 +545,15 @@ class EquivChecker:
             bound_used, source_used = bound_paper, "paper"
         assert bound_used is not None
 
-        all_checks = pair_checks + [ret_check]
-        pairs_ok = self._ok_with(pair_checks, bound_used)
-        ret_ok = self._ok_with((ret_check,), bound_used)
+        strict = self.config.mode is Mode.STRICT
+        pairs_ok = _all_hold(pair_checks, bound_used, strict)
+        ret_ok = _all_hold((ret_check,), bound_used, strict)
         bad_pairs: tuple[str, ...] = ()
         if not pairs_ok:
             bad_pairs = tuple(
                 f"{opt_id}~{orig_id}"
                 for (opt_id, orig_id), c in zip(self.alignment.pairs, pair_checks)
-                if not self._ok_with((c,), bound_used)
+                if not _all_hold((c,), bound_used, strict)
             )
 
         # a (|difference|, all-finite) return check means both returns are doubles
@@ -557,15 +561,20 @@ class EquivChecker:
         vacuous = False
         if isinstance(ret_check, tuple):
             observed_diff, finite = ret_check
-            vacuous = self.config.mode is Mode.LENIENT and not finite
+            vacuous = not (strict or finite)
 
         audited = (
             self.config.bound_source is BoundSource.BOTH
             and bound_derived is not None
             and bound_paper is not None
         )
-        paper_disagrees = audited and (
-            self._ok_with(all_checks, bound_derived) != self._ok_with(all_checks, bound_paper)
+        # audited means bound_used is the derived bound: only the checks can
+        # make the two verdicts differ, and only if every other clause holds
+        paper_disagrees = (
+            audited
+            and globals_ok
+            and leftover_ok
+            and (pairs_ok and ret_ok) != _all_hold((*pair_checks, ret_check), bound_paper, strict)
         )
 
         if globals_ok and pairs_ok and leftover_ok and ret_ok:
@@ -594,12 +603,6 @@ class EquivChecker:
                 paper_disagrees=paper_disagrees,
             ),
         )
-
-
-def _compare(x_opt: float, x_orig: float) -> tuple[float, bool]:
-    """(|difference|, all-finite) of two defined doubles, as double_refine computes them."""
-    diff = b64_sub(x_opt, x_orig)
-    return abs(diff), isfinite(x_opt) and isfinite(x_orig) and isfinite(diff)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from fma_tv.fp_semantics import (
     Poison,
     round_rational_up,
 )
+from fma_tv.refinement import EquivChecker
 from fma_tv._bits import hex_of
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
@@ -401,12 +402,19 @@ def test_threads_env(tmp_path, monkeypatch):
     _, doc, _ = run_validate(tmp_path, report_name="t4.json", samples=5)
     assert doc["config"]["threads"] == 1
 
-    monkeypatch.setenv("FMA_TV_THREADS", "many")
-    err = io.StringIO()
+
+@pytest.mark.parametrize("report", ["", "missing/report.json"], ids=["directory", "missing-parent"])
+def test_validate_unwritable_report_fails_before_checking(tmp_path, monkeypatch, report):
+    calls = []
+    monkeypatch.setattr(EquivChecker, "check", lambda self, args: calls.append(args))
+    out, err = io.StringIO(), io.StringIO()
     code = cmd_validate(NON_FMA, FMA, ALIGNMENT, SamplerConfig(samples=5),
-                        report_path=str(tmp_path / "tw.json"), out=io.StringIO(), err=err)
-    assert code == 0
-    assert "FMA_TV_THREADS" in err.getvalue()
+                        report_path=str(tmp_path / report), out=out, err=err)
+    assert code == 2
+    assert err.getvalue().startswith("error: ")
+    assert calls == []
+    assert out.getvalue() == ""
+    assert not (tmp_path / "missing").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fma_tv._bits import float_from_hex
 from fma_tv.denotation import GlobalEnv, LocalEnv, interp_cfg2
 from fma_tv.error_model import Add, Const, Fma, Mul, Var, derive_bound
 from fma_tv.fp_semantics import MIN_SUBNORMAL, Double, Poison, to_rational
@@ -495,6 +496,51 @@ def test_compiled_check_matches_reference_random_pairs(pair, cfg, data):
     assert (checker.compiled is None) == (checker.static_unsupported is not None)
     args = tuple(Double(data.draw(any_double)) for _ in opt.params)
     assert_compiled_matches_reference(checker, args)
+
+
+@st.composite
+def checked_inputs(draw):
+    """A pair from block_pairs plus arguments for it, each a double or poison."""
+    opt, orig, align = draw(block_pairs())
+    value = st.one_of(st.just(Poison()), any_double.map(Double))
+    return opt, orig, align, tuple(draw(value) for _ in opt.params)
+
+
+# the return is within the derived bound but not the published one, and the
+# empty alignment fails the leftover clause: both bounds give the same FAIL
+AUDIT_SAME_FAIL = (
+    FMA_FN,
+    NON_FMA_FN,
+    load_alignment("{}"),
+    dbls(*map(float_from_hex, ("0xBF4076EF37EB9BFB", "0x3F9F28FA1654012D", "0x3F27E0C34FD27DC0"))),
+)
+
+
+@settings(max_examples=300)
+@given(checked_inputs(), st.sampled_from(CONFIGS))
+@example(AUDIT_SAME_FAIL, RefinementConfig())
+def test_checker_verdicts_follow_the_public_relation(case, cfg):
+    """check agrees with double_refine/local_refine under each bound it reports."""
+    opt, orig, align, args = case
+    v = EquivChecker(orig, opt, align, cfg).check(args)
+    if v.status is Status.UNSUPPORTED:
+        return
+    d = v.detail
+    ms_orig, _ = interp_cfg2(orig, G0, L0, args)
+    ms_opt, _ = interp_cfg2(opt, G0, L0, args)
+
+    def holds(bound):
+        return local_refine(ms_opt.locals, ms_orig.locals, align, bound, cfg) and double_refine(
+            ms_opt.result, ms_orig.result, bound, cfg
+        )
+
+    def rejected(opt_id, orig_id):
+        x, y = ms_opt.locals.lookup(opt_id), ms_orig.locals.lookup(orig_id)
+        return x is None or y is None or not double_refine(x, y, d.bound_used, cfg)
+
+    assert (v.status is Status.PASS) == holds(d.bound_used)
+    assert d.failed_ids == tuple(f"{o}~{g}" for o, g in align.pairs if rejected(o, g))
+    assert d.paper_disagrees == (d.audited and holds(d.bound_derived) != holds(d.bound_paper))
 
 
 @given(st.lists(st.booleans(), min_size=3, max_size=3).filter(any), st.data())
