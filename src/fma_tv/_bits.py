@@ -29,6 +29,13 @@ def hex_of(x: float) -> str:
     return f"0x{bits_of(x):016X}"
 
 
+def dual_of(x: float | None) -> dict | None:
+    """The JSON form of `x` in reports: its repr and its hex bit pattern."""
+    if x is None:
+        return None
+    return {"decimal": repr(x), "hex": hex_of(x)}
+
+
 def float_from_hex(s: str) -> float:
     """Parse a 16-digit hex bit pattern produced by `hex_of`."""
     if len(s) != 18 or not (s.startswith("0x") or s.startswith("0X")):

@@ -21,10 +21,10 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import __version__
-from ._bits import float_from_hex, hex_of
+from ._bits import dual_of, float_from_hex, hex_of
 from .denotation import EvalError, GlobalEnv, LocalEnv, interp_cfg2, strip_taus, value_to_str
 from .error_model import (
     Add,
@@ -133,29 +133,26 @@ def sample_tuple(rng: random.Random, n_params: int, cfg: SamplerConfig) -> tuple
 # Reporting
 
 
-def _dual(x: float | None):
-    if x is None:
-        return None
-    return {"decimal": repr(x), "hex": hex_of(x)}
-
-
 @dataclass
 class Report:
-    """Aggregation of one `validate` run; serialized as JSON."""
+    """Outcome of one `validate` run; serialized as JSON."""
 
     config: dict
     verdict: str = "pass"
-    exit_code: int = 0
-    samples_run: dict | None = None
-    counts: dict | None = None
+    samples_run: dict = field(default_factory=lambda: {"random": 0, "corpus": 0, "total": 0})
+    counts: dict = field(default_factory=dict)
     max_observed_diff: float | None = None
     worst_sample: dict | None = None
     paper_formula_discrepancies: int = 0
-    paper_formula_examples: list | None = None
-    counterexamples: list | None = None
+    paper_formula_examples: list = field(default_factory=list)
+    counterexamples: list = field(default_factory=list)
     unsupported_reason: str | None = None
     stopped_early: bool = False
     timing_seconds: float = 0.0
+
+    @property
+    def exit_code(self) -> int:
+        return 0 if self.verdict == "pass" else 1
 
     def to_json(self) -> dict:
         return {
@@ -163,13 +160,13 @@ class Report:
             "config": self.config,
             "verdict": self.verdict,
             "exit_code": self.exit_code,
-            "samples_run": self.samples_run or {"random": 0, "corpus": 0, "total": 0},
-            "counts": self.counts or {},
-            "max_observed_diff": _dual(self.max_observed_diff),
+            "samples_run": self.samples_run,
+            "counts": self.counts,
+            "max_observed_diff": dual_of(self.max_observed_diff),
             "worst_sample": self.worst_sample,
             "paper_formula_discrepancies": self.paper_formula_discrepancies,
-            "paper_formula_examples": self.paper_formula_examples or [],
-            "counterexamples": self.counterexamples or [],
+            "paper_formula_examples": self.paper_formula_examples,
+            "counterexamples": self.counterexamples,
             "unsupported_reason": self.unsupported_reason,
             "stopped_early": self.stopped_early,
             "timing": {"seconds": self.timing_seconds},
@@ -301,9 +298,8 @@ def cmd_validate(
         "eta": str(cfg.params.eta),
         "threads": 1,
     }
-    report = Report(config=config_echo)
     with report_file if report_file is not None else contextlib.nullcontext():
-        _sample(checker, sampler, report)
+        report = validate(checker, sampler, config_echo)
         report.timing_seconds = round(time.perf_counter() - started, 6)
         if report_file is None:
             out.write(report.render())
@@ -318,92 +314,83 @@ def cmd_validate(
     return report.exit_code
 
 
-def _sample(checker: EquivChecker, sampler: SamplerConfig, report: Report) -> None:
-    """Check the corpus, then the seeded random stream, and record the outcome in `report`."""
-    counts = {
-        "pass": 0,
-        "fail": 0,
-        "unsupported": 0,
-        "vacuous_pass": 0,
-        "poison_pass": 0,
-        "nonzero_diff": 0,
-    }
+def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Report:
+    """Check the corpus, then the seeded random stream; the run's report, `config` echoed.
+
+    Stops after the 16th counterexample.  The report's timing is left at 0.
+    """
+    counts = dict.fromkeys(
+        ("pass", "fail", "unsupported", "vacuous_pass", "poison_pass", "nonzero_diff"), 0
+    )
+    if checker.static_unsupported is not None:
+        verdict = checker.check(())
+        return Report(
+            config,
+            verdict="unsupported",
+            counts=counts,
+            counterexamples=[{"index": None, **verdict.to_json()}],
+            unsupported_reason=checker.static_unsupported,
+        )
+
     counterexamples: list[dict] = []
     paper_examples: list[dict] = []
     paper_discrepancies = 0
     worst: tuple[float, dict] | None = None
-    corpus: list[tuple[float, ...]] = []
     total = 0
     stopped_early = False
-
-    if checker.static_unsupported is not None:
-        verdict = checker.check(())
-        report.verdict = "unsupported"
-        report.exit_code = 1
-        report.unsupported_reason = checker.static_unsupported
-        report.counterexamples = [{"index": None, **verdict.to_json()}]
-    else:
-        n_params = len(checker.params)
-        if sampler.include_special_corpus:
-            corpus = corpus_tuples(n_params)
-        rng = random.Random(sampler.seed)
-        stream = itertools.chain(
-            corpus, (sample_tuple(rng, n_params, sampler) for _ in range(sampler.samples))
-        )
-        for index, raw in enumerate(stream):
-            total += 1
-            v = checker.check(tuple(Double(x) for x in raw))
-            d = v.detail
-            counts[v.status.value] += 1
-            if v.status is Status.PASS:
-                if d.vacuous:
-                    counts["vacuous_pass"] += 1
-                if d.poison_result:
-                    counts["poison_pass"] += 1
-            if d.observed_diff is not None and is_finite(d.observed_diff):
-                if d.observed_diff > 0.0:
-                    counts["nonzero_diff"] += 1
-                if worst is None or d.observed_diff > worst[0]:
-                    worst = (
-                        d.observed_diff,
-                        {
-                            "index": index,
-                            "args": [_dual(x) for x in raw],
-                            "observed_diff": _dual(d.observed_diff),
-                            "bound_derived": _dual(d.bound_derived),
-                            "bound_paper": _dual(d.bound_paper),
-                        },
-                    )
-            if d.paper_disagrees:
-                paper_discrepancies += 1
-                if len(paper_examples) < _MAX_COUNTEREXAMPLES:
-                    paper_examples.append({"index": index, **v.to_json()})
-            if v.status is not Status.PASS:
-                counterexamples.append({"index": index, **v.to_json()})
-                if len(counterexamples) == _MAX_COUNTEREXAMPLES:
-                    stopped_early = True
-                    break
-
-        if counts["fail"]:
-            report.verdict = "fail"
-            report.exit_code = 1
-        elif counts["unsupported"]:
-            report.verdict = "unsupported"
-            report.exit_code = 1
-        else:
-            report.verdict = "pass"
-            report.exit_code = 0
-        report.counterexamples = counterexamples
+    n_params = len(checker.params)
+    corpus = corpus_tuples(n_params) if sampler.include_special_corpus else []
+    rng = random.Random(sampler.seed)
+    stream = itertools.chain(
+        corpus, (sample_tuple(rng, n_params, sampler) for _ in range(sampler.samples))
+    )
+    for index, raw in enumerate(stream):
+        total += 1
+        v = checker.check(tuple(Double(x) for x in raw))
+        d = v.detail
+        counts[v.status.value] += 1
+        if v.status is Status.PASS:
+            if d.vacuous:
+                counts["vacuous_pass"] += 1
+            if d.poison_result:
+                counts["poison_pass"] += 1
+        if d.observed_diff is not None and is_finite(d.observed_diff):
+            if d.observed_diff > 0.0:
+                counts["nonzero_diff"] += 1
+            if worst is None or d.observed_diff > worst[0]:
+                worst = (
+                    d.observed_diff,
+                    {
+                        "index": index,
+                        "args": [dual_of(x) for x in raw],
+                        "observed_diff": dual_of(d.observed_diff),
+                        "bound_derived": dual_of(d.bound_derived),
+                        "bound_paper": dual_of(d.bound_paper),
+                    },
+                )
+        if d.paper_disagrees:
+            paper_discrepancies += 1
+            if len(paper_examples) < _MAX_COUNTEREXAMPLES:
+                paper_examples.append({"index": index, **v.to_json()})
+        if v.status is not Status.PASS:
+            counterexamples.append({"index": index, **v.to_json()})
+            if len(counterexamples) == _MAX_COUNTEREXAMPLES:
+                stopped_early = True
+                break
 
     n_corpus = min(total, len(corpus))
-    report.samples_run = {"random": total - n_corpus, "corpus": n_corpus, "total": total}
-    report.counts = counts
-    report.stopped_early = stopped_early
-    report.paper_formula_discrepancies = paper_discrepancies
-    report.paper_formula_examples = paper_examples
-    if worst is not None:
-        report.max_observed_diff = worst[0]
-        report.worst_sample = worst[1]
+    return Report(
+        config,
+        verdict="fail" if counts["fail"] else "unsupported" if counts["unsupported"] else "pass",
+        samples_run={"random": total - n_corpus, "corpus": n_corpus, "total": total},
+        counts=counts,
+        max_observed_diff=None if worst is None else worst[0],
+        worst_sample=None if worst is None else worst[1],
+        paper_formula_discrepancies=paper_discrepancies,
+        paper_formula_examples=paper_examples,
+        counterexamples=counterexamples,
+        stopped_early=stopped_early,
+    )
 
 
 # ---------------------------------------------------------------------------

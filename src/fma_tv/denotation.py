@@ -163,10 +163,9 @@ class LocalEnv:
 
 @dataclass(frozen=True, slots=True)
 class GlobalEnv:
-    """Global bindings plus the set of declared intrinsic names."""
+    """Global bindings."""
 
     entries: tuple[tuple[GlobalId, Value], ...] = ()
-    intrinsics: frozenset[str] = frozenset((FMULADD_F64,))
 
     @classmethod
     def empty(cls) -> GlobalEnv:
@@ -219,9 +218,7 @@ def _read_operand(e: Expr, locals_: LocalEnv, events: list[Event]) -> Value:
     return v
 
 
-def denote_instr(
-    instr: Instruction, locals_: LocalEnv, intrinsics: GlobalEnv
-) -> tuple[LocalEnv, tuple[Event, ...]]:
+def denote_instr(instr: Instruction, locals_: LocalEnv) -> tuple[LocalEnv, tuple[Event, ...]]:
     """Denote one instruction: the updated environment and emitted events."""
     events: list[Event] = []
     if isinstance(instr, FBinop):
@@ -243,14 +240,12 @@ def denote_instr(
     return locals_.bind(instr.dest, result), tuple(events)
 
 
-def _run_block(
-    f: FunctionDef, locals_: LocalEnv, intrinsics: GlobalEnv
-) -> tuple[LocalEnv, Value, Trace]:
+def _run_block(f: FunctionDef, locals_: LocalEnv) -> tuple[LocalEnv, Value, Trace]:
     events: list[Event] = []
     for i, instr in enumerate(f.body.blk_code):
         if i:
             events.append(TAU)
-        locals_, evs = denote_instr(instr, locals_, intrinsics)
+        locals_, evs = denote_instr(instr, locals_)
         events.extend(evs)
     ret_val = _read_operand(f.body.blk_term.value, locals_, events)
     events.append(Ret(ret_val))
@@ -268,7 +263,7 @@ def _bind_params(f: FunctionDef, args: tuple[Value, ...], base: LocalEnv) -> Loc
 
 def denote_block(f: FunctionDef, args: tuple[Value, ...]) -> Trace:
     """The event trace of running `f` on `args` from empty environments."""
-    _, _, trace = _run_block(f, _bind_params(f, args, LocalEnv.empty()), GlobalEnv.empty())
+    _, _, trace = _run_block(f, _bind_params(f, args, LocalEnv.empty()))
     return trace
 
 
@@ -276,7 +271,7 @@ def interp_cfg2(
     f: FunctionDef, g: GlobalEnv, l: LocalEnv, args: tuple[Value, ...]
 ) -> tuple[MachineState, Trace]:
     """Run `f` on `args` over initial environments; final state plus trace."""
-    locals_, ret_val, trace = _run_block(f, _bind_params(f, args, l), g)
+    locals_, ret_val, trace = _run_block(f, _bind_params(f, args, l))
     return MachineState(g, locals_, ret_val), trace
 
 

@@ -9,9 +9,9 @@ how far apart the two computed results can be, assuming only input
 magnitudes.  `epsilon_fma_paper` is a closed-form bound for the canonical
 three-input case, kept verbatim for auditing against the derived one.
 
-All internal arithmetic is exact: values are dyadic rationals m * 2**e, so
-no rounding happens until `eval_bound` converts the final bound to a
-binary64, rounding upward.
+All internal arithmetic is exact: values are `Fraction`s (dyadic rationals,
+as every binary64 and every parameter is), so no rounding happens until
+`eval_bound` converts the final bound to a binary64, rounding upward.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
-from .fp_semantics import Binary64, b64_add, b64_fma, b64_mul, is_finite, round_rational_up
+from .fp_semantics import MIN_NORMAL, Binary64, is_finite, round_rational_up
 from ._bits import bits_of
 
 DEFAULT_DELTA = Fraction(1, 2**53)
@@ -37,66 +37,15 @@ class UnknownVariableError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Exact dyadic arithmetic
-
-
-class _Dyadic:
-    """Exact m * 2**e; closed under the + and * the propagation needs."""
-
-    __slots__ = ("m", "e")
-
-    def __init__(self, m: int, e: int = 0):
-        if m:
-            shift = (m & -m).bit_length() - 1
-            if shift:
-                m >>= shift
-                e += shift
-        else:
-            e = 0
-        self.m = m
-        self.e = e
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> _Dyadic:
-        den = q.denominator
-        if den & (den - 1):
-            raise ValueError(f"not a dyadic rational: {q}")
-        return cls(q.numerator, 1 - den.bit_length())
-
-    @classmethod
-    def from_float(cls, x: float) -> _Dyadic:
-        return cls.from_fraction(Fraction(x))
-
-    def to_fraction(self) -> Fraction:
-        if self.e >= 0:
-            return Fraction(self.m << self.e)
-        return Fraction(self.m, 1 << -self.e)
-
-    def __add__(self, other: _Dyadic) -> _Dyadic:
-        if self.e >= other.e:
-            return _Dyadic((self.m << (self.e - other.e)) + other.m, other.e)
-        return _Dyadic(self.m + (other.m << (other.e - self.e)), self.e)
-
-    def __sub__(self, other: _Dyadic) -> _Dyadic:
-        return self + _Dyadic(-other.m, other.e)
-
-    def __mul__(self, other: _Dyadic) -> _Dyadic:
-        return _Dyadic(self.m * other.m, self.e + other.e)
-
-    def __lt__(self, other: _Dyadic) -> bool:
-        return (self - other).m < 0
-
-    def __repr__(self) -> str:
-        return f"_Dyadic({self.m}, {self.e})"
-
-
-_ZERO = _Dyadic(0)
-_ONE = _Dyadic(1)
-_TWO = _Dyadic(2)
-
-
-# ---------------------------------------------------------------------------
 # Parameters and expressions
+
+
+def _nonneg_dyadic(what: str, q: Fraction) -> Fraction:
+    if q < 0:
+        raise ValueError(f"{what} must be non-negative, got {q}")
+    if q.denominator & (q.denominator - 1):
+        raise ValueError(f"{what} must be a dyadic rational, got {q}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -114,12 +63,7 @@ class ErrorModelParams:
 
     def __post_init__(self):
         for name in ("delta", "eta"):
-            q = Fraction(getattr(self, name))
-            if q < 0:
-                raise ValueError(f"{name} must be non-negative, got {q}")
-            if q.denominator & (q.denominator - 1):
-                raise ValueError(f"{name} must be a dyadic rational, got {q}")
-            object.__setattr__(self, name, q)
+            object.__setattr__(self, name, _nonneg_dyadic(name, Fraction(getattr(self, name))))
         if self.delta >= 1:
             raise ValueError(f"delta must be below 1, got {self.delta}")
 
@@ -174,19 +118,6 @@ def expr_variables(e: FpExpr) -> frozenset[str]:
     return expr_variables(e.lhs) | expr_variables(e.rhs)
 
 
-def eval_expr_fp(e: FpExpr, env: Mapping[str, Binary64]) -> Binary64:
-    """Evaluate with binary64 operations (Fma as a single rounding)."""
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Add):
-        return b64_add(eval_expr_fp(e.lhs, env), eval_expr_fp(e.rhs, env))
-    if isinstance(e, Mul):
-        return b64_mul(eval_expr_fp(e.lhs, env), eval_expr_fp(e.rhs, env))
-    return b64_fma(eval_expr_fp(e.a, env), eval_expr_fp(e.b, env), eval_expr_fp(e.c, env))
-
-
 # ---------------------------------------------------------------------------
 # Bounds
 
@@ -209,7 +140,7 @@ def eval_bound(b: BoundResult) -> Binary64:
     return round_rational_up(b.magnitude_bound)
 
 
-def _coerce_mag(name: str, value) -> _Dyadic:
+def _coerce_mag(name: str, value) -> Fraction:
     if isinstance(value, Fraction):
         q = value
     elif isinstance(value, (int, float)):
@@ -218,28 +149,24 @@ def _coerce_mag(name: str, value) -> _Dyadic:
         q = Fraction(value)
     else:
         raise TypeError(f"magnitude for {name!r} must be a number, got {type(value).__name__}")
-    if q < 0:
-        raise ValueError(f"magnitude for {name!r} must be non-negative, got {q}")
-    return _Dyadic.from_fraction(q)
+    return _nonneg_dyadic(f"magnitude for {name!r}", q)
 
 
 class _Propagation:
     """Walks an expression accumulating (magnitude, error) pairs.
 
-    Generic over the coefficient arithmetic: anything with +, * and the
-    given zero works, so the same walk yields exact dyadic bounds and the
-    compiled polynomial form.
+    Generic over the coefficient arithmetic: `lift` maps an exact rational
+    into any type with + and *, so the same walk yields exact bounds
+    (`Fraction` itself) and the compiled polynomial form.
     """
 
-    def __init__(self, mags, delta, eta, prefix: str, zero=None, const_of=None):
+    def __init__(self, mags, params: ErrorModelParams, prefix: str, lift: Callable = Fraction):
         self.mags = mags
-        self.delta = delta
-        self.eta = eta
+        self.delta = lift(params.delta)
+        self.eta = lift(params.eta)
         self.prefix = prefix
-        self.zero = _ZERO if zero is None else zero
-        self.const_of = const_of if const_of is not None else (
-            lambda v: _Dyadic.from_float(abs(v))
-        )
+        self.zero = lift(Fraction(0))
+        self.lift = lift
         self.counter = 0
         self.terms: list[tuple[str, object]] = []
 
@@ -255,7 +182,7 @@ class _Propagation:
         if isinstance(e, Var):
             return self.mags[e.name], self.zero
         if isinstance(e, Const):
-            return self.const_of(e.value), self.zero
+            return self.lift(Fraction(abs(e.value))), self.zero
         if isinstance(e, Add):
             ml, el = self.walk(e.lhs)
             mr, er = self.walk(e.rhs)
@@ -299,43 +226,35 @@ def derive_bound(
     missing = sorted(v for v in vs if v not in mags)
     if missing:
         raise UnknownVariableError(f"no magnitude for {', '.join(missing)}")
-    dmags = {v: _coerce_mag(v, mags[v]) for v in vs}
-    delta = _Dyadic.from_fraction(params.delta)
-    eta = _Dyadic.from_fraction(params.eta)
+    qmags = {v: _coerce_mag(v, mags[v]) for v in vs}
+    delta, eta = params.delta, params.eta
 
     if original == optimized:
         # Structurally identical computations round identically, so only the
         # comparison subtraction can contribute.
-        p = _Propagation(dmags, delta, eta, "original")
-        m1, _ = p.walk(original)
+        m1, _ = _Propagation(qmags, params, "original").walk(original)
         cmp_term = delta * m1 + eta
-        return BoundResult(
-            magnitude_bound=cmp_term.to_fraction(),
-            terms=(("comparison", cmp_term.to_fraction()),),
-        )
+        return BoundResult(magnitude_bound=cmp_term, terms=(("comparison", cmp_term),))
 
-    p_orig = _Propagation(dmags, delta, eta, "original")
+    p_orig = _Propagation(qmags, params, "original")
     m1, e1 = p_orig.walk(original)
-    p_opt = _Propagation(dmags, delta, eta, "optimized")
+    p_opt = _Propagation(qmags, params, "optimized")
     m2, e2 = p_opt.walk(optimized)
 
     # The verdict compares the two computed doubles with one more binary64
     # subtraction; both share the exact magnitude bound max(m1, m2).
-    cmp_term = delta * (m2 if m1 < m2 else m1) + eta
-    total = e1 + e2 + cmp_term
-
-    terms = p_orig.terms + p_opt.terms + [("comparison", cmp_term)]
+    cmp_term = delta * max(m1, m2) + eta
     return BoundResult(
-        magnitude_bound=total.to_fraction(),
-        terms=tuple((label, t.to_fraction()) for label, t in terms),
+        magnitude_bound=e1 + e2 + cmp_term,
+        terms=tuple(p_orig.terms + p_opt.terms + [("comparison", cmp_term)]),
     )
 
 
 def _paper_formula(A, B, C, d, h, one, two):
     """The published formula over any coefficient type with + and *.
 
-    Serves both the exact dyadic `epsilon_fma_paper` and the polynomial
-    that `compile_paper_bound` compiles.
+    Serves both the exact `epsilon_fma_paper` and the polynomial that
+    `compile_paper_bound` compiles.
     """
     inner = A * B * C * d + h + A * B * (two * d + d * d) + h * (one + d) + C * d + h
     return inner * (one + d) + h
@@ -357,11 +276,11 @@ def epsilon_fma_paper(
         _coerce_mag("abs_a", abs_a),
         _coerce_mag("abs_b", abs_b),
         _coerce_mag("abs_c", abs_c),
-        _Dyadic.from_fraction(params.delta),
-        _Dyadic.from_fraction(params.eta),
-        _ONE,
-        _TWO,
-    ).to_fraction()
+        params.delta,
+        params.eta,
+        Fraction(1),
+        Fraction(2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +352,9 @@ class CompiledBound:
     exact bound.  Per monomial the factors at least 1 are multiplied first,
     then the coefficient, then the rest, so a subnormal intermediate is
     never amplified back up; magnitudes large enough that the leading
-    factors alone could overflow are routed to an exact rational evaluation
-    instead.
+    factors alone could overflow, or could amplify the rounding of a
+    subnormal coefficient past the absolute slack, are routed to an exact
+    rational evaluation instead.
     """
 
     __slots__ = ("_parts", "_exact_parts", "_rel_slack", "_mag_limit")
@@ -445,6 +365,8 @@ class CompiledBound:
         n_ops = 0
         max_degree = 0
         max_coeff = Fraction(0)
+        # highest degree of a monomial whose coefficient is subnormal
+        tiny_degree = 0
         for poly in polys:
             mons = []
             exact = []
@@ -453,10 +375,13 @@ class CompiledBound:
                 if coeff < 0:
                     raise ValueError("bound polynomial has a negative coefficient")
                 idxs = tuple(i for i, p in enumerate(key) for _ in range(p))
-                mons.append((round_rational_up(coeff), idxs))
+                coeff_f = round_rational_up(coeff)
+                mons.append((coeff_f, idxs))
                 exact.append((coeff, idxs))
                 n_ops += 2 * len(idxs) + 2
                 max_degree = max(max_degree, len(idxs))
+                if coeff_f < MIN_NORMAL:
+                    tiny_degree = max(tiny_degree, len(idxs))
                 max_coeff = max(max_coeff, coeff)
             parts.append(tuple(mons))
             exact_parts.append(tuple(exact))
@@ -474,6 +399,12 @@ class CompiledBound:
             if max_degree
             else math.inf
         )
+        if tiny_degree:
+            # a subnormal coefficient rounds up by less than 2**-1074, and
+            # the large factors multiply that: keep their product under
+            # 2**20 over the monomial count, so the sum stays below the
+            # absolute slack
+            self._mag_limit = min(self._mag_limit, 2.0 ** ((20 - count_exp) // tiny_degree))
 
     def _eval_exact(self, mags: tuple[float, ...]) -> float:
         if not all(is_finite(m) for m in mags):
@@ -516,14 +447,11 @@ class CompiledBound:
 
 
 def _poly_propagation(nvars: int, var_index: Mapping[str, int], params: ErrorModelParams, prefix: str) -> _Propagation:
-    zero = _Poly({})
     return _Propagation(
-        mags={v: _Poly.variable(i, nvars) for v, i in var_index.items()},
-        delta=_Poly.const(params.delta, nvars),
-        eta=_Poly.const(params.eta, nvars),
-        prefix=prefix,
-        zero=zero,
-        const_of=lambda v: _Poly.const(Fraction(abs(v)), nvars),
+        {v: _Poly.variable(i, nvars) for v, i in var_index.items()},
+        params,
+        prefix,
+        lambda q: _Poly.const(q, nvars),
     )
 
 

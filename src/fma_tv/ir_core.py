@@ -184,14 +184,6 @@ class FunctionDef:
     attrs: tuple[str, ...] = field(default=(), compare=False)
 
 
-@dataclass(frozen=True, slots=True)
-class Module:
-    """A parsed module: function definitions plus declared callee names."""
-
-    functions: tuple[FunctionDef, ...]
-    declares: frozenset[str]
-
-
 # ---------------------------------------------------------------------------
 # Errors
 
@@ -314,19 +306,18 @@ class _Parser:
 
     # -- grammar
 
-    def parse_module(self) -> Module:
+    def parse_module(self) -> tuple[FunctionDef, ...]:
         functions: list[FunctionDef] = []
-        declares: set[str] = set()
         while (tok := self._peek()) is not None:
             if tok.kind == "word" and tok.text == "define":
                 functions.append(self._parse_define())
             elif tok.kind == "word" and tok.text == "declare":
-                declares.add(self._parse_declare())
+                self._skip_declare()
             elif tok.kind == "word" and tok.text == "attributes":
                 self._skip_attributes()
             else:
                 raise self._error(tok, "expected 'define' or 'declare'")
-        return Module(tuple(functions), frozenset(declares))
+        return tuple(functions)
 
     def _parse_define(self) -> FunctionDef:
         self._expect("word", "define")
@@ -373,11 +364,12 @@ class _Parser:
                 continue
             return params
 
-    def _parse_declare(self) -> str:
+    def _skip_declare(self) -> None:
+        # `declare double @callee(...)`: checked for shape, then dropped
         self._expect("word", "declare")
         self._parse_attr_words(RET_ATTRS)
         self._expect("word", "double")
-        name = self._expect("global").text[1:]
+        self._expect("global")
         self._expect("punct", "(")
         while True:
             tok = self._next()
@@ -389,7 +381,6 @@ class _Parser:
             tok.kind == "attrgroup" or (tok.kind == "word" and tok.text in FN_ATTRS)
         ):
             self._next()
-        return name
 
     def _skip_attributes(self) -> None:
         # `attributes #0 = { ... }` trailer emitted by clang; contents ignored.
@@ -501,11 +492,6 @@ class _Parser:
 
 def parse_module(text: str) -> tuple[FunctionDef, ...]:
     """Parse module text into function definitions (declares are dropped)."""
-    return _Parser(text).parse_module().functions
-
-
-def parse_module_full(text: str) -> Module:
-    """Parse module text keeping the set of declared callee names."""
     return _Parser(text).parse_module()
 
 

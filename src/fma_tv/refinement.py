@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from math import inf, isfinite
 
-from ._bits import hex_of, same_bits
+from ._bits import dual_of, same_bits
 from .denotation import (
     CompiledBlock,
     EvalError,
@@ -195,24 +195,16 @@ class VerdictDetail:
     paper_disagrees: bool = False
 
     def to_json(self) -> dict:
-        def enc(x: float | None):
-            if x is None:
-                return None
-            return {"decimal": repr(x), "hex": hex_of(x)}
-
         return {
-            "args": [
-                "poison" if isinstance(a, Poison) else {"decimal": repr(a.v), "hex": hex_of(a.v)}
-                for a in self.args
-            ],
+            "args": ["poison" if isinstance(a, Poison) else dual_of(a.v) for a in self.args],
             "message": self.message,
             "failed_clause": self.failed_clause,
             "failed_ids": list(self.failed_ids),
-            "observed_diff": enc(self.observed_diff),
-            "bound_used": enc(self.bound_used),
+            "observed_diff": dual_of(self.observed_diff),
+            "bound_used": dual_of(self.bound_used),
             "bound_source_used": self.bound_source_used,
-            "bound_paper": enc(self.bound_paper),
-            "bound_derived": enc(self.bound_derived),
+            "bound_paper": dual_of(self.bound_paper),
+            "bound_derived": dual_of(self.bound_derived),
             "poison_result": self.poison_result,
             "vacuous": self.vacuous,
             "audited": self.audited,
@@ -315,38 +307,61 @@ def local_refine(
 # ---------------------------------------------------------------------------
 # Symbolic recovery
 
+# The error model walks the returned expression as a tree, recursively, so
+# a shared local counts once per use.  Past these limits the walk would
+# take exponential time or exhaust the interpreter's recursion limit.
+MAX_EXPR_NODES = 10_000
+MAX_EXPR_DEPTH = 300
+
 
 def recover_expr(f: FunctionDef) -> FpExpr:
     """The returned value of `f` as an expression over its parameters.
 
     Only fmul, fadd and the fmuladd intrinsic have counterparts in the
-    error model; anything else raises UnsupportedExprError.
+    error model; anything else raises UnsupportedExprError, as do a
+    non-finite literal and a returned expression with more than
+    MAX_EXPR_NODES nodes once shared locals are expanded, or more than
+    MAX_EXPR_DEPTH nested operations.
     """
-    env: dict[LocalId, FpExpr] = {p: Var(str(p)) for p in f.params}
+    # each local's expression, expanded node count and operation depth
+    env: dict[LocalId, tuple[FpExpr, int, int]] = {p: (Var(str(p)), 1, 0) for p in f.params}
 
-    def conv(e) -> FpExpr:
+    def conv(e) -> tuple[FpExpr, int, int]:
         if isinstance(e, LocalRef):
             if e.id not in env:
                 raise UnsupportedExprError(f"undefined local {e.id}")
             return env[e.id]
-        return Const(e.value)
+        if not isfinite(e.value):
+            raise UnsupportedExprError(f"non-finite literal {e} has no magnitude")
+        return Const(e.value), 1, 0
 
     for instr in f.body.blk_code:
         if isinstance(instr, FBinop):
             if instr.fm_flags:
                 raise UnsupportedExprError(f"fast-math flags on {instr.dest}")
             if instr.kind is FBinopKind.FMUL:
-                node: FpExpr = Mul(conv(instr.lhs), conv(instr.rhs))
+                make = Mul
             elif instr.kind is FBinopKind.FADD:
-                node = Add(conv(instr.lhs), conv(instr.rhs))
+                make = Add
             else:
                 raise UnsupportedExprError(f"no error model for {instr.kind}")
+            operands = (instr.lhs, instr.rhs)
         else:
             if instr.callee.text != FMULADD_F64 or len(instr.args) != 3:
                 raise UnsupportedExprError(f"unsupported call to {instr.callee}")
-            node = Fma(conv(instr.args[0]), conv(instr.args[1]), conv(instr.args[2]))
-        env[instr.dest] = node
-    return conv(f.body.blk_term.value)
+            make, operands = Fma, instr.args
+        exprs, nodes, depths = zip(*map(conv, operands))
+        env[instr.dest] = (make(*exprs), 1 + sum(nodes), 1 + max(depths))
+    expr, nodes, depth = conv(f.body.blk_term.value)
+    if nodes > MAX_EXPR_NODES:
+        raise UnsupportedExprError(
+            f"returned expression has {nodes} nodes, over the error model's limit of {MAX_EXPR_NODES}"
+        )
+    if depth > MAX_EXPR_DEPTH:
+        raise UnsupportedExprError(
+            f"returned expression nests {depth} operations, over the error model's limit of {MAX_EXPR_DEPTH}"
+        )
+    return expr
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,17 @@
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import fma_tv
 from fma_tv.cli import (
     Report,
     SamplerConfig,
@@ -21,6 +24,7 @@ from fma_tv.cli import (
     main,
     sample_tuple,
     special_values,
+    validate,
     _parse_value,
 )
 from fma_tv.denotation import INTRINSIC_INPUT_ERROR
@@ -31,7 +35,8 @@ from fma_tv.fp_semantics import (
     Poison,
     round_rational_up,
 )
-from fma_tv.refinement import EquivChecker
+from fma_tv.ir_core import parse_module
+from fma_tv.refinement import EquivChecker, load_alignment
 from fma_tv._bits import hex_of
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
@@ -247,6 +252,15 @@ def test_bound_errors(tmp_path):
         "}\n"
     )
     assert run_cmd_bound(str(unknown), str(unknown), "a=1.0")[0] == 2
+    infinite = tmp_path / "inf.ll"
+    infinite.write_text(
+        "define double @f(double %0) {\n"
+        "  %2 = fadd double %0, 0x7FF0000000000000\n"
+        "  ret double %2\n"
+        "}\n"
+    )
+    code, _, err = run_cmd_bound(str(infinite), str(infinite), "a=1.0")
+    assert code == 2 and "non-finite literal" in err
     assert run_cmd_bound(NON_FMA, FMA, "a=-1.0,b=1.0,c=1.0")[0] == 2
     assert run_cmd_bound(NON_FMA, FMA, "a=inf,b=1.0,c=1.0")[0] == 2
     assert run_cmd_bound(NON_FMA, FMA, "a=1.0,b=1.0")[0] == 2
@@ -363,6 +377,23 @@ def test_validate_determinism(tmp_path):
     assert doc1 == doc2
 
 
+def test_validate_core_is_pure(tmp_path):
+    # the report cmd_validate writes is the core's, plus config and timing
+    (original,) = parse_module(Path(NON_FMA).read_text())
+    (optimized,) = parse_module(Path(FMA).read_text())
+    checker = EquivChecker(original, optimized, load_alignment(Path(ALIGNMENT).read_text()))
+    sampler = SamplerConfig(samples=100, seed=3)
+    report = validate(checker, sampler, {"echo": True})
+    assert report == validate(checker, sampler, {"echo": True})
+    assert report.config == {"echo": True} and report.timing_seconds == 0.0
+    assert report.exit_code == 0
+    _, doc, _ = run_validate(tmp_path, samples=100, seed=3)
+    core = report.to_json()
+    for d in (core, doc):
+        del d["config"], d["timing"]
+    assert core == doc
+
+
 def test_validate_summary_line(tmp_path):
     code, doc, summary = run_validate(tmp_path, samples=10, report_name="s.json")
     assert code == 0
@@ -418,6 +449,54 @@ def test_validate_unwritable_report_fails_before_checking(tmp_path, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
+# expressions past the error model's limits
+
+
+def chain_block(n, doubling):
+    """%t{i} = fadd of %t{i-1} with %b (a chain of depth n), or with itself (2^n nodes)."""
+    rhs = "%t{}" if doubling else "%b"
+    lines = ["define double @f(double %a, double %b) {", "  %t0 = fadd double %a, %b"]
+    lines += [f"  %t{i} = fadd double %t{i - 1}, {rhs.format(i - 1)}" for i in range(1, n)]
+    return "\n".join(lines + [f"  ret double %t{n - 1}", "}"]) + "\n"
+
+
+def run_chain(tmp_path, n, doubling):
+    """`bound` and `validate --bound derived` on the chain paired with itself."""
+    block = tmp_path / "chain.ll"
+    block.write_text(chain_block(n, doubling))
+    alignment = tmp_path / "empty.json"
+    alignment.write_text("{}")
+    started = time.perf_counter()
+    bound = run_cmd_bound(str(block), str(block), "a=1.0,b=1.0")
+    report = tmp_path / "report.json"
+    code = main(["validate", "--original", str(block), "--optimized", str(block),
+                 "--alignment", str(alignment), "--bound", "derived", "--samples", "10",
+                 "--no-special-corpus", "--report", str(report)])
+    return bound, code, json.loads(report.read_text()), time.perf_counter() - started
+
+
+@pytest.mark.parametrize("n, doubling, reason", [(450, False, "nests 450 operations"),
+                                                 (18, True, "has 524287 nodes")],
+                         ids=["deep", "doubling"])
+def test_expression_past_limits_is_refused_with_a_reason(tmp_path, capsys, n, doubling, reason):
+    (code, out, err), v_code, doc, elapsed = run_chain(tmp_path, n, doubling)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and reason in err
+    assert v_code == 1
+    assert doc["verdict"] == "unsupported"
+    assert reason in doc["unsupported_reason"]
+    assert elapsed < 2.0
+
+
+def test_expression_within_limits_gets_its_bound(tmp_path, capsys):
+    (code, out, _), v_code, doc, _ = run_chain(tmp_path, 300, False)
+    assert code == 0 and out.startswith("derived bound:")
+    assert v_code == 0
+    assert doc["verdict"] == "pass"
+    assert doc["counts"]["pass"] == 10
+
+
+# ---------------------------------------------------------------------------
 # argparse wiring
 
 
@@ -446,10 +525,13 @@ def test_main_run_and_bound(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same package this process imported
+    src = str(Path(fma_tv.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "fma_tv", "bound", "--original", NON_FMA,
          "--optimized", FMA, "--mags", "a=1,b=1,c=1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("derived bound:")

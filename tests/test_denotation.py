@@ -176,7 +176,6 @@ def test_local_env_lookup_and_shadowing():
 def test_global_env_defaults():
     g = GlobalEnv.empty()
     assert g.entries == ()
-    assert "llvm.fmuladd.f64" in g.intrinsics
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +193,7 @@ def test_eval_expr():
 
 def test_denote_instr_literal_mul():
     instr = FBinop(anon(4), FBinopKind.FMUL, (), DoubleLit(2.0), DoubleLit(3.0))
-    env, events = denote_instr(instr, LocalEnv.empty(), GlobalEnv.empty())
+    env, events = denote_instr(instr, LocalEnv.empty())
     assert env.entries == ((anon(4), Double(6.0)),)
     # literal operands emit no reads
     assert events == (LocalWrite(anon(4), Double(6.0)),)
@@ -203,14 +202,14 @@ def test_denote_instr_literal_mul():
 def test_denote_instr_unknown_intrinsic():
     instr = IntrinsicCall(anon(4), GlobalId("llvm.sqrt.f64"), (DoubleLit(4.0),), False)
     with pytest.raises(UnknownIntrinsicError) as exc:
-        denote_instr(instr, LocalEnv.empty(), GlobalEnv.empty())
+        denote_instr(instr, LocalEnv.empty())
     assert exc.value.callee == GlobalId("llvm.sqrt.f64")
 
 
 def test_denote_instr_flags_rejected():
     instr = FBinop(anon(4), FBinopKind.FADD, ("fast",), DoubleLit(1.0), DoubleLit(2.0))
     with pytest.raises(Exception):
-        denote_instr(instr, LocalEnv.empty(), GlobalEnv.empty())
+        denote_instr(instr, LocalEnv.empty())
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@ from fma_tv.error_model import (
     derive_bound,
     epsilon_fma_paper,
     eval_bound,
-    eval_expr_fp,
     expr_variables,
 )
-from fma_tv.fp_semantics import MIN_SUBNORMAL, b64_sub, is_finite, to_rational
+from fma_tv.fp_semantics import MAX_FINITE, MIN_SUBNORMAL, is_finite, to_rational
 from fma_tv._bits import bits_of
-from oracles import oracle_add, oracle_fma
+from oracles import oracle_add, oracle_fma, oracle_mul, oracle_sub
 from strategies import contract, expr_trees, moderate_double
 
 D = Fraction(1, 2**53)
@@ -78,20 +77,17 @@ def test_expr_variables():
     assert expr_variables(Fma(Var("x"), Const(1.0), Var("x"))) == frozenset({"x"})
 
 
-def test_eval_expr_fp_matches_oracles():
-    env = {"a": 0.1, "b": 0.2, "c": 0.3}
-    got = eval_expr_fp(Add(Var("a"), Var("b")), env)
-    assert bits_of(got) == 0x3FD3333333333334
-    assert got == oracle_add(0.1, 0.2)
-    assert eval_expr_fp(OPT, env) == oracle_fma(0.1, 0.2, 0.3)
-
-
-def test_eval_expr_fp_fma_single_rounding():
-    # contraction changes the computed value here: the intermediate product
-    # rounds away exactly what the fused operation keeps
-    env = {"a": 1.0 + 2.0**-27, "b": 1.0 + 2.0**-27, "c": -(1.0 + 2.0**-26)}
-    assert eval_expr_fp(ORIG, env) == 0.0
-    assert eval_expr_fp(OPT, env) == 2.0**-54
+def eval_oracle(e, env):
+    """Evaluate with the reference arithmetic of `oracles` (Fma as a single rounding)."""
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Add):
+        return oracle_add(eval_oracle(e.lhs, env), eval_oracle(e.rhs, env))
+    if isinstance(e, Mul):
+        return oracle_mul(eval_oracle(e.lhs, env), eval_oracle(e.rhs, env))
+    return oracle_fma(eval_oracle(e.a, env), eval_oracle(e.b, env), eval_oracle(e.c, env))
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +213,18 @@ def test_bound_monotone_in_magnitudes(pair, env_a, env_b):
 )
 def test_bound_sound_on_samples(pair, env):
     # the central soundness claim: for inputs within the stated magnitudes,
-    # the two computed values differ by at most the derived bound
+    # the two computed values differ by at most the derived bound; the
+    # values come from the oracle arithmetic, not from the package
     e1, e2 = pair
-    v1 = eval_expr_fp(e1, env)
-    v2 = eval_expr_fp(e2, env)
-    if not (is_finite(v1) and is_finite(v2)):
+    v1 = eval_oracle(e1, env)
+    v2 = eval_oracle(e2, env)
+    if not (math.isfinite(v1) and math.isfinite(v2)):
         return  # the model only covers overflow-free evaluations
     br = derive_bound(e1, e2, {v: abs(x) for v, x in env.items()})
-    assert abs(to_rational(v1) - to_rational(v2)) <= br.magnitude_bound
-    diff = b64_sub(v1, v2)
-    if is_finite(diff):
-        assert abs(to_rational(diff)) <= br.magnitude_bound
+    assert abs(Fraction(v1) - Fraction(v2)) <= br.magnitude_bound
+    diff = oracle_sub(v1, v2)
+    if math.isfinite(diff):
+        assert abs(Fraction(diff)) <= br.magnitude_bound
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +306,22 @@ def test_compiled_extreme_magnitudes(ma, mb, mc):
     else:
         # only a bound that truly has no binary64 home may round to inf
         assert exact > to_rational(1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("magnitude", [mags, extreme], ids=["mags", "extreme"])
+@given(pair=st.one_of(pairs, st.tuples(expr_trees(), expr_trees())), data=st.data())
+def test_compiled_derived_matches_exact_on_random_pairs(magnitude, pair, data):
+    # a tree against its contraction has one magnitude polynomial; two
+    # unrelated trees usually have two, which the compiled form joins by max
+    e1, e2 = pair
+    ms = data.draw(st.tuples(magnitude, magnitude, magnitude))
+    fast = compile_derived_bound(e1, e2, ("a", "b", "c"))(ms)
+    exact = derive_bound(e1, e2, dict(zip("abc", ms))).magnitude_bound
+    if is_finite(fast):
+        assert_sandwich(exact, fast)
+    else:
+        # inf only where the sandwich's upper end leaves the format
+        assert exact * SANDWICH_REL + SANDWICH_ABS > to_rational(MAX_FINITE)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,13 @@ def test_recover_expr_unsupported():
     )
     with pytest.raises(UnsupportedExprError):
         recover_expr(g)
+    # a non-finite literal has no magnitude to propagate
+    for literal in ("0x7FF0000000000000", "0x7FF8000000000000"):
+        (h,) = parse_module(
+            f"define double @h(double %0) {{\n  %2 = fadd double %0, {literal}\n  ret double %2\n}}"
+        )
+        with pytest.raises(UnsupportedExprError, match="non-finite literal"):
+            recover_expr(h)
 
 
 # ---------------------------------------------------------------------------
