@@ -27,13 +27,10 @@ from . import __version__
 from ._bits import dual_of, float_from_hex, hex_of
 from .denotation import EvalError, GlobalEnv, LocalEnv, interp_cfg2, strip_taus, value_to_str
 from .error_model import (
-    Add,
-    Fma,
-    Mul,
-    Var,
     derive_bound,
     epsilon_fma_paper,
     eval_bound,
+    fma_roles,
 )
 from .fp_semantics import (
     MAX_FINITE,
@@ -426,18 +423,6 @@ def cmd_run(block_path: str, inputs: str, out=None, err=None) -> int:
 # bound
 
 
-def _fma_shape(original, optimized) -> bool:
-    """True when the pair is a*b+c against fma(a, b, c) over plain variables."""
-    if not isinstance(optimized, Fma):
-        return False
-    a, b, c = optimized.a, optimized.b, optimized.c
-    if not all(isinstance(x, Var) for x in (a, b, c)):
-        return False
-    products = (Mul(a, b), Mul(b, a))
-    sums = [Add(p, c) for p in products] + [Add(c, p) for p in products]
-    return any(original == s for s in sums)
-
-
 def cmd_bound(
     original_path: str, optimized_path: str, mags: str, out=None, err=None
 ) -> int:
@@ -460,9 +445,9 @@ def cmd_bound(
     for label, term in result.terms:
         term_f = round_rational_up(term)
         print(f"  {label:<24} {term_f!r}", file=out)
-    if _fma_shape(expr_orig, expr_opt) or _fma_shape(expr_opt, expr_orig):
-        ma, mb, mc = (magnitudes[str(p)] for p in original.params)
-        paper = round_rational_up(epsilon_fma_paper(ma, mb, mc))
+    roles = fma_roles(expr_orig, expr_opt) or fma_roles(expr_opt, expr_orig)
+    if roles:
+        paper = round_rational_up(epsilon_fma_paper(*(magnitudes[v] for v in roles)))
         print(f"paper-formula bound: {paper!r} ({hex_of(paper)})", file=out)
     return 0
 

@@ -9,9 +9,10 @@ how far apart the two computed results can be, assuming only input
 magnitudes.  `epsilon_fma_paper` is a closed-form bound for the canonical
 three-input case, kept verbatim for auditing against the derived one.
 
-All internal arithmetic is exact: values are `Fraction`s (dyadic rationals,
-as every binary64 and every parameter is), so no rounding happens until
-`eval_bound` converts the final bound to a binary64, rounding upward.
+All internal arithmetic is exact: values are dyadic rationals, as every
+binary64 and every parameter is (`Fraction`s, or integers times powers of
+two in the compiled exact fallback), so no rounding happens until the final
+bound is converted to a binary64, rounding upward.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .fp_semantics import MIN_NORMAL, Binary64, is_finite, round_rational_up
+from .fp_semantics import MIN_NORMAL, Binary64, _round_ints, is_finite, round_rational_up
 from ._bits import bits_of
 
 DEFAULT_DELTA = Fraction(1, 2**53)
@@ -260,6 +261,20 @@ def _paper_formula(A, B, C, d, h, one, two):
     return inner * (one + d) + h
 
 
+def fma_roles(original: FpExpr, optimized: FpExpr) -> tuple[str, str, str] | None:
+    """The variables in the roles (a, b, c) when the pair is a*b+c against fma(a, b, c).
+
+    Matches modulo commutativity of * and +; None for any other shape.
+    """
+    if not isinstance(optimized, Fma):
+        return None
+    a, b, c = optimized.a, optimized.b, optimized.c
+    if not all(isinstance(x, Var) for x in (a, b, c)):
+        return None
+    sums = [s for p in (Mul(a, b), Mul(b, a)) for s in (Add(p, c), Add(c, p))]
+    return (a.name, b.name, c.name) if original in sums else None
+
+
 def epsilon_fma_paper(
     abs_a: Union[Binary64, Fraction],
     abs_b: Union[Binary64, Fraction],
@@ -294,9 +309,9 @@ def epsilon_fma_paper(
 # float evaluation inflated by a slack that dominates every rounding the
 # evaluation itself can commit (at least 1 + 2**-40 relative plus 2**-1050
 # absolute, widened for very large polynomials).  Magnitudes too large for
-# the float path fall back to exact rational evaluation, so the result
-# always lies between the exact bound and slack times it; `derive_bound`
-# remains the exact reference.
+# the float path fall back to exact evaluation (dyadic values as shifted
+# integers, one upward rounding), so the result always lies between the
+# exact bound and slack times it; `derive_bound` remains the exact reference.
 
 
 class _Poly:
@@ -371,13 +386,12 @@ class CompiledBound:
             mons = []
             exact = []
             for key in sorted(poly.coeffs):
-                coeff = poly.coeffs[key]
-                if coeff < 0:
-                    raise ValueError("bound polynomial has a negative coefficient")
+                coeff = _nonneg_dyadic("bound polynomial coefficient", poly.coeffs[key])
                 idxs = tuple(i for i, p in enumerate(key) for _ in range(p))
                 coeff_f = round_rational_up(coeff)
                 mons.append((coeff_f, idxs))
-                exact.append((coeff, idxs))
+                # coeff == numerator * 2**exponent
+                exact.append((coeff.numerator, 1 - coeff.denominator.bit_length(), idxs))
                 n_ops += 2 * len(idxs) + 2
                 max_degree = max(max_degree, len(idxs))
                 if coeff_f < MIN_NORMAL:
@@ -407,20 +421,31 @@ class CompiledBound:
             self._mag_limit = min(self._mag_limit, 2.0 ** ((20 - count_exp) // tiny_degree))
 
     def _eval_exact(self, mags: tuple[float, ...]) -> float:
+        # Every value is an integer times a power of two: multiply the
+        # integers, add the exponents, then shift all monomials to the least
+        # exponent so each part is one exact integer sum, rounded up once.
         if not all(is_finite(m) for m in mags):
             return math.inf
-        qs = tuple(Fraction(m) for m in mags)
-        best = Fraction(0)
+        nums = []
+        exps = []
+        for m in mags:
+            n, d = m.as_integer_ratio()
+            nums.append(n)
+            exps.append(1 - d.bit_length())
+        parts = []
+        low = 0
         for mons in self._exact_parts:
-            acc = Fraction(0)
-            for coeff, idxs in mons:
-                term = coeff
+            terms = []
+            for n, e, idxs in mons:
                 for i in idxs:
-                    term *= qs[i]
-                acc += term
-            if acc > best:
-                best = acc
-        return round_rational_up(best)
+                    n *= nums[i]
+                    e += exps[i]
+                terms.append((n, e))
+                if e < low:
+                    low = e
+            parts.append(terms)
+        best = max((sum(n << (e - low) for n, e in terms) for terms in parts), default=0)
+        return _round_ints(best, 1 << -low, to_nearest=False)
 
     def __call__(self, mags: tuple[float, ...]) -> float:
         for m in mags:

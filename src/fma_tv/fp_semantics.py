@@ -58,7 +58,8 @@ def _round_ints(n: int, d: int, to_nearest: bool) -> Binary64:
     """Round n/d (d > 0) to binary64.
 
     `to_nearest` selects round-to-nearest-even; otherwise rounds toward
-    +infinity.  Pure integer arithmetic throughout.
+    +infinity.  Pure integer arithmetic throughout; a power-of-two `d` (every
+    dyadic rational) is split by shift and mask instead of division.
     """
     if n == 0:
         return 0.0
@@ -66,20 +67,31 @@ def _round_ints(n: int, d: int, to_nearest: bool) -> Binary64:
     a = -n if sign else n
 
     # Exponent estimate: a/d lies in (2**(k-1), 2**(k+1)) for
-    # k = a.bit_length() - d.bit_length(), so m below starts in [2**52, 2**54).
-    e = a.bit_length() - d.bit_length() - _SIG_BITS
+    # k = a.bit_length() - d.bit_length(), so m starts in [2**52, 2**54).  A
+    # power of two d pins a/d to [2**k, 2**(k+1)) and m to [2**52, 2**53).
+    pow2 = d & (d - 1) == 0
+    e = a.bit_length() - d.bit_length() - _SIG_BITS + pow2
     if e < _EMIN:
         e = _EMIN
 
-    def split(exp: int) -> tuple[int, int, int]:
-        num, den = (a, d << exp) if exp >= 0 else (a << -exp, d)
-        m, rem = divmod(num, den)
-        return m, rem, den
+    if pow2:
+        s = e + d.bit_length() - 1
+        if s > 0:
+            den = 1 << s
+            m, rem = a >> s, a & (den - 1)
+        else:
+            m, rem, den = a << -s, 0, 1
+    else:
 
-    m, rem, den = split(e)
-    while m >= 1 << _SIG_BITS:
-        e += 1
+        def split(exp: int) -> tuple[int, int, int]:
+            num, den = (a, d << exp) if exp >= 0 else (a << -exp, d)
+            m, rem = divmod(num, den)
+            return m, rem, den
+
         m, rem, den = split(e)
+        while m >= 1 << _SIG_BITS:
+            e += 1
+            m, rem, den = split(e)
 
     if to_nearest:
         twice = 2 * rem

@@ -300,10 +300,6 @@ class _Parser:
             raise self._error(tok, f"expected {want!r}")
         return self._next()
 
-    def _at_word(self, text: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == "word" and tok.text == text
-
     # -- grammar
 
     def parse_module(self) -> tuple[FunctionDef, ...]:

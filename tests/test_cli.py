@@ -1,6 +1,7 @@
 """Command-line driver: sampling, reports, single runs, bound queries."""
 
 import io
+import itertools
 import json
 import math
 import os
@@ -231,6 +232,31 @@ def test_bound_canonical_pair():
     labels = [line.split()[0] for line in lines[1:5]]
     assert labels == ["original:mul[0]", "original:add[1]", "optimized:fma[0]", "comparison"]
     assert lines[5] == f"paper-formula bound: {paper_expected!r} ({hex_of(paper_expected)})"
+
+
+def test_bound_paper_line_follows_roles(tmp_path):
+    # the published formula is fed by role (a, b, c), not by parameter order
+    _, canonical, _ = run_cmd_bound(NON_FMA, FMA, "a=1e10,b=1e10,c=1")
+    expected = canonical.splitlines()[-1]
+    assert expected.startswith("paper-formula bound: 33306.6907387547 ")
+    header = "define double @f(double %0, double %1, double %2) {\n"
+    for perm in itertools.permutations(range(3)):
+        a, b, c = (f"%{i}" for i in perm)
+        mags = ",".join(f"%{i}={'1' if i == perm[2] else '1e10'}" for i in range(3))
+        optimized = tmp_path / "opt.ll"
+        optimized.write_text(
+            header + f"  %4 = call double @llvm.fmuladd.f64(double {a}, double {b}, double {c})\n"
+            "  ret double %4\n}\n"
+        )
+        for x, y in ((a, b), (b, a)):
+            for s, t in (("%4", c), (c, "%4")):
+                original = tmp_path / "orig.ll"
+                original.write_text(
+                    header + f"  %4 = fmul double {x}, {y}\n  %5 = fadd double {s}, {t}\n"
+                    "  ret double %5\n}\n"
+                )
+                code, out, _ = run_cmd_bound(str(original), str(optimized), mags)
+                assert code == 0 and out.splitlines()[-1] == expected, (perm, x, y, s, t)
 
 
 def test_bound_identical_files():

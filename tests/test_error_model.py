@@ -5,12 +5,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fma_tv.error_model import (
     Add,
     BoundResult,
+    CompiledBound,
     Const,
     ErrorModelParams,
     Fma,
@@ -24,8 +25,18 @@ from fma_tv.error_model import (
     epsilon_fma_paper,
     eval_bound,
     expr_variables,
+    fma_roles,
+    _Poly,
 )
-from fma_tv.fp_semantics import MAX_FINITE, MIN_SUBNORMAL, is_finite, to_rational
+from fma_tv.fp_semantics import (
+    MAX_FINITE,
+    MAX_SUBNORMAL,
+    MIN_NORMAL,
+    MIN_SUBNORMAL,
+    is_finite,
+    round_rational_up,
+    to_rational,
+)
 from fma_tv._bits import bits_of
 from oracles import oracle_add, oracle_fma, oracle_mul, oracle_sub
 from strategies import contract, expr_trees, moderate_double
@@ -322,6 +333,55 @@ def test_compiled_derived_matches_exact_on_random_pairs(magnitude, pair, data):
     else:
         # inf only where the sandwich's upper end leaves the format
         assert exact * SANDWICH_REL + SANDWICH_ABS > to_rational(MAX_FINITE)
+
+
+# the exact fallback, called directly, against the Fraction reference
+exact_mags = st.one_of(
+    st.sampled_from([0.0, MIN_SUBNORMAL, MAX_SUBNORMAL, MIN_NORMAL, MAX_FINITE]),
+    st.integers(min_value=-1074, max_value=1023).map(lambda k: math.ldexp(1.0, k)),
+    st.floats(min_value=0.0, max_value=MAX_FINITE),
+)
+# eta multiplied through: a subnormal coefficient on a degree-one monomial
+TINY_COEFF_PAIR = (Mul(Var("c"), Add(Var("a"), Var("a"))), Mul(Add(Var("a"), Var("a")), Var("c")))
+
+
+@given(
+    pair=st.one_of(pairs, st.tuples(expr_trees(), expr_trees()), st.just(TINY_COEFF_PAIR)),
+    ms=st.tuples(exact_mags, exact_mags, exact_mags),
+)
+@example(pair=TINY_COEFF_PAIR, ms=(MIN_SUBNORMAL, 0.0, 1.7e10))
+@example(pair=(ORIG, OPT), ms=(2.0**1023, 2.0**1023, 2.0**1023))
+def test_exact_path_equals_fraction_reference(pair, ms):
+    e1, e2 = pair
+    exact = derive_bound(e1, e2, dict(zip("abc", ms))).magnitude_bound
+    fast = compile_derived_bound(e1, e2, ("a", "b", "c"))._eval_exact(ms)
+    assert bits_of(fast) == bits_of(round_rational_up(exact))
+
+
+@given(st.tuples(exact_mags, exact_mags, exact_mags))
+@example((2.0**1023, 2.0**1023, 2.0**1023))  # exact inputs whose bound rounds to inf
+def test_exact_paper_path_equals_fraction_reference(ms):
+    fast = compile_paper_bound()._eval_exact(ms)
+    assert bits_of(fast) == bits_of(round_rational_up(epsilon_fma_paper(*ms)))
+
+
+def test_fma_roles_modulo_commutativity():
+    x, y, z = Var("x"), Var("y"), Var("z")
+    opt = Fma(z, y, x)
+    for orig in (Add(Mul(z, y), x), Add(Mul(y, z), x), Add(x, Mul(z, y)), Add(x, Mul(y, z))):
+        assert fma_roles(orig, opt) == ("z", "y", "x")
+    assert fma_roles(ORIG, OPT) == ("a", "b", "c")
+    assert fma_roles(OPT, ORIG) is None
+    assert fma_roles(Add(Mul(x, z), y), opt) is None  # other roles
+    assert fma_roles(Add(Mul(Var("a"), Var("b")), Const(1.0)), Fma(Var("a"), Var("b"), Const(1.0))) is None
+    assert fma_roles(Add(Add(x, y), z), Add(x, Add(y, z))) is None
+
+
+def test_compiled_bound_rejects_bad_coefficients():
+    with pytest.raises(ValueError, match="must be a dyadic rational"):
+        CompiledBound((_Poly.const(Fraction(1, 3), 1),))
+    with pytest.raises(ValueError, match="must be non-negative"):
+        CompiledBound((_Poly.const(Fraction(-1, 4), 1),))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from fma_tv.fp_semantics import (
     MIN_SUBNORMAL,
     Double,
     Poison,
+    _round_ints,
     b64_add,
     b64_fma,
     b64_mul,
@@ -204,6 +205,36 @@ def test_round_rational_up_adjacency(q):
     below = math.nextafter(up, -math.inf)
     if math.isfinite(below):
         assert Fraction(below) < q
+
+
+TOP = (1 << 53) - 1  # the largest significand
+# (n, k) for n / 2**k at the edges of the shift-and-mask split
+POW2_EDGES = [
+    (1, 0), (3, 2), (TOP, 0), (TOP << 971, 0), (1, 1074), (TOP >> 1, 1074),  # exact
+    ((1 << 54) - 1, 0), ((1 << 54) - 1, 1),  # carry into the next binade
+    (1, 1075), (3, 1075), (3, 1076), (1, 1076), (1, 5000),  # least subnormal ties
+    ((1 << 53) - 1, 1075), ((1 << 52) - 1, 1074), ((1 << 105) - 1, 1126),  # normal boundary
+    (1 << 1024, 0), (1 << 1947, 0), ((2 * TOP + 1) << 970, 0), ((4 * TOP + 1) << 969, 0),  # overflow
+]
+
+
+@pytest.mark.parametrize("n, k", POW2_EDGES + [(-n, k) for n, k in POW2_EDGES])
+@pytest.mark.parametrize("to_nearest", [True, False], ids=["nearest", "up"])
+def test_round_ints_power_of_two_edges_match_division(n, k, to_nearest):
+    # a multiple of 3 in the denominator forces the divmod path
+    assert same_bits(_round_ints(n, 1 << k, to_nearest), _round_ints(3 * n, 3 << k, to_nearest))
+
+
+@given(
+    st.integers(min_value=-(2**60), max_value=2**60),
+    st.integers(min_value=0, max_value=1100),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=0, max_value=2300),
+    st.booleans(),
+)
+def test_round_ints_power_of_two_matches_division(m, shift, nudge, k, to_nearest):
+    n = (m << shift) + nudge
+    assert same_bits(_round_ints(n, 1 << k, to_nearest), _round_ints(3 * n, 3 << k, to_nearest))
 
 
 # ---------------------------------------------------------------------------
