@@ -43,7 +43,7 @@ from .fp_semantics import (
     is_finite,
     round_rational_up,
 )
-from .ir_core import FunctionDef, ParseError, WellformednessError, parse_module
+from .ir_core import FunctionDef, ParseError, WellformednessError, WfKind, check_wellformed, parse_module
 from .refinement import (
     AlignmentError,
     BoundSource,
@@ -51,7 +51,6 @@ from .refinement import (
     Mode,
     RefinementConfig,
     Status,
-    UnsupportedExprError,
     load_alignment,
     recover_expr,
 )
@@ -186,6 +185,11 @@ def _single_function(path: str) -> FunctionDef:
     functions = parse_module(_read_file(path))
     if len(functions) != 1:
         raise ParseError(1, 1, f"{path}: expected exactly one function definition, found {len(functions)}")
+    try:
+        check_wellformed(functions[0])
+    except WellformednessError as e:
+        if e.kind is not WfKind.UNSUPPORTED_FLAGS:  # each subcommand treats flags its own way
+            raise
     return functions[0]
 
 
@@ -402,7 +406,7 @@ def cmd_run(block_path: str, inputs: str, out=None, err=None) -> int:
         assignments = _parse_assignments(inputs, "input")
         raw_values = _resolve_names(f.params, assignments, "input")
         args = tuple(_parse_value(v) for v in raw_values)
-    except (OSError, ParseError, ValueError) as e:
+    except (OSError, ParseError, WellformednessError, ValueError) as e:
         print(f"error: {e}", file=err)
         return 2
     try:
@@ -437,7 +441,7 @@ def cmd_bound(
         raw_values = _resolve_names(original.params, assignments, "magnitude")
         magnitudes = {str(p): _parse_magnitude(v) for p, v in zip(original.params, raw_values)}
         result = derive_bound(expr_orig, expr_opt, magnitudes)
-    except (OSError, ParseError, UnsupportedExprError, ValueError) as e:
+    except (OSError, ParseError, WellformednessError, ValueError) as e:
         print(f"error: {e}", file=err)
         return 2
     total = eval_bound(result)
@@ -467,13 +471,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--original", required=True)
     p_val.add_argument("--optimized", required=True)
     p_val.add_argument("--alignment", required=True)
-    p_val.add_argument("--samples", type=int, default=1_000_000)
-    p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--exp-min", type=int, default=-50)
-    p_val.add_argument("--exp-max", type=int, default=50)
+    p_val.add_argument("--samples", type=int, default=SamplerConfig.samples)
+    p_val.add_argument("--seed", type=int, default=SamplerConfig.seed)
+    p_val.add_argument("--exp-min", type=int, default=SamplerConfig.exp_min)
+    p_val.add_argument("--exp-max", type=int, default=SamplerConfig.exp_max)
     p_val.add_argument("--no-special-corpus", action="store_true")
-    p_val.add_argument("--mode", choices=["strict", "lenient"], default="lenient")
-    p_val.add_argument("--bound", choices=["paper", "derived", "both"], default="both")
+    p_val.add_argument("--mode", choices=[m.value for m in Mode], default=RefinementConfig.mode.value)
+    p_val.add_argument("--bound", choices=[b.value for b in BoundSource],
+                       default=RefinementConfig.bound_source.value)
     p_val.add_argument("--report")
 
     p_run = sub.add_parser("run", help="denote one block and print its trace")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .fp_semantics import MIN_NORMAL, Binary64, _round_ints, is_finite, round_rational_up
+from .fp_semantics import MAX_FINITE, MIN_NORMAL, Binary64, _round_ints, is_finite, round_rational_up
 from ._bits import bits_of
 
 DEFAULT_DELTA = Fraction(1, 2**53)
@@ -169,13 +169,14 @@ class _Propagation:
         self.zero = lift(Fraction(0))
         self.lift = lift
         self.counter = 0
-        self.terms: list[tuple[str, object]] = []
+        # (label, error after the operation, error of its operands)
+        self.terms: list[tuple[str, object, object]] = []
 
     def _rounded(self, opname: str, mag, pre, child_err):
         # One rounding on a value of magnitude <= mag + pre, where pre bounds
         # the accumulated distance from the exact result.
         err = pre + self.delta * (mag + pre) + self.eta
-        self.terms.append((f"{self.prefix}:{opname}[{self.counter}]", err - child_err))
+        self.terms.append((f"{self.prefix}:{opname}[{self.counter}]", err, child_err))
         self.counter += 1
         return err
 
@@ -247,7 +248,8 @@ def derive_bound(
     cmp_term = delta * max(m1, m2) + eta
     return BoundResult(
         magnitude_bound=e1 + e2 + cmp_term,
-        terms=tuple(p_orig.terms + p_opt.terms + [("comparison", cmp_term)]),
+        terms=tuple((label, err - pre) for label, err, pre in p_orig.terms + p_opt.terms)
+        + (("comparison", cmp_term),),
     )
 
 
@@ -337,12 +339,6 @@ class _Poly:
             out[k] = out.get(k, Fraction(0)) + v
         return _Poly(out)
 
-    def __sub__(self, other: _Poly) -> _Poly:
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return _Poly(out)
-
     def __mul__(self, other: _Poly) -> _Poly:
         out: dict[tuple[int, ...], Fraction] = {}
         for k1, v1 in self.coeffs.items():
@@ -362,14 +358,14 @@ _EVAL_ABS_SLACK = 2.0**-1050
 class CompiledBound:
     """Per-sample upward evaluation of a precompiled bound polynomial.
 
-    Call with finite, non-negative input magnitudes in the variable order
-    the compiler was given; returns a binary64 that over-approximates the
-    exact bound.  Per monomial the factors at least 1 are multiplied first,
-    then the coefficient, then the rest, so a subnormal intermediate is
-    never amplified back up; magnitudes large enough that the leading
-    factors alone could overflow, or could amplify the rounding of a
-    subnormal coefficient past the absolute slack, are routed to an exact
-    rational evaluation instead.
+    Call with non-negative input magnitudes in the variable order the
+    compiler was given; returns a binary64 that over-approximates the exact
+    bound, or inf if any magnitude is inf or nan.  Per monomial the factors
+    at least 1 are multiplied first, then the coefficient, then the rest, so
+    a subnormal intermediate is never amplified back up; magnitudes large
+    enough that the leading factors alone could overflow, or could amplify
+    the rounding of a subnormal coefficient past the absolute slack, are
+    routed to an exact rational evaluation instead, as are inf and nan.
     """
 
     __slots__ = ("_parts", "_exact_parts", "_rel_slack", "_mag_limit")
@@ -405,13 +401,13 @@ class CompiledBound:
         self._rel_slack = max(_EVAL_REL_SLACK, 1.0 + n_ops * 2.0**-50)
         # keep every prefix product of large factors, times the coefficient,
         # summed over a part's monomials, clear of overflow: above this
-        # input magnitude go exact instead
+        # input magnitude go exact instead (inf and nan always do)
         coeff_exp = max_coeff.numerator.bit_length() + 1 if max_coeff > 1 else 1
         count_exp = max(len(p) for p in parts).bit_length() if parts else 1
         self._mag_limit = (
             2.0 ** ((1020 - coeff_exp - count_exp) // max_degree)
             if max_degree
-            else math.inf
+            else MAX_FINITE
         )
         if tiny_degree:
             # a subnormal coefficient rounds up by less than 2**-1074, and

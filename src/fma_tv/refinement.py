@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from math import inf, isfinite
+from math import isfinite
 
 from ._bits import dual_of, same_bits
 from .denotation import (
@@ -131,7 +131,7 @@ def load_alignment(text: str) -> AlignmentSpec:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise AlignmentError(f"alignment is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise AlignmentError("alignment must be a JSON object")
@@ -375,7 +375,10 @@ class EquivChecker:
     parameter lists, wellformedness, alignment consistency, callee names,
     and availability of the requested bound.  Violations that make the pair
     fall outside the supported fragment surface as UNSUPPORTED verdicts;
-    violations that make the request itself ill-posed raise.
+    violations that make the request itself ill-posed raise.  It also fixes
+    the bound plan: the compiled derived and published bounds (None where
+    unavailable), which of them gates the verdict, and whether the
+    published one audits the derived one.  A sample only evaluates them.
 
     Construction also compiles both blocks to straight-line evaluation over
     slots (`compile_block`) and resolves the aligned pairs, the returned
@@ -431,42 +434,35 @@ class EquivChecker:
                 if unsupported:
                     break
 
-        self.expr_original: FpExpr | None = None
-        self.expr_optimized: FpExpr | None = None
-        derived_unavailable: str | None = None
+        # the bound plan: each evaluator, or None where it is unavailable,
+        # and which bound gates the verdict
+        derived_eval = paper_eval = None
+        src = config.bound_source
         if unsupported is None:
+            why_no_derived = None
             try:
-                self.expr_original = recover_expr(original)
-                self.expr_optimized = recover_expr(optimized)
-                if expr_variables(self.expr_original) != expr_variables(self.expr_optimized):
-                    derived_unavailable = "expressions read different variables"
-                    self.expr_original = self.expr_optimized = None
+                expr_orig, expr_opt = recover_expr(original), recover_expr(optimized)
+                if expr_variables(expr_orig) != expr_variables(expr_opt):
+                    why_no_derived = "expressions read different variables"
+                else:
+                    derived_eval = compile_derived_bound(
+                        expr_orig, expr_opt, tuple(str(p) for p in self.params), config.params
+                    )
             except UnsupportedExprError as e:
-                derived_unavailable = str(e)
-                self.expr_original = self.expr_optimized = None
-
-        self.paper_available = len(self.params) == 3
-        self.derived_available = self.expr_original is not None
-        self._derived_eval = None
-        self._paper_eval = None
-        if self.derived_available:
-            self._derived_eval = compile_derived_bound(
-                self.expr_original,
-                self.expr_optimized,
-                tuple(str(p) for p in self.params),
-                config.params,
-            )
-        if self.paper_available:
-            self._paper_eval = compile_paper_bound(config.params)
-
-        if unsupported is None:
-            src = config.bound_source
-            if src is BoundSource.PAPER_FORMULA and not self.paper_available:
+                why_no_derived = str(e)
+            if len(self.params) == 3:
+                paper_eval = compile_paper_bound(config.params)
+            if src is BoundSource.PAPER_FORMULA and paper_eval is None:
                 unsupported = "published bound needs exactly three double parameters"
-            elif src is BoundSource.DERIVED and not self.derived_available:
-                unsupported = f"derived bound unavailable: {derived_unavailable}"
-            elif src is BoundSource.BOTH and not (self.derived_available or self.paper_available):
-                unsupported = f"no bound available: {derived_unavailable}"
+            elif src is BoundSource.DERIVED and derived_eval is None:
+                unsupported = f"derived bound unavailable: {why_no_derived}"
+            elif derived_eval is None and paper_eval is None:
+                unsupported = f"no bound available: {why_no_derived}"
+        self._derived_eval, self._paper_eval = derived_eval, paper_eval
+        self._gate = "paper" if src is BoundSource.PAPER_FORMULA or derived_eval is None else "derived"
+        # the published bound audits the derived one when both exist and both were asked for
+        self._audited = src is BoundSource.BOTH and None not in (derived_eval, paper_eval)
+        self._strict = config.mode is Mode.STRICT
         self.static_unsupported = unsupported
 
         self.compiled: CompiledPair | None = None
@@ -476,14 +472,9 @@ class EquivChecker:
     # -- per-sample work
 
     def _bounds(self, mags: tuple[float, ...]) -> tuple[float | None, float | None]:
-        """(derived, paper) bounds for these argument magnitudes."""
-        if all(map(isfinite, mags)):
-            derived = self._derived_eval(mags) if self._derived_eval is not None else None
-            paper = self._paper_eval(mags) if self._paper_eval is not None else None
-        else:
-            derived = inf if self.derived_available else None
-            paper = inf if self.paper_available else None
-        return derived, paper
+        """(derived, paper) bounds for these argument magnitudes, None where unavailable."""
+        derived, paper = self._derived_eval, self._paper_eval
+        return (None if derived is None else derived(mags)), (None if paper is None else paper(mags))
 
     def check(self, args: tuple[Value, ...]) -> Verdict:
         """The verdict for one input tuple.
@@ -550,17 +541,9 @@ class EquivChecker:
     ) -> Verdict:
         """Bounds, clause outcomes and the audit for one evaluated sample."""
         bound_derived, bound_paper = self._bounds(mags)
-        if self.config.bound_source is BoundSource.PAPER_FORMULA:
-            bound_used, source_used = bound_paper, "paper"
-        elif self.config.bound_source is BoundSource.DERIVED:
-            bound_used, source_used = bound_derived, "derived"
-        elif bound_derived is not None:
-            bound_used, source_used = bound_derived, "derived"
-        else:
-            bound_used, source_used = bound_paper, "paper"
-        assert bound_used is not None
-
-        strict = self.config.mode is Mode.STRICT
+        source_used = self._gate
+        bound_used = bound_derived if source_used == "derived" else bound_paper
+        strict = self._strict
         pairs_ok = _all_hold(pair_checks, bound_used, strict)
         ret_ok = _all_hold((ret_check,), bound_used, strict)
         bad_pairs: tuple[str, ...] = ()
@@ -578,15 +561,10 @@ class EquivChecker:
             observed_diff, finite = ret_check
             vacuous = not (strict or finite)
 
-        audited = (
-            self.config.bound_source is BoundSource.BOTH
-            and bound_derived is not None
-            and bound_paper is not None
-        )
         # audited means bound_used is the derived bound: only the checks can
         # make the two verdicts differ, and only if every other clause holds
         paper_disagrees = (
-            audited
+            self._audited
             and globals_ok
             and leftover_ok
             and (pairs_ok and ret_ok) != _all_hold((*pair_checks, ret_check), bound_paper, strict)
@@ -614,7 +592,7 @@ class EquivChecker:
                 bound_derived=bound_derived,
                 poison_result=poison_result,
                 vacuous=vacuous,
-                audited=audited,
+                audited=self._audited,
                 paper_disagrees=paper_disagrees,
             ),
         )

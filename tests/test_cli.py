@@ -1,5 +1,6 @@
 """Command-line driver: sampling, reports, single runs, bound queries."""
 
+import hashlib
 import io
 import itertools
 import json
@@ -18,6 +19,7 @@ import fma_tv
 from fma_tv.cli import (
     Report,
     SamplerConfig,
+    _build_parser,
     cmd_bound,
     cmd_run,
     cmd_validate,
@@ -37,7 +39,7 @@ from fma_tv.fp_semantics import (
     round_rational_up,
 )
 from fma_tv.ir_core import parse_module
-from fma_tv.refinement import EquivChecker, load_alignment
+from fma_tv.refinement import BoundSource, EquivChecker, Mode, RefinementConfig, load_alignment
 from fma_tv._bits import hex_of
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
@@ -201,6 +203,36 @@ def test_run_intrinsic_arity_error(tmp_path):
     code, _, err = run_cmd_run(str(block), "a=1.0,b=2.0")
     assert code == 1
     assert INTRINSIC_INPUT_ERROR in err
+
+
+MALFORMED_BLOCKS = {
+    "duplicate parameter": (
+        "define double @f(double %0, double %0) {\n  %2 = fadd double %0, %0\n  ret double %2\n}\n",
+        "duplicate destination: %0",
+    ),
+    "duplicate destination": (
+        "define double @f(double %0, double %1) {\n  %2 = fadd double %0, %1\n"
+        "  %2 = fmul double %0, %1\n  ret double %2\n}\n",
+        "duplicate destination: %2",
+    ),
+    "undefined local": (
+        "define double @f(double %0, double %1) {\n  %2 = fadd double %0, %7\n  ret double %2\n}\n",
+        "undefined local: %7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_BLOCKS)
+def test_run_and_bound_refuse_malformed_blocks(tmp_path, name):
+    text, message = MALFORMED_BLOCKS[name]
+    block = tmp_path / "bad.ll"
+    block.write_text(text)
+    for code, out, err in (
+        run_cmd_run(str(block), "a=1,b=2"),
+        run_cmd_bound(str(block), str(block), "a=1,b=2"),
+        run_cmd_bound(NON_FMA, str(block), "a=1,b=2,c=3"),
+    ):
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_run_parse_and_io_errors(tmp_path):
@@ -454,6 +486,15 @@ def test_validate_bad_alignment_json(tmp_path):
     assert code == 2
 
 
+def test_validate_deeply_nested_alignment(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"pairs": ' + "[" * 1000 + "]" * 1000 + "}")
+    out, err = io.StringIO(), io.StringIO()
+    code = cmd_validate(NON_FMA, FMA, str(deep), SamplerConfig(samples=5), out=out, err=err)
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: alignment is not valid JSON: ")
+
+
 def test_threads_env(tmp_path, monkeypatch):
     monkeypatch.setenv("FMA_TV_THREADS", "4")
     _, doc, _ = run_validate(tmp_path, report_name="t4.json", samples=5)
@@ -472,6 +513,75 @@ def test_validate_unwritable_report_fails_before_checking(tmp_path, monkeypatch,
     assert calls == []
     assert out.getvalue() == ""
     assert not (tmp_path / "missing").exists()
+
+
+# ---------------------------------------------------------------------------
+# report bytes
+#
+# sha256 of each report without `timing` and `config`, 2,000 samples each;
+# a later flag overrides the canonical one.  A change that alters a report
+# on purpose updates its digest here.
+
+PINNED_REPORTS = {  # variant: (arguments after the canonical ones, digest)
+    "canonical": (
+        [],
+        "365b51ae453d26d24cc34efd06157b3735bc0ea4649e993ea556d35c7e95b675",
+    ),
+    "fsub": (
+        ["--original", "{fsub}"],
+        "4546d36784b14b6d0370cbc2a62e5528646af0d1753f4f22fb81d016d31561da",
+    ),
+    "f32": (
+        ["--optimized", "{f32}"],
+        "a1bfff8e9e18934790f7b1fad16d9fc36b99e33d12b5489c34f0b86ebaa92768",
+    ),
+    "permuted": (
+        ["--alignment", "{permuted}"],
+        "194cfa42c108167d8b9f235aa4e9aa9f00eb1a3c8ae65ca5a6c55dd5d966889a",
+    ),
+    "paper": (
+        ["--bound", "paper"],
+        "6d44ab64a67083c82e47fce411225c7fdae61f371457097c9f6e5ff657d2ed3c",
+    ),
+    "strict-overflow": (
+        ["--mode", "strict", "--exp-min", "900", "--exp-max", "1023"],
+        "f18e5fb687b4999651c421f78e525e5cd94a623e37269904ccaaea34ff8c1edb",
+    ),
+    "full-range": (
+        ["--exp-min", "-1074", "--exp-max", "1023"],
+        "fd5a14fe59978b44e473381638aff575a6b40b31da6b7cca6a970de1d2affcdb",
+    ),
+}
+
+
+def write_mutants(work):
+    """The fsub original, the f32 intrinsic and the permuted alignment of the canonical pair."""
+    paths = {name: work / name for name in ("fsub.ll", "f32.ll", "permuted.json")}
+    paths["fsub.ll"].write_text(Path(NON_FMA).read_text().replace("fadd", "fsub"))
+    paths["f32.ll"].write_text(Path(FMA).read_text().replace("fmuladd.f64", "fmuladd.f32"))
+    paths["permuted.json"].write_text(json.dumps({
+        "pairs": [["%5", "%4"]],
+        "fresh_optimized": ["%4", "%5"],
+        "fresh_original": ["%4", "%5"],
+    }) + "\n")
+    return {name.split(".")[0]: str(path) for name, path in paths.items()}
+
+
+def pinned_report_digest(tmp_path, extra):
+    mutants = write_mutants(tmp_path)
+    report = tmp_path / "report.json"
+    main(["validate", "--original", NON_FMA, "--optimized", FMA, "--alignment", ALIGNMENT,
+          "--samples", "2000", *(arg.format(**mutants) for arg in extra),
+          "--report", str(report)])
+    doc = json.loads(report.read_text())
+    del doc["timing"], doc["config"]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("variant", PINNED_REPORTS)
+def test_report_bytes_are_pinned(tmp_path, capsys, variant):
+    extra, digest = PINNED_REPORTS[variant]
+    assert pinned_report_digest(tmp_path, extra) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +643,15 @@ def test_main_validate_bad_samples(capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_validate_defaults_are_the_config_defaults():
+    args = _build_parser().parse_args(
+        ["validate", "--original", NON_FMA, "--optimized", FMA, "--alignment", ALIGNMENT]
+    )
+    assert SamplerConfig(args.samples, args.seed, args.exp_min, args.exp_max,
+                         not args.no_special_corpus) == SamplerConfig()
+    assert RefinementConfig(Mode(args.mode), BoundSource(args.bound)) == RefinementConfig()
 
 
 def test_main_requires_command():

@@ -384,6 +384,28 @@ def test_compiled_bound_rejects_bad_coefficients():
         CompiledBound((_Poly.const(Fraction(-1, 4), 1),))
 
 
+@pytest.mark.parametrize(
+    "bound, n",
+    [
+        (compile_derived_bound(ORIG, OPT, ("a", "b", "c")), 3),
+        (compile_derived_bound(ORIG, ORIG, ("a", "b", "c")), 3),
+        (compile_derived_bound(Mul(Var("a"), Var("b")), Add(Var("a"), Var("b")), ("a", "b")), 2),
+        (compile_paper_bound(), 3),
+        # a constant polynomial reads no magnitude, yet a non-finite one still gives inf
+        (compile_derived_bound(Const(1.0), Const(1.0), ("%0",)), 1),
+        (compile_derived_bound(Var("a"), Var("a"), ("a", "unread")), 2),
+    ],
+    ids=["canonical", "identity", "two-part", "paper", "constant", "unread-variable"],
+)
+def test_compiled_bound_is_inf_for_non_finite_magnitudes(bound, n):
+    for bad in (math.inf, math.nan):
+        for i in range(n):
+            for fill in (0.0, 1.0, MAX_FINITE):
+                mags = tuple(bad if j == i else fill for j in range(n))
+                assert bound(mags) == math.inf, mags
+    assert is_finite(bound((1.0,) * n))
+
+
 # ---------------------------------------------------------------------------
 # errors
 

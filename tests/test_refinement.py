@@ -187,6 +187,7 @@ def test_load_alignment_defaults_and_errors():
         '{"pairs": "nope"}',
         '{"fresh_optimized": [4]}',
         '{"fresh_optimized": ["4"]}',
+        '{"pairs": ' + "[" * 1000 + "]" * 1000 + "}",  # nested past the decoder's recursion limit
     ):
         with pytest.raises(AlignmentError):
             load_alignment(bad)
