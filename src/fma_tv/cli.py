@@ -115,13 +115,19 @@ def corpus_tuples(n_params: int) -> list[tuple[float, ...]]:
 
 
 def sample_tuple(rng: random.Random, n_params: int, cfg: SamplerConfig) -> tuple[float, ...]:
-    """One pseudo-random input tuple: uniform sign, exponent, 52-bit mantissa."""
+    """One pseudo-random input tuple: uniform sign, exponent, 52-bit mantissa.
+
+    The exponent is `rng.randint`'s draw inlined (`getrandbits` with rejection)."""
+    bits = rng.getrandbits
+    width = cfg.exp_max - cfg.exp_min + 1
+    k = width.bit_length()
     out = []
     for _ in range(n_params):
-        sign = -1.0 if rng.getrandbits(1) else 1.0
-        exp = rng.randint(cfg.exp_min, cfg.exp_max)
-        mant = rng.getrandbits(52)
-        out.append(sign * math.ldexp(1.0 + math.ldexp(mant, -52), exp))
+        sign = -1.0 if bits(1) else 1.0
+        e = bits(k)
+        while e >= width:
+            e = bits(k)
+        out.append(sign * math.ldexp(1.0 + math.ldexp(bits(52), -52), cfg.exp_min + e))
     return tuple(out)
 
 
@@ -347,7 +353,7 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
     )
     for index, raw in enumerate(stream):
         total += 1
-        v = checker.check(tuple(Double(x) for x in raw))
+        v = checker.check(tuple(map(Double, raw)))
         d = v.detail
         counts[v.status.value] += 1
         if v.status is Status.PASS:

@@ -9,10 +9,10 @@ intrinsic alike.
 
 `interp_cfg2` is the reference semantics.  `compile_block` flattens a block
 once into straight-line operations over a slot array of raw doubles; the
-refinement checker runs that form on every sampled input and keeps the
-interpreter for everything the compiled form does not cover (poison
-arguments, pre-populated environments, unsupported input).  Both round with
-the same `b64_*` operations, and tests hold them bit-identical.
+refinement checker generates code from that form for every sampled input and
+keeps the interpreter for everything the compiled form does not cover
+(poison arguments, pre-populated environments, unsupported input).  Both
+round with the same `b64_*` operations, and tests hold them bit-identical.
 """
 
 from __future__ import annotations
@@ -303,20 +303,12 @@ class CompiledBlock:
                 return slot
         return None
 
-    def run(self, xs: tuple[float, ...]) -> list[float]:
-        """Every slot's value for the poison-free arguments `xs`."""
-        s = [*xs, *self.consts]
-        push = s.append
-        for op, a, b, c in self.code:
-            push(op(s[a], s[b]) if c < 0 else op(s[a], s[b], s[c]))
-        return s
-
 
 def compile_block(f: FunctionDef) -> CompiledBlock | None:
-    """Flatten `f` for `CompiledBlock.run`.
+    """Flatten `f` into a `CompiledBlock`.
 
-    On poison-free arguments a run gives, bit for bit, the values that
-    `interp_cfg2` binds and returns from empty environments.  Returns None
+    On poison-free arguments, running `code` in order gives, bit for bit,
+    the values that `interp_cfg2` binds and returns from empty environments.  Returns None
     where the interpreter raises: fast-math flags, a call other than the
     three-operand fmuladd, or an undefined local.
     """

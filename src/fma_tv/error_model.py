@@ -353,6 +353,24 @@ class _Poly:
 
 _EVAL_REL_SLACK = 1.0 + 2.0**-40
 _EVAL_ABS_SLACK = 2.0**-1050
+# operands per generated statement, which keeps the compiler's recursion shallow
+_CHUNK = 32
+
+
+def _fold(target: str, op: str, items: list[str]) -> list[str]:
+    """Statements setting `target` to `items` joined by `op`, left to right."""
+    lines, first = [], items[0]
+    for k in range(1, len(items), _CHUNK):
+        lines.append(f"{target} = {f' {op} '.join([first, *items[k:k + _CHUNK]])}")
+        first = target
+    return lines or [f"{target} = {first}"]
+
+
+def compile_function(name: str, params: str, body: list[str], ns: dict) -> Callable:
+    """`def name(params):` over the statements `body`, with every value it reads bound in `ns`."""
+    src = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(src, f"<fma_tv {name}>", "exec"), ns)
+    return ns[name]
 
 
 class CompiledBound:
@@ -366,9 +384,10 @@ class CompiledBound:
     enough that the leading factors alone could overflow, or could amplify
     the rounding of a subnormal coefficient past the absolute slack, are
     routed to an exact rational evaluation instead, as are inf and nan.
+    The float path is generated once, by `source`.
     """
 
-    __slots__ = ("_parts", "_exact_parts", "_rel_slack", "_mag_limit")
+    __slots__ = ("_parts", "_exact_parts", "_rel_slack", "_mag_limit", "_eval")
 
     def __init__(self, polys: tuple[_Poly, ...]):
         parts = []
@@ -415,6 +434,10 @@ class CompiledBound:
             # 2**20 over the monomial count, so the sum stays below the
             # absolute slack
             self._mag_limit = min(self._mag_limit, 2.0 ** ((20 - count_exp) // tiny_degree))
+        ns: dict = {}
+        n_read = 1 + max((i for mons in parts for _, idxs in mons for i in idxs), default=-1)
+        body = [*(f"m{i} = mags[{i}]" for i in range(n_read)), *self.source("b", "c", n_read, ns), "return b"]
+        self._eval = compile_function("bound", "mags", body, ns)
 
     def _eval_exact(self, mags: tuple[float, ...]) -> float:
         # Every value is an integer times a power of two: multiply the
@@ -443,28 +466,39 @@ class CompiledBound:
         best = max((sum(n << (e - low) for n, e in terms) for terms in parts), default=0)
         return _round_ints(best, 1 << -low, to_nearest=False)
 
+    def source(self, out: str, tag: str, nvars: int, ns: dict) -> list[str]:
+        """Statements setting `out` to this bound at magnitudes `m0` ... `m{nvars-1}`.
+
+        The one definition of the float path, which `__call__` runs and the
+        refinement checker inlines; a magnitude not at most the limit takes
+        the exact path instead.  Variable i splits into `g{i}`, its magnitude
+        if at least 1 and else 1.0, and `s{i}`, the converse: a monomial
+        g...*coeff*s... keeps the order above, as a factor of 1.0 is exact.
+        Each part sums from 0.0 left to right, the largest wins (by `>`),
+        then the slack applies.  Values are bound in `ns`, named from `tag`.
+        """
+        ns.update({f"{tag}lim": self._mag_limit, f"{tag}exact": self._eval_exact,
+                   f"{tag}rel": self._rel_slack, f"{tag}abs": _EVAL_ABS_SLACK})
+        used = sorted({i for mons in self._parts for _, idxs in mons for i in idxs})
+        lines = [line for i in used for line in (
+            f"g{i} = m{i} if m{i} >= 1.0 else 1.0", f"s{i} = 1.0 if m{i} >= 1.0 else m{i}")]
+        lines.append(f"{out} = 0.0")
+        for k, mons in enumerate(self._parts):
+            for j, (coeff, idxs) in enumerate(mons):
+                ns[f"{tag}{k}_{j}"] = coeff
+                lines += _fold(f"u{j}", "*", [*(f"g{i}" for i in idxs), f"{tag}{k}_{j}", *(f"s{i}" for i in idxs)])
+            lines += [*_fold("t", "+", ["0.0", *(f"u{j}" for j in range(len(mons)))]), f"if t > {out}: {out} = t"]
+        lines.append(f"{out} = {out} * {tag}rel + {tag}abs")
+        within = " and ".join(f"m{i} <= {tag}lim" for i in range(nvars)) or "True"
+        mags = "".join(f"m{i}, " for i in range(nvars))
+        return [f"if {within}:", *(f"    {line}" for line in lines), "else:", f"    {out} = {tag}exact(({mags}))"]
+
     def __call__(self, mags: tuple[float, ...]) -> float:
+        # every magnitude routes, read or not: an unread inf or nan gives inf too
         for m in mags:
             if not (m <= self._mag_limit):
                 return self._eval_exact(mags)
-        best = 0.0
-        for mons in self._parts:
-            acc = 0.0
-            for coeff, idxs in mons:
-                term = 1.0
-                for i in idxs:
-                    m = mags[i]
-                    if m >= 1.0:
-                        term *= m
-                term *= coeff
-                for i in idxs:
-                    m = mags[i]
-                    if m < 1.0:
-                        term *= m
-                acc += term
-            if acc > best:
-                best = acc
-        return best * self._rel_slack + _EVAL_ABS_SLACK
+        return self._eval(mags)
 
 
 def _poly_propagation(nvars: int, var_index: Mapping[str, int], params: ErrorModelParams, prefix: str) -> _Propagation:

@@ -513,10 +513,11 @@ def print_block(f: FunctionDef) -> str:
 # Wellformedness
 
 def check_wellformed(f: FunctionDef) -> None:
-    """Raise WellformednessError at the first violation, in source order.
+    """Raise WellformednessError at the first structural violation, in source order.
 
-    Checks: empty phi list, distinct parameter names, no fast-math flags,
-    every operand defined before use, no destination redefined.
+    Checks: empty phi list, distinct parameter names, every operand defined
+    before use, no destination redefined.  A fast-math flag raises only
+    after these, at the first flagged instruction, so structure wins.
     """
     if f.body.blk_phis:
         raise WellformednessError(WfKind.NON_EMPTY_PHIS, str(f.body.blk_id))
@@ -525,10 +526,11 @@ def check_wellformed(f: FunctionDef) -> None:
         if p in defined:
             raise WellformednessError(WfKind.DUPLICATE_DEST, str(p))
         defined.add(p)
+    flagged: LocalId | None = None
     for instr in f.body.blk_code:
         if isinstance(instr, FBinop):
-            if instr.fm_flags:
-                raise WellformednessError(WfKind.UNSUPPORTED_FLAGS, str(instr.dest))
+            if instr.fm_flags and flagged is None:
+                flagged = instr.dest
             operands: tuple[Expr, ...] = (instr.lhs, instr.rhs)
         else:
             operands = instr.args
@@ -542,3 +544,5 @@ def check_wellformed(f: FunctionDef) -> None:
     for ref in expr_refs(f.body.blk_term.value):
         if ref not in defined:
             raise WellformednessError(WfKind.UNDEFINED_LOCAL, str(ref))
+    if flagged is not None:
+        raise WellformednessError(WfKind.UNSUPPORTED_FLAGS, str(flagged))

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
-from math import isfinite
+from dataclasses import dataclass
+from math import inf, isfinite
+from typing import NamedTuple
 
 from ._bits import dual_of, same_bits
 from .denotation import (
@@ -42,10 +43,11 @@ from .error_model import (
     Mul,
     Var,
     compile_derived_bound,
+    compile_function,
     compile_paper_bound,
     expr_variables,
 )
-from .fp_semantics import Double, Poison, Value, b64_sub
+from .fp_semantics import Double, Poison, Value, b64_add, b64_mul, b64_sub
 from .ir_core import (
     FBinop,
     FBinopKind,
@@ -176,8 +178,7 @@ class RefinementConfig:
     params: ErrorModelParams = ErrorModelParams()
 
 
-@dataclass(frozen=True)
-class VerdictDetail:
+class VerdictDetail(NamedTuple):
     """Everything a report needs to reproduce or explain one check."""
 
     args: tuple[Value, ...] = ()
@@ -212,10 +213,9 @@ class VerdictDetail:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: Status
-    detail: VerdictDetail = field(default_factory=VerdictDetail)
+    detail: VerdictDetail = VerdictDetail()
 
     def to_json(self) -> dict:
         return {"status": self.status.value, **self.detail.to_json()}
@@ -223,6 +223,9 @@ class Verdict:
 
 # ---------------------------------------------------------------------------
 # Value and environment refinement
+
+# the `b64_*` operations that are exactly Python's float operators
+_NATIVE = {b64_mul: "*", b64_add: "+", b64_sub: "-"}
 
 
 def _compare(x_opt: float, x_orig: float) -> tuple[float, bool]:
@@ -264,6 +267,11 @@ def _all_hold(checks, bound: float, strict: bool) -> bool:
         elif strict:
             return False
     return True
+
+
+# `_all_hold` of one `_compare` result as source, over its |difference| `d` and the
+# bound `b`: a finite difference has finite endpoints, so all-finite is `d < INF`
+_HOLDS_SOURCE = {False: "({d} <= {b} or not {d} < INF)", True: "({d} <= {b} and {d} < INF)"}
 
 
 def _leftover_ok(opt_env: LocalEnv, orig_env: LocalEnv, align: AlignmentSpec) -> bool:
@@ -381,9 +389,10 @@ class EquivChecker:
     published one audits the derived one.  A sample only evaluates them.
 
     Construction also compiles both blocks to straight-line evaluation over
-    slots (`compile_block`) and resolves the aligned pairs, the returned
-    operands and the leftover comparison to slot indices (`compiled`).
-    Sampled checks run that form.  `interp_cfg2` stays the reference
+    slots (`compile_block`), resolves the aligned pairs, the returned
+    operands and the leftover comparison to slots (`CompiledPair`), and
+    from these and the bound plan generates the function `compiled` that
+    `check` runs on every sample.  `interp_cfg2` stays the reference
     semantics: `check_reference` always uses it, and `check` falls back to
     it for poison arguments, pre-populated environments and anything the
     compiler does not cover, where `compiled` is None.
@@ -465,9 +474,10 @@ class EquivChecker:
         self._strict = config.mode is Mode.STRICT
         self.static_unsupported = unsupported
 
-        self.compiled: CompiledPair | None = None
+        self.compiled = None
         if unsupported is None and not self.globals_env.entries and not self.locals_env.entries:
-            self.compiled = CompiledPair.build(original, optimized, alignment)
+            pair = CompiledPair.build(original, optimized, alignment)
+            self.compiled = None if pair is None else self._generate(pair)
 
     # -- per-sample work
 
@@ -479,28 +489,66 @@ class EquivChecker:
     def check(self, args: tuple[Value, ...]) -> Verdict:
         """The verdict for one input tuple.
 
-        Poison-free arguments of the right arity run the compiled blocks;
+        Poison-free arguments of the right arity run the generated function;
         everything else goes through `check_reference`, with the same
         verdict either way.
         """
         compiled = self.compiled
         if compiled is None or len(args) != len(self.params) or Poison in map(type, args):
             return self.check_reference(args)
-        xs = tuple(a.v for a in args)
-        s_orig = compiled.original.run(xs)
-        s_opt = compiled.optimized.run(xs)
-        leftover_ok = compiled.leftover is not None and all(
-            same_bits(s_opt[i], s_orig[j]) for i, j in compiled.leftover
-        )
-        pair_checks = [
-            False if i is None or j is None else _compare(s_opt[i], s_orig[j])
-            for i, j in compiled.pairs
+        return compiled(args)
+
+    def _generate(self, pair: CompiledPair):
+        """`check` on poison-free arguments, as one function specialised to this checker.
+
+        Straight-line source: both blocks, with native `*`, `+` and `-` for
+        the `b64_*` operations (they are exactly these) and the fma that
+        `compile_block` captured, the differences, both bounds as
+        `CompiledBound.source` routes them, and a passing verdict built in
+        place.  Any other outcome is left to `check_reference`.
+        """
+        n = len(self.params)
+        ns = {"same_bits": same_bits, "reference": self.check_reference, "INF": inf, "new": tuple.__new__,
+              "Verdict": Verdict, "Detail": VerdictDetail, "PASS": Status.PASS, "SOURCE": self._gate,
+              "AUDITED": self._audited}
+        body = [f"x{i} = args[{i}].v" for i in range(n)]
+
+        def slot(tag: str, i: int) -> str:
+            return f"x{i}" if i < n else f"{tag}{i}"
+
+        for tag, block in (("o", pair.original), ("p", pair.optimized)):
+            ns.update((slot(tag, n + k), c) for k, c in enumerate(block.consts))
+            for dest, (op, *srcs) in enumerate(block.code, n + len(block.consts)):
+                operands = [slot(tag, i) for i in srcs if i >= 0]
+                if op in _NATIVE:
+                    body.append(f"{slot(tag, dest)} = {f' {_NATIVE[op]} '.join(operands)}")
+                else:
+                    ns[f"{tag}f{dest}"] = op
+                    body.append(f"{slot(tag, dest)} = {tag}f{dest}({', '.join(operands)})")
+        # each distinct (optimized, original) slot pair compared, the return last
+        compared = dict.fromkeys([*pair.pairs, (pair.optimized.result, pair.original.result)])
+        diffs = {ij: f"d{k}" for k, ij in enumerate(compared) if None not in ij}
+        body += [f"{d} = abs({slot('p', i)} - {slot('o', j)})" for (i, j), d in diffs.items()]
+        body += [f"m{i} = abs(x{i})" for i in range(n)]
+        for out, tag, bound in (("bd", "D_", self._derived_eval), ("bp", "P_", self._paper_eval)):
+            body += [f"{out} = None"] if bound is None else bound.source(out, tag, n, ns)
+
+        def all_hold(b: str) -> str:
+            holds = _HOLDS_SOURCE[self._strict]
+            return " and ".join(holds.format(d=diffs[ij], b=b) if ij in diffs else "False" for ij in compared)
+
+        same = [f"same_bits({slot('p', i)}, {slot('o', j)})" for i, j in pair.leftover or ()]
+        leftover = "False" if pair.leftover is None else " and ".join(same) or "True"
+        used, ret = "bd" if self._gate == "derived" else "bp", diffs[pair.optimized.result, pair.original.result]
+        vacuous = "False" if self._strict else f"not {ret} < INF"
+        disagrees = f"not ({all_hold('bp')})" if self._audited else "False"
+        body += [
+            f"if {leftover} and {all_hold(used)}:",
+            f"    return new(Verdict, (PASS, new(Detail, (args, None, None, (), {ret}, {used}, SOURCE, bp, bd, "
+            f"False, {vacuous}, AUDITED, {disagrees}))))",
+            "return reference(args)",
         ]
-        ret_check = _compare(s_opt[compiled.optimized.result], s_orig[compiled.original.result])
-        # straight-line blocks write no globals: both runs end on the initial ones
-        return self._verdict(
-            args, tuple(map(abs, xs)), True, leftover_ok, pair_checks, ret_check, False
-        )
+        return compile_function("check", "args", body, ns)
 
     def check_reference(self, args: tuple[Value, ...]) -> Verdict:
         """The verdict for one input tuple by way of `interp_cfg2`."""

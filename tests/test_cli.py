@@ -125,6 +125,28 @@ def test_sample_tuple_respects_range():
     assert seen_neg and seen_pos
 
 
+def randint_sample_tuple(rng, n_params, cfg):
+    """The sampler as it was written with `rng.randint`: the stream to keep."""
+    out = []
+    for _ in range(n_params):
+        sign = -1.0 if rng.getrandbits(1) else 1.0
+        exp = rng.randint(cfg.exp_min, cfg.exp_max)
+        mant = rng.getrandbits(52)
+        out.append(sign * math.ldexp(1.0 + math.ldexp(mant, -52), exp))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("exp_range", [(-50, 50), (-1074, 1023), (0, 0), (3, 4)])
+@pytest.mark.parametrize("n_params", [1, 3, 16])
+def test_sample_tuple_keeps_the_randint_stream(exp_range, n_params):
+    cfg = SamplerConfig(exp_min=exp_range[0], exp_max=exp_range[1])
+    new, old = random.Random(5), random.Random(5)
+    for _ in range(300):
+        got, want = sample_tuple(new, n_params, cfg), randint_sample_tuple(old, n_params, cfg)
+        assert [hex_of(x) for x in got] == [hex_of(x) for x in want]
+    assert new.getstate() == old.getstate()
+
+
 def test_parse_value():
     assert _parse_value("poison") == Poison()
     assert _parse_value("0x3FF0000000000000") == Double(1.0)
@@ -219,6 +241,12 @@ MALFORMED_BLOCKS = {
         "define double @f(double %0, double %1) {\n  %2 = fadd double %0, %7\n  ret double %2\n}\n",
         "undefined local: %7",
     ),
+    # a fast-math flag before a structural fault does not hide it
+    "duplicate destination after a flag": (
+        "define double @f(double %0, double %1) {\n  %2 = fmul fast double %0, %1\n"
+        "  %2 = fadd double %2, %1\n  ret double %2\n}\n",
+        "duplicate destination: %2",
+    ),
 }
 
 
@@ -233,6 +261,17 @@ def test_run_and_bound_refuse_malformed_blocks(tmp_path, name):
         run_cmd_bound(NON_FMA, str(block), "a=1,b=2,c=3"),
     ):
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", MALFORMED_BLOCKS)
+def test_validate_refuses_malformed_blocks(tmp_path, name):
+    text, message = MALFORMED_BLOCKS[name]
+    block = tmp_path / "bad.ll"
+    block.write_text(text)
+    for original, optimized in ((str(block), FMA), (NON_FMA, str(block))):
+        out, err = io.StringIO(), io.StringIO()
+        code = cmd_validate(original, optimized, ALIGNMENT, SamplerConfig(samples=5), out=out, err=err)
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
 
 
 def test_run_parse_and_io_errors(tmp_path):

@@ -26,6 +26,7 @@ from fma_tv.error_model import (
     eval_bound,
     expr_variables,
     fma_roles,
+    _EVAL_ABS_SLACK,
     _Poly,
 )
 from fma_tv.fp_semantics import (
@@ -375,6 +376,56 @@ def test_fma_roles_modulo_commutativity():
     assert fma_roles(Add(Mul(x, z), y), opt) is None  # other roles
     assert fma_roles(Add(Mul(Var("a"), Var("b")), Const(1.0)), Fma(Var("a"), Var("b"), Const(1.0))) is None
     assert fma_roles(Add(Add(x, y), z), Add(x, Add(y, z))) is None
+
+
+def loop_float_path(bound, ms):
+    """The float path as a loop in data-dependent order: factors >= 1, coefficient, the rest."""
+    best = 0.0
+    for mons in bound._parts:
+        acc = 0.0
+        for coeff, idxs in mons:
+            term = 1.0
+            for i in idxs:
+                if ms[i] >= 1.0:
+                    term *= ms[i]
+            term *= coeff
+            for i in idxs:
+                if ms[i] < 1.0:
+                    term *= ms[i]
+            acc += term
+        if acc > best:
+            best = acc
+    return best * bound._rel_slack + _EVAL_ABS_SLACK
+
+
+float_mags = st.one_of(
+    st.sampled_from([0.0, MIN_SUBNORMAL, MAX_SUBNORMAL, MIN_NORMAL, 1.0, math.nextafter(1.0, 0.0)]),
+    st.floats(min_value=0.0, max_value=1e60),
+)
+
+
+@given(
+    pair=st.one_of(pairs, st.tuples(expr_trees(), expr_trees()), st.just(TINY_COEFF_PAIR)),
+    ms=st.tuples(float_mags, float_mags, float_mags),
+)
+def test_generated_float_path_equals_the_loop(pair, ms):
+    for bound in (compile_derived_bound(*pair, ("a", "b", "c")), compile_paper_bound()):
+        if all(m <= bound._mag_limit for m in ms):
+            assert bits_of(bound(ms)) == bits_of(loop_float_path(bound, ms))
+
+
+def test_generated_float_path_splits_long_sums_and_products():
+    # 41 monomials, the longest of degree 40: past one statement's worth of operands
+    x = _Poly.variable(0, 2)
+    poly, power = _Poly.const(Fraction(3, 4), 2), _Poly.const(Fraction(1), 2)
+    for _ in range(40):
+        power = power * x
+        poly = poly + power * _Poly.const(Fraction(5, 8), 2)
+    bound = CompiledBound((poly, poly + _Poly.variable(1, 2)))
+    for ms in ((1.0, 2.0), (1.01, 0.5), (0.99, 3.0), (0.0, 0.0), (bound._mag_limit, MIN_SUBNORMAL)):
+        assert bits_of(bound(ms)) == bits_of(loop_float_path(bound, ms))
+        # the exact path rounds up, so it can only loosen the upper end
+        assert_sandwich(to_rational(bound._eval_exact(ms)), bound(ms))
 
 
 def test_compiled_bound_rejects_bad_coefficients():

@@ -279,6 +279,18 @@ def test_fast_math_flags_rejected_by_checker():
     expect_wf_error(f, WfKind.UNSUPPORTED_FLAGS, "%3")
 
 
+def test_structural_violations_win_over_earlier_flags():
+    head = "define double @f(double %0, double %1) {\n  %3 = fadd fast double %0, %1\n"
+    for rest, kind, ident in (
+        ("  %3 = fmul double %3, %1\n  ret double %3\n}", WfKind.DUPLICATE_DEST, "%3"),
+        ("  %4 = fmul double %3, %9\n  ret double %4\n}", WfKind.UNDEFINED_LOCAL, "%9"),
+        ("  ret double %8\n}", WfKind.UNDEFINED_LOCAL, "%8"),
+        ("  %4 = fmul fast double %3, %1\n  ret double %4\n}", WfKind.UNSUPPORTED_FLAGS, "%3"),
+    ):
+        (f,) = parse_module(head + rest)
+        expect_wf_error(f, kind, ident)
+
+
 def test_non_empty_phis_detected():
     f = FunctionDef(
         GlobalId("f"),

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fma_tv._bits import float_from_hex
+from fma_tv._bits import bits_of, float_from_hex
 from fma_tv.denotation import GlobalEnv, LocalEnv, interp_cfg2
 from fma_tv.error_model import Add, Const, Fma, Mul, Var, derive_bound
-from fma_tv.fp_semantics import MIN_SUBNORMAL, Double, Poison, to_rational
+from fma_tv.fp_semantics import MAX_FINITE, MIN_SUBNORMAL, Double, Poison, to_rational
 from fma_tv.ir_core import GlobalId, LocalId, parse_module
 from fma_tv.refinement import (
     AlignmentError,
@@ -32,6 +32,7 @@ from fma_tv.refinement import (
     recover_expr,
 )
 from strategies import any_double, finite_double, function_defs
+from test_error_model import loop_float_path
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
 (FMA_FN,) = parse_module((TESTDATA / "fma.ll").read_text())
@@ -504,6 +505,94 @@ def test_compiled_check_matches_reference_random_pairs(pair, cfg, data):
     assert (checker.compiled is None) == (checker.static_unsupported is not None)
     args = tuple(Double(data.draw(any_double)) for _ in opt.params)
     assert_compiled_matches_reference(checker, args)
+
+
+def ir_block(body: str, n_params: int = 3):
+    params = ", ".join(f"double %{i}" for i in range(n_params))
+    (f,) = parse_module(f"define double @f({params}) {{\n{body}}}\n")
+    return f
+
+
+# the pair c*(a+a) against (a+a)*c, whose derived bound has a subnormal coefficient
+TINY_ORIG = ir_block("  %3 = fadd double %0, %0\n  %4 = fmul double %2, %3\n  ret double %4\n")
+TINY_OPT = ir_block("  %3 = fadd double %0, %0\n  %4 = fmul double %3, %2\n  ret double %4\n")
+
+
+@pytest.mark.parametrize(
+    "opt, orig, align",
+    [(FMA_FN, NON_FMA_FN, ALIGN), (TINY_OPT, TINY_ORIG, identity_alignment())],
+    ids=["canonical", "subnormal-coefficient"],
+)
+def test_generated_bounds_route_like_the_compiled_bounds(opt, orig, align):
+    """Each bound goes exact past its own limit, with the bits `CompiledBound` gives."""
+    checker = EquivChecker(orig, opt, align)
+    derived, paper = checker._derived_eval, checker._paper_eval
+    edges = [0.0, MIN_SUBNORMAL, 1.0, 1e120, MAX_FINITE, math.inf, math.nan]
+    for limit in (derived._mag_limit, paper._mag_limit):
+        edges += [math.nextafter(limit, 0.0), limit, math.nextafter(limit, math.inf)]
+    if opt is FMA_FN:  # 1e120 lies between the two limits
+        assert paper._mag_limit < 1e120 < derived._mag_limit
+    for xs in itertools.product(edges, repeat=3):
+        mags = tuple(map(abs, xs))
+        d = checker.check(dbls(*xs)).detail
+        for got, bound in ((d.bound_derived, derived), (d.bound_paper, paper)):
+            assert bits_of(got) == bits_of(bound(mags)), xs
+            within = all(m <= bound._mag_limit for m in mags)
+            want = loop_float_path(bound, mags) if within else bound._eval_exact(mags)
+            assert bits_of(got) == bits_of(want), xs
+
+
+EDGE_CASES = {
+    # no parameters: every operand a literal; returns within the bound, then not
+    "no parameters": (
+        ir_block("  %0 = fmul double 1.5, -0.0\n  ret double %0\n", 0),
+        ir_block("  %0 = fadd double 0x0000000000000001, -0.0\n  ret double %0\n", 0),
+        load_alignment('{"fresh_optimized": ["%0"], "fresh_original": ["%0"]}'),
+    ),
+    "no parameters, failing": (
+        ir_block("  %0 = fadd double 1.0, 1.0\n  ret double %0\n", 0),
+        ir_block("  %0 = fmul double 1.0, 3.0\n  ret double %0\n", 0),
+        load_alignment('{"fresh_optimized": ["%0"], "fresh_original": ["%0"]}'),
+    ),
+    # literal operands: -0.0, the least subnormal and 1e308
+    "literals": (
+        ir_block("  %4 = tail call double @llvm.fmuladd.f64(double %0, double 1.0e308, double -0.0)\n"
+                 "  %5 = fmul double %4, 0x0000000000000001\n  ret double %5\n"),
+        ir_block("  %4 = fmul double %0, 1.0e308\n  %5 = fadd double %4, -0.0\n"
+                 "  %6 = fmul double %5, 0x0000000000000001\n  ret double %6\n"),
+        load_alignment('{"fresh_optimized": ["%4", "%5"], "fresh_original": ["%4", "%5", "%6"]}'),
+    ),
+    # an aligned id the original never binds
+    "unbound pair": (
+        FMA_FN,
+        NON_FMA_FN,
+        load_alignment('{"pairs": [["%4", "%9"]], "fresh_optimized": ["%4"], '
+                       '"fresh_original": ["%4", "%5", "%9"]}'),
+    ),
+    # leftover id sequences differ: the leftover clause fails on every input
+    "leftover None": (FMA_FN, NON_FMA_FN, identity_alignment()),
+    # leftover slots compared bit for bit, %3 differing on most inputs
+    "leftover non-empty": (
+        ir_block("  %3 = fsub double %0, %1\n  %4 = fmul double %2, %1\n  ret double %4\n"),
+        ir_block("  %3 = fadd double %0, %1\n  %4 = fmul double %2, %1\n  ret double %4\n"),
+        identity_alignment(),
+    ),
+    "leftover non-empty, passing": (TINY_OPT, TINY_ORIG, identity_alignment()),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_generated_check_edge_cases_match_reference(name):
+    opt, orig, align = EDGE_CASES[name]
+    values = (0.0, -0.0, MIN_SUBNORMAL, 1.5, -3.0, 1e200, math.inf, math.nan)
+    for cfg in CONFIGS:
+        checker = EquivChecker(orig, opt, align, cfg)
+        if checker.static_unsupported is not None:  # one bound was asked for and is missing
+            assert cfg.bound_source is not BoundSource.BOTH
+            continue
+        assert checker.compiled is not None
+        for xs in itertools.product(values, repeat=len(orig.params)):
+            assert_compiled_matches_reference(checker, dbls(*xs))
 
 
 @st.composite
