@@ -76,6 +76,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            # random.Random seeds from |seed|, so -7 would replay the stream of 7
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not -1074 <= self.exp_min <= self.exp_max <= 1023:
             raise ValueError(
                 f"exponent range must satisfy -1074 <= min <= max <= 1023, "
@@ -353,7 +356,7 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
     )
     for index, raw in enumerate(stream):
         total += 1
-        v = checker.check(tuple(map(Double, raw)))
+        v = checker.check(raw)
         d = v.detail
         counts[v.status.value] += 1
         if v.status is Status.PASS:

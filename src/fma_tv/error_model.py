@@ -387,7 +387,7 @@ class CompiledBound:
     The float path is generated once, by `source`.
     """
 
-    __slots__ = ("_parts", "_exact_parts", "_rel_slack", "_mag_limit", "_eval")
+    __slots__ = ("_parts", "_rel_slack", "_mag_limit", "_eval", "_exact")
 
     def __init__(self, polys: tuple[_Poly, ...]):
         parts = []
@@ -415,7 +415,6 @@ class CompiledBound:
             parts.append(tuple(mons))
             exact_parts.append(tuple(exact))
         self._parts = tuple(parts)
-        self._exact_parts = tuple(exact_parts)
         # one rounding per multiply or add, relative in the normal range
         self._rel_slack = max(_EVAL_REL_SLACK, 1.0 + n_ops * 2.0**-50)
         # keep every prefix product of large factors, times the coefficient,
@@ -438,33 +437,11 @@ class CompiledBound:
         n_read = 1 + max((i for mons in parts for _, idxs in mons for i in idxs), default=-1)
         body = [*(f"m{i} = mags[{i}]" for i in range(n_read)), *self.source("b", "c", n_read, ns), "return b"]
         self._eval = compile_function("bound", "mags", body, ns)
+        self._exact = _compile_exact(exact_parts, n_read)
 
     def _eval_exact(self, mags: tuple[float, ...]) -> float:
-        # Every value is an integer times a power of two: multiply the
-        # integers, add the exponents, then shift all monomials to the least
-        # exponent so each part is one exact integer sum, rounded up once.
-        if not all(is_finite(m) for m in mags):
-            return math.inf
-        nums = []
-        exps = []
-        for m in mags:
-            n, d = m.as_integer_ratio()
-            nums.append(n)
-            exps.append(1 - d.bit_length())
-        parts = []
-        low = 0
-        for mons in self._exact_parts:
-            terms = []
-            for n, e, idxs in mons:
-                for i in idxs:
-                    n *= nums[i]
-                    e += exps[i]
-                terms.append((n, e))
-                if e < low:
-                    low = e
-            parts.append(terms)
-        best = max((sum(n << (e - low) for n, e in terms) for terms in parts), default=0)
-        return _round_ints(best, 1 << -low, to_nearest=False)
+        """The bound at these magnitudes in exact arithmetic, rounded up once (see `_compile_exact`)."""
+        return self._exact(mags)
 
     def source(self, out: str, tag: str, nvars: int, ns: dict) -> list[str]:
         """Statements setting `out` to this bound at magnitudes `m0` ... `m{nvars-1}`.
@@ -501,6 +478,37 @@ class CompiledBound:
         return self._eval(mags)
 
 
+def _compile_exact(parts, n_read: int) -> Callable:
+    """The bound at magnitudes `mags` exactly, rounded up, as generated code: inf if any magnitude is inf or nan.
+
+    `parts` holds, per part, each monomial as (coefficient numerator, its
+    power-of-two exponent, variable indices).  Every value is an integer
+    times a power of two: magnitude i is `n{i} * 2**e{i}`, monomial j of
+    part k is `N{k}_{j} * 2**E{k}_{j}` (the integers multiplied, the
+    exponents added), and each part sums its monomials as integers shifted
+    to the least exponent `low`; the largest part is rounded up once.
+    """
+    ns = {"isfinite": math.isfinite, "INF": math.inf, "round_ints": _round_ints}
+    lines = ["if not all(map(isfinite, mags)):", "    return INF"]
+    lines += [line for i in range(n_read) for line in (
+        f"n{i}, d{i} = mags[{i}].as_integer_ratio()", f"e{i} = 1 - d{i}.bit_length()")]
+    # every exponent is at most 0, so 0 starts the minimum (and the bound of no monomials is 0)
+    lines.append("low = best = 0")
+    sums = []
+    for k, mons in enumerate(parts):
+        terms = []
+        for j, (num, exp, idxs) in enumerate(mons):
+            ns[f"K{k}_{j}"], ns[f"X{k}_{j}"] = num, exp
+            lines += _fold(f"N{k}_{j}", "*", [f"K{k}_{j}", *(f"n{i}" for i in idxs)])
+            lines += _fold(f"E{k}_{j}", "+", [f"X{k}_{j}", *(f"e{i}" for i in idxs)])
+            lines.append(f"if E{k}_{j} < low: low = E{k}_{j}")
+            terms.append(f"(N{k}_{j} << E{k}_{j} - low)")
+        sums.append(terms)
+    for terms in sums:
+        lines += [*_fold("t", "+", terms or ["0"]), "if t > best: best = t"]
+    return compile_function("exact", "mags", [*lines, "return round_ints(best, 1 << -low, False)"], ns)
+
+
 def _poly_propagation(nvars: int, var_index: Mapping[str, int], params: ErrorModelParams, prefix: str) -> _Propagation:
     return _Propagation(
         {v: _Poly.variable(i, nvars) for v, i in var_index.items()},
@@ -521,6 +529,13 @@ def compile_derived_bound(
     `var_order` fixes the positional meaning of the magnitude tuple the
     evaluator takes; it must cover every variable the expressions read.
     """
+    return CompiledBound(_derived_polys(original, optimized, var_order, params))
+
+
+def _derived_polys(
+    original: FpExpr, optimized: FpExpr, var_order: tuple[str, ...], params: ErrorModelParams
+) -> tuple[_Poly, ...]:
+    """derive_bound for this pair as polynomials in the magnitudes; the bound is their maximum."""
     vs = expr_variables(original) | expr_variables(optimized)
     missing = sorted(v for v in vs if v not in var_order)
     if missing:
@@ -532,15 +547,15 @@ def compile_derived_bound(
 
     if original == optimized:
         m1, _ = _poly_propagation(nvars, var_index, params, "original").walk(original)
-        return CompiledBound((delta * m1 + eta,))
+        return (delta * m1 + eta,)
 
     m1, e1 = _poly_propagation(nvars, var_index, params, "original").walk(original)
     m2, e2 = _poly_propagation(nvars, var_index, params, "optimized").walk(optimized)
     base = e1 + e2 + eta
     first = base + delta * m1
     if m1 == m2:
-        return CompiledBound((first,))
-    return CompiledBound((first, base + delta * m2))
+        return (first,)
+    return (first, base + delta * m2)
 
 
 def compile_paper_bound(params: ErrorModelParams = ErrorModelParams()) -> CompiledBound:

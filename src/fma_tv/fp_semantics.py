@@ -104,20 +104,14 @@ def _round_ints(n: int, d: int, to_nearest: bool) -> Binary64:
         m >>= 1
         e += 1
 
-    if m == 0:
-        return -0.0 if sign else 0.0
-    if m < 1 << (_SIG_BITS - 1):
-        bits = m  # subnormal: e was clamped to _EMIN
-    else:
-        ebits = e + 1075
-        if ebits >= 2047:
-            if to_nearest:
-                return NEG_INF if sign else POS_INF
-            return -MAX_FINITE if sign else POS_INF
-        bits = (ebits << 52) | (m - (1 << 52))
-    if sign:
-        bits |= 1 << 63
-    return float_of_bits(bits)
+    # m < 2**53 and e >= _EMIN, so m * 2**e is a binary64 unless e > _EMAX
+    # (a subnormal m < 2**52 has e == _EMIN); zero keeps the sign
+    if e > _EMAX:
+        if to_nearest:
+            return NEG_INF if sign else POS_INF
+        return -MAX_FINITE if sign else POS_INF
+    x = math.ldexp(m, e)
+    return -x if sign else x
 
 
 def round_rational(q: ExactRational | int) -> Binary64:

@@ -179,9 +179,13 @@ class RefinementConfig:
 
 
 class VerdictDetail(NamedTuple):
-    """Everything a report needs to reproduce or explain one check."""
+    """Everything a report needs to reproduce or explain one check.
 
-    args: tuple[Value, ...] = ()
+    `args` is the input tuple as the caller passed it: a bare float there is
+    the defined double of the same bits, and renders like one.
+    """
+
+    args: tuple[Value | float, ...] = ()
     message: str | None = None
     failed_clause: str | None = None
     failed_ids: tuple[str, ...] = ()
@@ -197,7 +201,10 @@ class VerdictDetail(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "args": ["poison" if isinstance(a, Poison) else dual_of(a.v) for a in self.args],
+            "args": [
+                dual_of(a) if isinstance(a, float) else "poison" if isinstance(a, Poison) else dual_of(a.v)
+                for a in self.args
+            ],
             "message": self.message,
             "failed_clause": self.failed_clause,
             "failed_ids": list(self.failed_ids),
@@ -392,10 +399,11 @@ class EquivChecker:
     slots (`compile_block`), resolves the aligned pairs, the returned
     operands and the leftover comparison to slots (`CompiledPair`), and
     from these and the bound plan generates the function `compiled` that
-    `check` runs on every sample.  `interp_cfg2` stays the reference
-    semantics: `check_reference` always uses it, and `check` falls back to
-    it for poison arguments, pre-populated environments and anything the
-    compiler does not cover, where `compiled` is None.
+    `check` runs on every sample of raw floats or of `Double`s.
+    `interp_cfg2` stays the reference semantics: `check_reference` always
+    uses it, and `check` falls back to it for poison, mixed or wrongly
+    sized arguments, pre-populated environments and anything the compiler
+    does not cover, where `compiled` is None.
     """
 
     def __init__(
@@ -478,6 +486,10 @@ class EquivChecker:
         if unsupported is None and not self.globals_env.entries and not self.locals_env.entries:
             pair = CompiledPair.build(original, optimized, alignment)
             self.compiled = None if pair is None else self._generate(pair)
+        # the argument types `compiled` takes, as `check`'s one type scan sees them
+        self._floats = self._doubles = None
+        if self.compiled is not None:
+            self._floats, self._doubles = (float,) * len(self.params), (Double,) * len(self.params)
 
     # -- per-sample work
 
@@ -486,32 +498,36 @@ class EquivChecker:
         derived, paper = self._derived_eval, self._paper_eval
         return (None if derived is None else derived(mags)), (None if paper is None else paper(mags))
 
-    def check(self, args: tuple[Value, ...]) -> Verdict:
-        """The verdict for one input tuple.
+    def check(self, args: tuple[Value | float, ...]) -> Verdict:
+        """The verdict for one input tuple, of bare floats or of values.
 
-        Poison-free arguments of the right arity run the generated function;
-        everything else goes through `check_reference`, with the same
-        verdict either way.
+        A tuple of the right arity, all floats or all `Double`s, runs the
+        generated function (the `Double`s unboxed once); everything else
+        goes through `check_reference`, with the same verdict either way.
+        The verdict's `args` is `args` as passed.
         """
-        compiled = self.compiled
-        if compiled is None or len(args) != len(self.params) or Poison in map(type, args):
-            return self.check_reference(args)
-        return compiled(args)
+        kinds = tuple(map(type, args))
+        if kinds == self._floats:
+            return self.compiled(args, args)
+        if kinds == self._doubles:
+            return self.compiled(args, tuple([a.v for a in args]))
+        return self.check_reference(args)
 
     def _generate(self, pair: CompiledPair):
         """`check` on poison-free arguments, as one function specialised to this checker.
 
-        Straight-line source: both blocks, with native `*`, `+` and `-` for
-        the `b64_*` operations (they are exactly these) and the fma that
-        `compile_block` captured, the differences, both bounds as
-        `CompiledBound.source` routes them, and a passing verdict built in
-        place.  Any other outcome is left to `check_reference`.
+        Straight-line source over `args`, the caller's tuple, and `xs`, its
+        floats: both blocks, with native `*`, `+` and `-` for the `b64_*`
+        operations (they are exactly these) and the fma that `compile_block`
+        captured, the differences, both bounds as `CompiledBound.source`
+        routes them, and a passing verdict built in place.  Any other
+        outcome is left to `check_reference`.
         """
         n = len(self.params)
         ns = {"same_bits": same_bits, "reference": self.check_reference, "INF": inf, "new": tuple.__new__,
               "Verdict": Verdict, "Detail": VerdictDetail, "PASS": Status.PASS, "SOURCE": self._gate,
               "AUDITED": self._audited}
-        body = [f"x{i} = args[{i}].v" for i in range(n)]
+        body = [f"{''.join(f'x{i}, ' for i in range(n))}= xs"] if n else []
 
         def slot(tag: str, i: int) -> str:
             return f"x{i}" if i < n else f"{tag}{i}"
@@ -548,17 +564,19 @@ class EquivChecker:
             f"False, {vacuous}, AUDITED, {disagrees}))))",
             "return reference(args)",
         ]
-        return compile_function("check", "args", body, ns)
+        return compile_function("check", "args, xs", body, ns)
 
-    def check_reference(self, args: tuple[Value, ...]) -> Verdict:
-        """The verdict for one input tuple by way of `interp_cfg2`."""
+    def check_reference(self, args: tuple[Value | float, ...]) -> Verdict:
+        """The verdict for one input tuple by way of `interp_cfg2`; bare floats are boxed first."""
         if self.static_unsupported is not None:
             return Verdict(
                 Status.UNSUPPORTED, VerdictDetail(args=args, message=self.static_unsupported)
             )
+        # each bare float is the defined double of the same bits
+        values = tuple(Double(a) if isinstance(a, float) else a for a in args)
         try:
-            ms_orig, _ = interp_cfg2(self.original, self.globals_env, self.locals_env, args)
-            ms_opt, _ = interp_cfg2(self.optimized, self.globals_env, self.locals_env, args)
+            ms_orig, _ = interp_cfg2(self.original, self.globals_env, self.locals_env, values)
+            ms_opt, _ = interp_cfg2(self.optimized, self.globals_env, self.locals_env, values)
         except EvalError as e:
             return Verdict(Status.UNSUPPORTED, VerdictDetail(args=args, message=str(e)))
 
@@ -569,7 +587,7 @@ class EquivChecker:
         ret_orig, ret_opt = ms_orig.result, ms_opt.result
         return self._verdict(
             args,
-            tuple(abs(a.v) if isinstance(a, Double) else 0.0 for a in args),
+            tuple(abs(a.v) if isinstance(a, Double) else 0.0 for a in values),
             ms_opt.globals == ms_orig.globals,
             _leftover_ok(ms_opt.locals, ms_orig.locals, self.alignment),
             pair_checks,
@@ -579,7 +597,7 @@ class EquivChecker:
 
     def _verdict(
         self,
-        args: tuple[Value, ...],
+        args: tuple[Value | float, ...],
         mags: tuple[float, ...],
         globals_ok: bool,
         leftover_ok: bool,

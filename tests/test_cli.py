@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import fma_tv
+import fma_tv.cli
+import fma_tv.refinement
 from fma_tv.cli import (
     Report,
     SamplerConfig,
@@ -82,7 +84,11 @@ def test_sampler_config_validation():
         SamplerConfig(exp_max=1024)
     with pytest.raises(ValueError):
         SamplerConfig(exp_min=10, exp_max=9)
+    # random.Random(-7) is random.Random(7): a negative seed would replay a positive one
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SamplerConfig(seed=-7)
     SamplerConfig(exp_min=-1074, exp_max=1023)
+    SamplerConfig(seed=0)
 
 
 def test_special_values():
@@ -682,6 +688,39 @@ def test_main_validate_bad_samples(capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_validate_negative_seed(capsys):
+    code = main([
+        "validate", "--original", NON_FMA, "--optimized", FMA,
+        "--alignment", ALIGNMENT, "--samples", "10", "--seed", "-7",
+    ])
+    assert code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_validate_samples_without_boxing(tmp_path, monkeypatch):
+    """The sampled path hands raw floats to the check: no `Double` is built."""
+    built = []
+
+    class CountedDouble(Double):
+        __slots__ = ()
+
+        def __init__(self, v):
+            built.append(v)
+            super().__init__(v)
+
+    monkeypatch.setattr(fma_tv.cli, "Double", CountedDouble)
+    monkeypatch.setattr(fma_tv.refinement, "Double", CountedDouble)
+    code, doc, _ = run_validate(tmp_path, samples=2000, seed=3)
+    assert code == 0 and doc["verdict"] == "pass"
+    assert doc["samples_run"]["total"] == 2000 + 16**3
+    assert built == []
+    # the counter is live: the reference path boxes
+    checker = EquivChecker(parse_module(Path(NON_FMA).read_text())[0],
+                           parse_module(Path(FMA).read_text())[0], load_alignment(Path(ALIGNMENT).read_text()))
+    checker.check_reference((1.0, 2.0, 3.0))
+    assert built == [1.0, 2.0, 3.0]
 
 
 def test_validate_defaults_are_the_config_defaults():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,8 @@ from fma_tv.error_model import (
     fma_roles,
     _EVAL_ABS_SLACK,
     _Poly,
+    _derived_polys,
+    _paper_formula,
 )
 from fma_tv.fp_semantics import (
     MAX_FINITE,
@@ -364,6 +367,109 @@ def test_exact_path_equals_fraction_reference(pair, ms):
 def test_exact_paper_path_equals_fraction_reference(ms):
     fast = compile_paper_bound()._eval_exact(ms)
     assert bits_of(fast) == bits_of(round_rational_up(epsilon_fma_paper(*ms)))
+
+
+# the generated exact path against its polynomials evaluated over Fraction
+
+
+def fraction_bound(polys, ms):
+    """The largest of `polys` at magnitudes `ms`, over Fraction, rounded up once."""
+    qs = [Fraction(m) for m in ms]
+    best = Fraction(0)
+    for poly in polys:
+        total = Fraction(0)
+        for key, coeff in poly.coeffs.items():
+            for q, p in zip(qs, key):
+                if p:
+                    coeff *= q**p
+            total += coeff
+        best = max(best, total)
+    return round_rational_up(best)
+
+
+def dot_pair(terms):
+    """An n-term dot product summed left to right against its fmuladd chain, over x0 ... x{2n-1}."""
+    xs = [Var(f"x{i}") for i in range(2 * terms)]
+    orig = opt = Mul(xs[0], xs[1])
+    for i in range(1, terms):
+        orig = Add(orig, Mul(xs[2 * i], xs[2 * i + 1]))
+        opt = Fma(xs[2 * i], xs[2 * i + 1], opt)
+    return orig, opt, tuple(str(x.name) for x in xs)
+
+
+def paper_polys():
+    A, B, C = (_Poly.variable(i, 3) for i in range(3))
+    consts = (DEFAULT_PARAMS.delta, DEFAULT_PARAMS.eta, Fraction(1), Fraction(2))
+    return (_paper_formula(A, B, C, *(_Poly.const(q, 3) for q in consts)),)
+
+
+def product_of_sums(n_sums):
+    """(3/4 x0 + 5/8 x1)(3/4 x2 + 5/8 x3)...: 2**n_sums monomials of degree n_sums."""
+    nvars = 2 * n_sums
+    poly = _Poly.const(Fraction(1), nvars)
+    for i in range(n_sums):
+        poly = poly * (
+            _Poly.variable(2 * i, nvars) * _Poly.const(Fraction(3, 4), nvars)
+            + _Poly.variable(2 * i + 1, nvars) * _Poly.const(Fraction(5, 8), nvars)
+        )
+    return (poly,)
+
+
+DEFAULT_PARAMS = ErrorModelParams()
+DOT16 = dot_pair(8)
+# a normal mantissa over every binade, subnormal results included
+binade_mags = st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), st.integers(-1126, 971))
+edge_mags = st.sampled_from([0.0, MIN_SUBNORMAL, MIN_NORMAL, 1.0, MAX_FINITE])
+exact_path_mags = st.one_of(edge_mags, binade_mags)
+
+
+@pytest.mark.parametrize("polys", [
+    _derived_polys(ORIG, OPT, ("a", "b", "c"), DEFAULT_PARAMS),
+    _derived_polys(ORIG, OPT, ("a", "b", "c", "unread"), DEFAULT_PARAMS),
+    _derived_polys(Mul(Var("a"), Var("b")), Add(Var("a"), Var("b")), ("a", "b"), DEFAULT_PARAMS),
+    paper_polys(),
+], ids=["canonical-derived", "canonical-derived-unread", "two-part", "paper"])
+@given(data=st.data())
+def test_generated_exact_path_equals_fraction_polys(polys, data):
+    ms = data.draw(st.tuples(*[exact_path_mags] * len(next(iter(polys[0].coeffs)))))
+    assert bits_of(CompiledBound(polys)._eval_exact(ms)) == bits_of(fraction_bound(polys, ms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[exact_path_mags] * 16))
+def test_generated_exact_path_equals_fraction_polys_dot16(ms):
+    polys = _derived_polys(*DOT16, DEFAULT_PARAMS)
+    fast = compile_derived_bound(*DOT16)._eval_exact(ms)
+    assert bits_of(fast) == bits_of(fraction_bound(polys, ms))
+
+
+def test_generated_exact_path_chunks_a_4096_monomial_part():
+    # one sum of 4096 shifted monomials: past what one expression can compile
+    polys = product_of_sums(12)
+    assert len(polys[0].coeffs) == 4096
+    bound = CompiledBound(polys)
+    rng = random.Random(10)
+    cases = [(m,) * 24 for m in (0.0, MIN_SUBNORMAL, MIN_NORMAL, 1.0, MAX_FINITE)]
+    cases.append(tuple([0.0, MIN_SUBNORMAL, MIN_NORMAL, 1.0, MAX_FINITE, 3.5] * 4))
+    cases += [tuple(math.ldexp(rng.getrandbits(53) | 1 << 52, rng.randint(-1126, 971)) for _ in range(24))
+              for _ in range(2)]
+    for ms in cases:
+        assert bits_of(bound._eval_exact(ms)) == bits_of(fraction_bound(polys, ms)), ms
+    for bad in (math.inf, math.nan):
+        assert bound._eval_exact((1.0,) * 23 + (bad,)) == math.inf
+
+
+@pytest.mark.parametrize("bound, n", [
+    (compile_derived_bound(ORIG, OPT, ("a", "b", "c", "unread")), 4),
+    (compile_paper_bound(), 3),
+    (compile_derived_bound(*DOT16), 16),
+], ids=["canonical-derived-unread", "paper", "dot16"])
+def test_generated_exact_path_is_inf_for_non_finite_magnitudes(bound, n):
+    for bad in (math.inf, math.nan):
+        for i in range(n):
+            for fill in (0.0, MIN_SUBNORMAL, 1.0, MAX_FINITE):
+                mags = tuple(bad if j == i else fill for j in range(n))
+                assert bound._eval_exact(mags) == math.inf, mags
 
 
 def test_fma_roles_modulo_commutativity():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fma_tv._bits import bits_of, float_from_hex
 from fma_tv.denotation import GlobalEnv, LocalEnv, interp_cfg2
 from fma_tv.error_model import Add, Const, Fma, Mul, Var, derive_bound
-from fma_tv.fp_semantics import MAX_FINITE, MIN_SUBNORMAL, Double, Poison, to_rational
+from fma_tv.fp_semantics import MAX_FINITE, MAX_SUBNORMAL, MIN_SUBNORMAL, Double, Poison, to_rational
 from fma_tv.ir_core import GlobalId, LocalId, parse_module
 from fma_tv.refinement import (
     AlignmentError,
@@ -670,3 +670,93 @@ def test_check_arity_mismatch_still_raises():
     checker = EquivChecker(NON_FMA_FN, FMA_FN, ALIGN)
     with pytest.raises(ValueError):
         checker.check(dbls(1.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# raw floats, values and the reference
+
+
+def dot_blocks(terms: int = 8):
+    """The dot product summed left to right against its fmuladd chain, returns paired."""
+    n = 2 * terms
+    orig, opt = [f"  %{n + 1} = fmul double %0, %1\n"], [f"  %{n + 1} = fmul double %0, %1\n"]
+    acc = acc_opt = n + 1
+    for i in range(1, terms):
+        orig.append(f"  %{acc + 1} = fmul double %{2 * i}, %{2 * i + 1}\n")
+        orig.append(f"  %{acc + 2} = fadd double %{acc}, %{acc + 1}\n")
+        opt.append(f"  %{acc_opt + 1} = tail call double @llvm.fmuladd.f64("
+                   f"double %{2 * i}, double %{2 * i + 1}, double %{acc_opt})\n")
+        acc, acc_opt = acc + 2, acc_opt + 1
+    align = AlignmentSpec(
+        ((anon(acc_opt), anon(acc)),),
+        frozenset(anon(k) for k in range(n + 1, acc_opt + 1)),
+        frozenset(anon(k) for k in range(n + 1, acc + 1)),
+    )
+    return (ir_block("".join(opt) + f"  ret double %{acc_opt}\n", n),
+            ir_block("".join(orig) + f"  ret double %{acc}\n", n), align)
+
+
+DOT_CASE = dot_blocks()
+ROUTE_CONFIGS = (
+    RefinementConfig(),
+    STRICT,
+    RefinementConfig(bound_source=BoundSource.PAPER_FORMULA),
+)
+ROUTE_CHECKERS = [
+    EquivChecker(orig, opt, align, cfg)
+    for opt, orig, align in ((FMA_FN, NON_FMA_FN, ALIGN), DOT_CASE)
+    for cfg in ROUTE_CONFIGS
+]
+EDGES = (0.0, -0.0, MIN_SUBNORMAL, -MIN_SUBNORMAL, MAX_SUBNORMAL, MAX_FINITE, -MAX_FINITE,
+         math.inf, -math.inf, math.nan)
+
+
+def assert_routes_agree(checker, xs):
+    """check on floats, check on Doubles and check_reference on Doubles give one verdict."""
+    values = dbls(*xs)
+    want = checker.check_reference(values).to_json()
+    v, v_values = checker.check(xs), checker.check(values)
+    assert v.detail.args is xs and v_values.detail.args is values
+    assert v.to_json() == v_values.to_json() == want
+
+
+def test_float_and_value_routes_match_reference_on_edges():
+    canonical = [c for c in ROUTE_CHECKERS if len(c.params) == 3]
+    for xs in itertools.product(EDGES, repeat=3):
+        for checker in canonical:
+            assert_routes_agree(checker, xs)
+    dot = [c for c in ROUTE_CHECKERS if len(c.params) == 16]
+    # the paper bound is unsupported on the dot pair, the others are compiled
+    assert [c.compiled is None for c in dot] == [False, False, True]
+    for k, e in enumerate(EDGES):
+        for xs in ((e,) * 16, tuple(EDGES[(k + j) % len(EDGES)] for j in range(16))):
+            for checker in dot:
+                assert_routes_agree(checker, xs)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(ROUTE_CHECKERS), st.data())
+def test_float_and_value_routes_match_reference(checker, data):
+    value = st.one_of(st.sampled_from(EDGES), any_double)
+    assert_routes_agree(checker, tuple(data.draw(value) for _ in checker.params))
+
+
+@pytest.mark.parametrize("checker", ROUTE_CHECKERS, ids=[
+    f"{pair}-{cfg}" for pair in ("canonical", "dot8") for cfg in ("default", "strict", "paper")])
+def test_poison_and_mixed_tuples_take_the_reference_path(checker):
+    n = len(checker.params)
+    xs = tuple(1.5 * k - 4.0 for k in range(n))
+    mixed = (Double(xs[0]), *xs[1:])
+    for args in (mixed, (*xs[:-1], Poison()), (*dbls(*xs[:-1]), Poison())):
+        v = checker.check(args)
+        assert v.detail.args is args
+        boxed = tuple(Double(a) if isinstance(a, float) else a for a in args)
+        assert v.to_json() == checker.check_reference(boxed).to_json()
+    assert checker.check(mixed).to_json() == checker.check(xs).to_json()
+    for bad in (xs[:-1], xs + (1.0,)):
+        for args in (bad, dbls(*bad)):
+            if checker.static_unsupported is not None:
+                assert checker.check(args).status is Status.UNSUPPORTED
+                continue
+            with pytest.raises(ValueError):
+                checker.check(args)
