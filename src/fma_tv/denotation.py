@@ -319,7 +319,7 @@ def compile_block(f: FunctionDef) -> CompiledBlock | None:
                 return None
             ops.append((_BINOP[instr.kind], (instr.lhs, instr.rhs), instr.dest))
         elif instr.callee.text == FMULADD_F64 and len(instr.args) == 3:
-            # read at compile time, so the fma implementation bound now runs
+            # read at compile time: a wrapper installed now sees the calls off the inline routes
             ops.append((b64_fma, instr.args, instr.dest))
         else:
             return None

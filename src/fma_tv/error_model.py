@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .fp_semantics import MAX_FINITE, MIN_NORMAL, Binary64, _round_ints, is_finite, round_rational_up
+from .fp_semantics import MAX_FINITE, MIN_NORMAL, Binary64, _round_dyadic, compile_function, is_finite, round_rational_up
 from ._bits import bits_of
 
 DEFAULT_DELTA = Fraction(1, 2**53)
@@ -366,13 +366,6 @@ def _fold(target: str, op: str, items: list[str]) -> list[str]:
     return lines or [f"{target} = {first}"]
 
 
-def compile_function(name: str, params: str, body: list[str], ns: dict) -> Callable:
-    """`def name(params):` over the statements `body`, with every value it reads bound in `ns`."""
-    src = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
-    exec(compile(src, f"<fma_tv {name}>", "exec"), ns)
-    return ns[name]
-
-
 class CompiledBound:
     """Per-sample upward evaluation of a precompiled bound polynomial.
 
@@ -488,7 +481,7 @@ def _compile_exact(parts, n_read: int) -> Callable:
     exponents added), and each part sums its monomials as integers shifted
     to the least exponent `low`; the largest part is rounded up once.
     """
-    ns = {"isfinite": math.isfinite, "INF": math.inf, "round_ints": _round_ints}
+    ns = {"isfinite": math.isfinite, "INF": math.inf, "round_dyadic": _round_dyadic}
     lines = ["if not all(map(isfinite, mags)):", "    return INF"]
     lines += [line for i in range(n_read) for line in (
         f"n{i}, d{i} = mags[{i}].as_integer_ratio()", f"e{i} = 1 - d{i}.bit_length()")]
@@ -506,7 +499,7 @@ def _compile_exact(parts, n_read: int) -> Callable:
         sums.append(terms)
     for terms in sums:
         lines += [*_fold("t", "+", terms or ["0"]), "if t > best: best = t"]
-    return compile_function("exact", "mags", [*lines, "return round_ints(best, 1 << -low, False)"], ns)
+    return compile_function("exact", "mags", [*lines, "return round_dyadic(best, low, False)"], ns)
 
 
 def _poly_propagation(nvars: int, var_index: Mapping[str, int], params: ErrorModelParams, prefix: str) -> _Propagation:

@@ -3,9 +3,13 @@
 Every operation here rounds to nearest, ties to even.  `b64_add`, `b64_sub`
 and `b64_mul` are the host's native double operations, which CPython
 guarantees to be IEEE binary64.  `b64_fma` is a single-rounding fused
-multiply-add: it calls libm's `fma` when available and falls back to an
-exact-rational computation otherwise; at import time the two are compared on
-a fixed set of witness triples and the fallback wins any disagreement.
+multiply-add that needs no libm.  It is generated from `fma_source`, the
+source the refinement checker also inlines, and takes one of four routes:
+`a*b + c` for a zero factor, `a*b` for a zero `c`, an error-free transform
+(Dekker's product, Knuth's TwoSum and a sum rounded to odd) where its guards
+hold, and otherwise `_fma_exact`, exact shifted-integer arithmetic.  Every
+NaN it returns is the canonical quiet NaN 0x7FF8000000000000, whatever the
+operands' payloads.
 
 `round_rational` is the independent reference point of the whole package:
 it rounds an arbitrary rational to binary64 using integer arithmetic only
@@ -17,6 +21,7 @@ used when a computed value must never under-approximate a real one.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,64 +59,55 @@ def to_rational(x: Binary64) -> ExactRational:
 # Reference rounding
 
 
-def _round_ints(n: int, d: int, to_nearest: bool) -> Binary64:
-    """Round n/d (d > 0) to binary64.
+def _round_dyadic(n: int, e: int, to_nearest: bool) -> Binary64:
+    """Round n * 2**e to binary64.
 
     `to_nearest` selects round-to-nearest-even; otherwise rounds toward
-    +infinity.  Pure integer arithmetic throughout; a power-of-two `d` (every
-    dyadic rational) is split by shift and mask instead of division.
+    +infinity.  Shift and mask only: the significand keeps 53 bits, or fewer
+    where that would take its last bit below the least subnormal.
     """
     if n == 0:
         return 0.0
-    sign = n < 0
-    a = -n if sign else n
-
-    # Exponent estimate: a/d lies in (2**(k-1), 2**(k+1)) for
-    # k = a.bit_length() - d.bit_length(), so m starts in [2**52, 2**54).  A
-    # power of two d pins a/d to [2**k, 2**(k+1)) and m to [2**52, 2**53).
-    pow2 = d & (d - 1) == 0
-    e = a.bit_length() - d.bit_length() - _SIG_BITS + pow2
-    if e < _EMIN:
-        e = _EMIN
-
-    if pow2:
-        s = e + d.bit_length() - 1
-        if s > 0:
-            den = 1 << s
-            m, rem = a >> s, a & (den - 1)
-        else:
-            m, rem, den = a << -s, 0, 1
-    else:
-
-        def split(exp: int) -> tuple[int, int, int]:
-            num, den = (a, d << exp) if exp >= 0 else (a << -exp, d)
-            m, rem = divmod(num, den)
-            return m, rem, den
-
-        m, rem, den = split(e)
-        while m >= 1 << _SIG_BITS:
-            e += 1
-            m, rem, den = split(e)
-
-    if to_nearest:
-        twice = 2 * rem
-        if twice > den or (twice == den and m & 1):
-            m += 1
-    elif rem and not sign:
-        m += 1
-
-    if m == 1 << _SIG_BITS:
-        m >>= 1
-        e += 1
-
-    # m < 2**53 and e >= _EMIN, so m * 2**e is a binary64 unless e > _EMAX
-    # (a subnormal m < 2**52 has e == _EMIN); zero keeps the sign
-    if e > _EMAX:
+    m = -n if n < 0 else n
+    s = m.bit_length() - _SIG_BITS
+    if s < _EMIN - e:
+        s = _EMIN - e
+    if s > 0:
+        q = m >> s
         if to_nearest:
-            return NEG_INF if sign else POS_INF
-        return -MAX_FINITE if sign else POS_INF
+            half = 1 << (s - 1)
+            if m & half and (q & 1 or m & (half - 1)):
+                q += 1
+        elif n > 0 and q << s != m:
+            q += 1
+        m, e = q, e + s
+    # m <= 2**53 and e >= _EMIN, so m * 2**e is a binary64 unless it reaches
+    # 2**1024; zero keeps the sign
+    if m.bit_length() + e > _EMAX + _SIG_BITS:
+        if to_nearest or n > 0:
+            return POS_INF if n > 0 else NEG_INF
+        return -MAX_FINITE
     x = math.ldexp(m, e)
-    return -x if sign else x
+    return x if n > 0 else -x
+
+
+def _round_ints(n: int, d: int, to_nearest: bool) -> Binary64:
+    """Round n/d (d > 0) to binary64, as `_round_dyadic` rounds.
+
+    Pure integer arithmetic throughout.  A power-of-two `d` (every dyadic
+    rational) is a shift; otherwise the quotient is taken to at least two
+    bits below where it rounds, plus a sticky bit for a nonzero remainder,
+    which is all that either rounding needs.
+    """
+    if d & (d - 1) == 0:
+        return _round_dyadic(n, 1 - d.bit_length(), to_nearest)
+    # |n|/d >= 2**(k-1) for k = |n|.bit_length() - d.bit_length(), so it
+    # rounds at 2**(k-53) or at the least subnormal, at least 2 above 2**e
+    a = abs(n)
+    e = max(a.bit_length() - d.bit_length() - _SIG_BITS - 3, _EMIN - 2)
+    q, rem = divmod(a << -e, d) if e < 0 else divmod(a, d << e)
+    q = 2 * q + (rem != 0)
+    return _round_dyadic(-q if n < 0 else q, e - 1, to_nearest)
 
 
 def round_rational(q: ExactRational | int) -> Binary64:
@@ -147,7 +143,7 @@ def _signbit(x: Binary64) -> bool:
 
 
 def _fma_exact(a: Binary64, b: Binary64, c: Binary64) -> Binary64:
-    """Fused multiply-add by exact rational arithmetic, one final rounding."""
+    """Fused multiply-add in exact shifted-integer arithmetic, one final rounding."""
     if math.isnan(a) or math.isnan(b) or math.isnan(c):
         return math.nan
     if math.isinf(a) or math.isinf(b):
@@ -159,63 +155,91 @@ def _fma_exact(a: Binary64, b: Binary64, c: Binary64) -> Binary64:
         return c if math.isinf(c) else p
     if math.isinf(c):
         return c
-    q = Fraction(a) * Fraction(b) + Fraction(c)
-    if q == 0:
+    # a product under a quarter ulp of a normal c cannot move it (an
+    # underflowed one is under 2**-1074 off)
+    if abs(a * b) * 2.0**56 <= abs(c) and abs(c) >= 2.0**-1019:
+        return c
+    # x == mx * 2**ex, and mx * 2**53 is an integer: sum the integers at the lesser exponent
+    (ma, ea), (mb, eb), (mc, ec) = math.frexp(a), math.frexp(b), math.frexp(c)
+    ep, ec = ea + eb - 106, ec - 53
+    low = min(ep, ec)
+    n = (int(ma * 2.0**53) * int(mb * 2.0**53) << ep - low) + (int(mc * 2.0**53) << ec - low)
+    if n == 0:
         # IEEE zero-sign rules: an exact cancellation of nonzero terms gives
         # +0; a zero product keeps -0 only if both addends are -0.
         if a == 0.0 or b == 0.0:
             psign = _signbit(a) != _signbit(b)
             return -0.0 if psign and _signbit(c) else 0.0
         return 0.0
-    return _round_ints(q.numerator, q.denominator, to_nearest=True)
+    return _round_dyadic(n, low, True)
 
 
-def _load_libm_fma():
-    try:
-        import ctypes
-        import ctypes.util
-
-        name = ctypes.util.find_library("m") or "libm.so.6"
-        fn = ctypes.CDLL(name).fma
-        fn.restype = ctypes.c_double
-        fn.argtypes = [ctypes.c_double, ctypes.c_double, ctypes.c_double]
-        return fn
-    except Exception:
-        return None
+def compile_function(name: str, params: str, body: list[str], ns: dict) -> Callable:
+    """`def name(params):` over the statements `body`, with every value it reads bound in `ns`."""
+    src = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(src, f"<fma_tv {name}>", "exec"), ns)
+    return ns[name]
 
 
-_ULP27 = 1.0 + 2.0**-27
+# Guards of the error-free transform: Veltkamp's split of a factor under
+# 2**995 cannot overflow; the factors of a product of at least 2**-968 have
+# last bits whose product is at least 2**-1074, so every step of Dekker's
+# product is exact; a product and an addend under 2**1021 keep every sum finite.
+_FMA_CONSTS = {"SPLIT": 2.0**27 + 1.0, "FMA_AB": 2.0**995, "FMA_LO": 2.0**-968, "FMA_HI": 2.0**1021,
+               "ulp": math.ulp, "nextafter": math.nextafter, "INF": POS_INF}
 
-# Triples where a correct fma is observably different from mul-then-add,
-# plus zero-sign and wide-exponent cases; any libm mismatch with the exact
-# fallback disqualifies libm.
-_FMA_CANARY = (
-    (_ULP27, _ULP27, -(1.0 + 2.0**-26)),
-    (0.1, 0.2, 0.3),
-    (1e308, 2.0, -1.7e308),
-    (2.0**-537, 1.5 * 2.0**-538, 0.0),
-    (2.0**-537, 2.0**-537, MIN_SUBNORMAL),
-    (-3.0, 7.0, 2.5),
-    (1.0, 1.0, -1.0),
-    (0.0, -1.0, 0.0),
-    (0.0, -1.0, -0.0),
-    (MAX_FINITE, MAX_FINITE, -MAX_FINITE),
+
+def fma_source(out: str, a: str, b: str, c: str, exact: str, ns: dict) -> list[str]:
+    """Statements setting `out` to the fma of the floats named `a`, `b` and `c`.
+
+    The one definition of `b64_fma`, which the refinement checker inlines
+    per fmuladd.  Three routes run inline, on finite operands only: a zero
+    factor gives `a*b + c`; a zero `c` gives `a*b`; inside the guards, an
+    error-free transform gives the rounded sum of Boldo and Melquiond's fma
+    emulation (IEEE TC 57(4), 2008): Dekker's product with Veltkamp's split,
+    Knuth's TwoSum, the two low parts summed rounding to odd, and one final
+    rounding to nearest.  Everything else calls the function named `exact`
+    (`_fma_exact` or a wrapper of it).  Temporaries are named `f_*`; the
+    constants are bound in `ns`.
+    """
+    ns.update(_FMA_CONSTS)
+    return [
+        f"f_p = {a} * {b}",
+        f"if f_p == 0.0 and ({a} == 0.0 or {b} == 0.0) and {c} - {c} == 0.0:",
+        f"    {out} = f_p + {c}",
+        f"elif {c} == 0.0 and f_p - f_p == 0.0:",
+        f"    {out} = f_p",
+        f"elif -FMA_HI < {c} < FMA_HI and FMA_LO <= abs(f_p) < FMA_HI and -FMA_AB < {a} < FMA_AB "
+        f"and -FMA_AB < {b} < FMA_AB:",
+        # f_p + f_e == a*b exactly
+        f"    f_t = {a} * SPLIT",
+        f"    f_ah = f_t - (f_t - {a})",
+        f"    f_al = {a} - f_ah",
+        f"    f_t = {b} * SPLIT",
+        f"    f_bh = f_t - (f_t - {b})",
+        f"    f_bl = {b} - f_bh",
+        "    f_e = ((f_ah * f_bh - f_p) + f_ah * f_bl + f_al * f_bh) + f_al * f_bl",
+        # f_s + f_t == f_p + c exactly
+        f"    f_s = f_p + {c}",
+        "    f_z = f_s - f_p",
+        f"    f_t = (f_p - (f_s - f_z)) + ({c} - f_z)",
+        # f_v + f_z == f_t + f_e exactly; an inexact f_v is normal, and goes to odd
+        "    f_v = f_t + f_e",
+        "    f_z = f_v - f_t",
+        "    f_z = (f_t - (f_v - f_z)) + (f_e - f_z)",
+        "    if f_z and not f_v / ulp(f_v) % 2.0:",
+        "        f_v = nextafter(f_v, f_z * INF)",
+        f"    {out} = f_s + f_v",
+        "else:",
+        f"    {out} = {exact}({a}, {b}, {c})",
+    ]
+
+
+_FMA_NS: dict = {"fma_exact": _fma_exact}
+b64_fma = compile_function(
+    "b64_fma", "a, b, c", [*fma_source("r", "a", "b", "c", "fma_exact", _FMA_NS), "return r"], _FMA_NS
 )
-
-
-def _libm_agrees(fn) -> bool:
-    return all(
-        bits_of(fn(a, b, c)) == bits_of(_fma_exact(a, b, c)) for a, b, c in _FMA_CANARY
-    )
-
-
-_LIBM_FMA = _load_libm_fma()
-_FMA_IMPL = _LIBM_FMA if (_LIBM_FMA is not None and _libm_agrees(_LIBM_FMA)) else _fma_exact
-
-
-def b64_fma(a: Binary64, b: Binary64, c: Binary64) -> Binary64:
-    """Fused multiply-add: round(a*b + c) with a single rounding."""
-    return _FMA_IMPL(a, b, c)
+b64_fma.__doc__ = "Fused multiply-add: round(a*b + c) with a single rounding (see `fma_source`)."
 
 
 # ---------------------------------------------------------------------------

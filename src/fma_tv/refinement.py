@@ -43,11 +43,10 @@ from .error_model import (
     Mul,
     Var,
     compile_derived_bound,
-    compile_function,
     compile_paper_bound,
     expr_variables,
 )
-from .fp_semantics import Double, Poison, Value, b64_add, b64_mul, b64_sub
+from .fp_semantics import Double, Poison, Value, b64_add, b64_mul, b64_sub, compile_function, fma_source
 from .ir_core import (
     FBinop,
     FBinopKind,
@@ -518,8 +517,9 @@ class EquivChecker:
 
         Straight-line source over `args`, the caller's tuple, and `xs`, its
         floats: both blocks, with native `*`, `+` and `-` for the `b64_*`
-        operations (they are exactly these) and the fma that `compile_block`
-        captured, the differences, both bounds as `CompiledBound.source`
+        operations (they are exactly these) and each fmuladd as `fma_source`
+        routes it, calling the fma that `compile_block` captured only off its
+        inline routes, the differences, both bounds as `CompiledBound.source`
         routes them, and a passing verdict built in place.  Any other
         outcome is left to `check_reference`.
         """
@@ -536,11 +536,11 @@ class EquivChecker:
             ns.update((slot(tag, n + k), c) for k, c in enumerate(block.consts))
             for dest, (op, *srcs) in enumerate(block.code, n + len(block.consts)):
                 operands = [slot(tag, i) for i in srcs if i >= 0]
-                if op in _NATIVE:
+                if len(operands) == 2:
                     body.append(f"{slot(tag, dest)} = {f' {_NATIVE[op]} '.join(operands)}")
-                else:
+                else:  # the fmuladd, whatever `op` wraps: inline routes, else a call to `op`
                     ns[f"{tag}f{dest}"] = op
-                    body.append(f"{slot(tag, dest)} = {tag}f{dest}({', '.join(operands)})")
+                    body += fma_source(slot(tag, dest), *operands, f"{tag}f{dest}", ns)
         # each distinct (optimized, original) slot pair compared, the return last
         compared = dict.fromkeys([*pair.pairs, (pair.optimized.result, pair.original.result)])
         diffs = {ij: f"d{k}" for k, ij in enumerate(compared) if None not in ij}

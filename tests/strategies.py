@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import strategies as st
 
 from fma_tv.error_model import Add, Const, Fma, Mul, Var
@@ -21,6 +23,14 @@ from fma_tv.ir_core import (
 # every bit pattern, via the float strategy's full-width mode
 any_double = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 finite_double = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+# uniform over binades rather than bit patterns: each of the 2,098 exponents
+# of a finite nonzero double is as likely, subnormal ones included
+binade_double = st.builds(
+    lambda sign, e, m: sign * math.ldexp(float((1 << 52) | m), e - 52),
+    st.sampled_from((1.0, -1.0)),
+    st.integers(min_value=-1074, max_value=1023),
+    st.integers(min_value=0, max_value=(1 << 52) - 1),
+)
 # magnitudes that keep products of a few operands comfortably finite
 moderate_double = st.floats(
     min_value=-1e50, max_value=1e50, allow_nan=False, allow_infinity=False

@@ -193,6 +193,16 @@ def test_run_fma_block():
     assert "Ret 0x3FF0000000000000 (1.0)" in lines
 
 
+@pytest.mark.parametrize("inputs", [
+    "a=0x7FF8000000000123,b=1.0,c=1.0", "a=1.0,b=1.0,c=0xFFF8000000000001", "a=inf,b=0.0,c=1.0",
+    "a=inf,b=1.0,c=-inf",
+])
+def test_run_fma_nan_is_canonical(inputs):
+    code, out, _ = run_cmd_run(FMA, inputs)
+    assert code == 0
+    assert out.splitlines()[-1] == "result: 0x7FF8000000000000 (nan)"
+
+
 def test_run_poison_input():
     code, out, _ = run_cmd_run(FMA, "a=poison,b=1.0,c=1.0")
     assert code == 0
@@ -758,6 +768,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("derived bound:")
+
+
+def test_cli_import_does_not_load_ctypes():
+    # the fma needs no libm, so nothing may reach for ctypes to load one
+    src = str(Path(fma_tv.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fma_tv.cli, sys; print('ctypes' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
 
 
 def test_report_default_shape():

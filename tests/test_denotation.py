@@ -1,12 +1,13 @@
 """Event-trace semantics: frozen traces, environments, poison, fuzzing."""
 
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fma_tv._bits import bits_of, same_bits
+from fma_tv._bits import bits_of, float_of_bits, hex_of, same_bits
 from fma_tv.denotation import (
     INTRINSIC_INPUT_ERROR,
     TAU,
@@ -224,6 +225,18 @@ def test_llvm_fmuladd_f64():
     assert str(exc.value) == INTRINSIC_INPUT_ERROR
     with pytest.raises(IntrinsicError):
         llvm_fmuladd_f64((Double(1.0), Double(2.0), "3.0"))
+
+
+@pytest.mark.parametrize("xs", [
+    (float_of_bits(0x7FF8000000000123), 1.0, 1.0),
+    (1.0, 1.0, float_of_bits(0xFFF8000000000001)),
+    (math.inf, 0.0, 1.0),
+    (math.inf, 1.0, -math.inf),
+], ids=["payload", "negative payload", "inf*0", "inf-inf"])
+def test_interp_fma_nan_is_canonical(xs):
+    """The fmuladd returns one NaN, whatever the operands' payloads or the platform."""
+    state, _ = interp_cfg2(FMA_FN, GlobalEnv.empty(), LocalEnv.empty(), dbls(*xs))
+    assert hex_of(state.result.v) == "0x7FF8000000000000"
 
 
 # ---------------------------------------------------------------------------

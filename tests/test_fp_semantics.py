@@ -1,13 +1,17 @@
 """Binary64 operations against the independent rational oracle."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fma_tv import fp_semantics
 from fma_tv._bits import bits_of, float_from_hex, float_of_bits, hex_of, same_bits
+from fma_tv.cli import special_values
 from fma_tv.fp_semantics import (
     MAX_FINITE,
     MAX_SUBNORMAL,
@@ -15,6 +19,8 @@ from fma_tv.fp_semantics import (
     MIN_SUBNORMAL,
     Double,
     Poison,
+    _fma_exact,
+    _round_dyadic,
     _round_ints,
     b64_add,
     b64_fma,
@@ -34,7 +40,7 @@ from oracles import (
     oracle_sub,
     same_float,
 )
-from strategies import any_double, finite_double
+from strategies import any_double, binade_double, finite_double
 
 rationals = st.fractions(
     min_value=Fraction(-(2**1030)), max_value=Fraction(2**1030), max_denominator=2**1100
@@ -270,10 +276,7 @@ def test_add_mul_commute(x, y):
 
 
 def test_fma_exact_fallback_matches_oracle():
-    # the pure-rational implementation must hold on its own, not only when
-    # libm happens to back it up
-    from fma_tv.fp_semantics import _fma_exact
-
+    # the exact route must hold on its own, not only behind the inline routes
     cases = [
         (1.0 + 2.0**-27, 1.0 + 2.0**-27, -(1.0 + 2.0**-26)),
         (1e308, 2.0, -1.7e308),
@@ -285,6 +288,250 @@ def test_fma_exact_fallback_matches_oracle():
     ]
     for a, b, c in cases:
         assert same_float(_fma_exact(a, b, c), oracle_fma(a, b, c))
+
+
+@given(st.integers(min_value=-(2**1200), max_value=2**1200), st.integers(min_value=-2400, max_value=1100))
+def test_round_dyadic_matches_verified_oracle(n, e):
+    q = Fraction(n) * Fraction(2) ** e
+    assert same_float(_round_dyadic(n, e, True), oracle_round_nearest(q, verify=True))
+    assert same_bits(_round_dyadic(n, e, False), round_rational_up(q))
+
+
+# ---------------------------------------------------------------------------
+# fma routes: every route of b64_fma bit-equal to the exact one and the oracle
+
+
+def assert_fma_exact(a, b, c):
+    got = b64_fma(a, b, c)
+    assert same_bits(got, _fma_exact(a, b, c)), (a, b, c)
+    assert same_float(got, oracle_fma(a, b, c)), (a, b, c)
+
+
+_ULP27 = 1.0 + 2.0**-27
+# a correct fma differs observably from mul-then-add here, plus zero-sign and
+# wide-exponent cases
+FMA_WITNESSES = [
+    (_ULP27, _ULP27, -(1.0 + 2.0**-26)),
+    (0.1, 0.2, 0.3),
+    (1e308, 2.0, -1.7e308),
+    (2.0**-537, 1.5 * 2.0**-538, 0.0),
+    (2.0**-537, 2.0**-537, MIN_SUBNORMAL),
+    (-3.0, 7.0, 2.5),
+    (1.0, 1.0, -1.0),
+    (0.0, -1.0, 0.0),
+    (0.0, -1.0, -0.0),
+    (MAX_FINITE, MAX_FINITE, -MAX_FINITE),
+    (MAX_FINITE, 2.0, -MAX_FINITE),
+]
+
+
+@pytest.mark.parametrize("a, b, c", FMA_WITNESSES)
+def test_fma_witness_triples(a, b, c):
+    assert_fma_exact(a, b, c)
+
+
+# the transform's guards: |a|, |b| < AB, LO <= |RN(a*b)| < HI, |c| < HI
+AB, LO, HI = 2.0**995, 2.0**-968, 2.0**1021
+
+
+def around(x):
+    """`x` and its neighbours toward zero and away from it."""
+    return (math.nextafter(x, 0.0), x, math.nextafter(x, math.copysign(math.inf, x)))
+
+
+def cancelling(p):
+    """-p and the 4 doubles either side of it."""
+    out = [-p]
+    for direction in (math.inf, -math.inf):
+        c = -p
+        for _ in range(4):
+            c = math.nextafter(c, direction)
+            out.append(c)
+    return out
+
+
+def guard_triples():
+    """Operands, products and addends at each guard and one ulp either side."""
+    factor_pairs = [(a, b) for a in around(AB) for b in (1.5, -1.0 - 2.0**-52, 1.3 * 2.0**-60)]
+    # products at LO: from a normal, a power-of-two subnormal and an odd subnormal factor
+    for a in (1.0, -3.0, 2.0**-1050, 3 * MIN_SUBNORMAL):
+        b0 = LO / a
+        factor_pairs += [(a, b) for b in around(b0) + around(math.nextafter(b0, 0.0))]
+    factor_pairs += [(2.0**30, b) for b in around(HI / 2.0**30)]
+    factor_pairs += [(-(1.0 + 2.0**-52), b) for b in around(HI)]
+    # past the guards, where the split or the sums would overflow
+    factor_pairs += [(a, 1.3 * 2.0**-60) for a in (*around(2.0**996), *around(2.0**997), MAX_FINITE)]
+    factor_pairs += [(2.0**30, b) for b in (*around(2.0**992), *around(2.0**993))]
+    tops = (*around(HI), *around(2.0**1022), *around(2.0**1023), MAX_FINITE)
+    for a, b in factor_pairs:
+        p = a * b
+        for c in (1.0, -p * 3.0, *cancelling(p), *tops, *(-t for t in tops)):
+            yield a, b, c
+
+
+def test_fma_matches_exact_at_the_guards():
+    triples = list(guard_triples())
+    products = {abs(a * b) for a, b, _ in triples}
+    assert {math.nextafter(LO, 0.0), LO, math.nextafter(LO, 1.0)} <= products
+    assert {math.nextafter(HI, 0.0), HI, math.nextafter(HI, math.inf)} <= products
+    for a, b, c in triples:
+        assert_fma_exact(a, b, c)
+
+
+def test_fma_routes_at_the_guards(monkeypatch):
+    """One ulp inside each guard stays inline, the guard itself goes exact."""
+    calls = []
+
+    def counted(a, b, c):
+        calls.append((a, b, c))
+        return _fma_exact(a, b, c)
+
+    monkeypatch.setitem(fp_semantics._FMA_NS, "fma_exact", counted)
+
+    def exact_route(a, b, c):
+        calls.clear()
+        assert_fma_exact(a, b, c)
+        return calls == [(a, b, c)]
+
+    below = math.nextafter
+    for x, b, c in ((AB, 1.5, 1.0), (-AB, 1.5, 1.0)):  # a factor
+        assert not exact_route(below(x, 0.0), b, c) and exact_route(x, b, c)
+        assert not exact_route(b, below(x, 0.0), c) and exact_route(b, x, c)
+    assert not exact_route(1.0, LO, 1.0) and exact_route(1.0, below(LO, 0.0), 1.0)  # the product
+    assert not exact_route(-1.0, LO, 1.0) and exact_route(-1.0, below(LO, 0.0), 1.0)
+    assert not exact_route(2.0**30, below(2.0**991, 0.0), 1.0) and exact_route(2.0**30, 2.0**991, 1.0)
+    for c in (HI, -HI):  # the addend
+        assert not exact_route(1.5, 1.5, below(c, 0.0)) and exact_route(1.5, 1.5, c)
+    # a zero factor and a zero addend are inline on finite operands only
+    assert not exact_route(-0.0, MAX_FINITE, -0.0) and not exact_route(0.0, 5.0, -MAX_FINITE)
+    assert exact_route(0.0, math.inf, 1.0) and exact_route(0.0, 5.0, math.inf)
+    assert exact_route(0.0, 5.0, math.nan)
+    assert not exact_route(MIN_SUBNORMAL, -MIN_SUBNORMAL, 0.0)  # an underflowed product keeps its sign
+    assert exact_route(1e300, 1e300, 0.0) and exact_route(math.inf, 2.0, 0.0)
+
+
+def tie_triples(rng):
+    """a*b + c exactly halfway between two doubles, both ways of ties-to-even.
+
+    The factors have 27-bit odd significands, the halves a Veltkamp split
+    makes, so a*b is exact with 53 or 54 bits; c moves it within its binade
+    by an even number of its last bits, or is a 53-bit c that a power-of-two
+    product puts half an ulp off.
+    """
+    for _ in range(300):
+        lo = 1 << 26
+        a = float(rng.randrange(95 * lo // 67 | 1, 2 * lo, 2)) * 2.0 ** rng.randint(-500, 450)
+        b = float(rng.randrange(95 * lo // 67 | 1, 2 * lo, 2)) * 2.0 ** rng.randint(-500, 450)
+        m, e = math.frexp(a * b)
+        step = math.ulp(a * b) / 2.0  # the exact product's last bit
+        c = rng.choice((-1.0, 1.0)) * 2.0 * step * rng.randrange(1, 1 << 20)
+        yield a, b, c
+        u, v = rng.randint(-400, 400), rng.randint(-400, 400)
+        d = float(rng.randrange(1 << 52, 1 << 53)) * 2.0 ** (u + v + 1)
+        yield 2.0**u, rng.choice((-1.0, 1.0)) * 2.0**v, d
+
+
+def test_fma_matches_exact_on_ties():
+    rng = random.Random(3)
+    triples = list(tie_triples(rng))
+    for a, b, c in triples:
+        q = Fraction(a) * Fraction(b) + Fraction(c)
+        lo = round_rational(q)
+        # a tie: q sits halfway to the other neighbour of its rounding
+        other = math.nextafter(lo, math.inf if Fraction(lo) < q else -math.inf)
+        assert Fraction(lo) - q == q - Fraction(other), (a, b, c)
+        assert_fma_exact(a, b, c)
+
+
+def test_fma_matches_exact_a_product_tail_off_a_tie():
+    """RN(a*b) + c is a tie that only the product's tail, one unit, breaks.
+
+    The low parts then sum to a tie as well: rounded to nearest, not to odd,
+    that sum drops the unit, and the fma rounds the first tie to even."""
+    rng = random.Random(5)
+    count = 0
+    while count < 300:
+        # in units of 2**(u+v): a*b == A*B == K * 2**53 + 1 with K odd, and c
+        # == C * 2**54 keeps K * 2**53 + c inside [2**106, 2**107)
+        A = rng.randrange(1 << 52, 1 << 53) | 1
+        B = pow(A, -1, 1 << 53)
+        K = A * B >> 53
+        if B < 1 << 52 or K < 1 << 52 or not K & 1:
+            continue
+        C = rng.randrange(1 << 52, ((1 << 107) - (K << 53)) >> 54)
+        u, v = rng.randint(-400, 400), rng.randint(-400, 400)
+        sign = rng.choice((-1.0, 1.0))
+        a, b, c = math.ldexp(A, u), sign * math.ldexp(B, v), sign * math.ldexp(C, u + v + 54)
+        assert Fraction(a) * Fraction(b) - Fraction(a * b) == sign * Fraction(2) ** (u + v)
+        assert_fma_exact(a, b, c)
+        count += 1
+
+
+def test_fma_matches_exact_near_cancellation():
+    rng = random.Random(4)
+    for _ in range(500):
+        a = rng.choice((-1.0, 1.0)) * math.ldexp(1.0 + rng.getrandbits(52) * 2.0**-52, rng.randint(-1074, 1023))
+        b = rng.choice((-1.0, 1.0)) * math.ldexp(1.0 + rng.getrandbits(52) * 2.0**-52, rng.randint(-1074, 1023))
+        p = a * b
+        if math.isfinite(p):
+            for c in cancelling(p):
+                assert_fma_exact(a, b, c)
+
+
+def test_fma_matches_exact_at_zero_subnormal_and_overflow_results():
+    cases = [
+        (2.0**-600, 2.0**-480, -(2.0**-1080)),  # a subnormal result
+        (3 * MIN_SUBNORMAL, 0.5, MIN_SUBNORMAL),  # subnormal operands, a tie at the least subnormal
+        (2.0**-540, -(2.0**-540), 0.0),  # underflow to -0
+        (2.0**-540, 2.0**-540, -0.0),
+        (1.5, 1.5, -2.25),  # exact cancellation: +0
+        (-1.5, 1.5, 2.25),
+        (MAX_FINITE, 2.0, -MAX_FINITE),
+        (MAX_FINITE, 1.0 + 2.0**-52, MAX_FINITE),  # overflow
+        (-MAX_FINITE, 1.5, -MAX_FINITE),
+        (2.0**994, 2.0**30, 2.0**1020),
+        (MAX_FINITE, MAX_FINITE, -math.inf),
+        (MIN_SUBNORMAL, -MIN_SUBNORMAL, MAX_SUBNORMAL),
+    ]
+    for x, y, z in cases:
+        for a, b, c in ((x, y, z), (-x, y, -z), (y, x, z)):
+            assert_fma_exact(a, b, c)
+
+
+def test_fma_matches_exact_on_the_corpus():
+    for a, b, c in itertools.product(special_values(), repeat=3):
+        assert_fma_exact(a, b, c)
+
+
+@settings(max_examples=500)
+@given(binade_double, binade_double, st.one_of(binade_double, st.sampled_from((0.0, -0.0, math.inf, math.nan))))
+def test_fma_matches_exact_over_every_binade(a, b, c):
+    assert_fma_exact(a, b, c)
+
+
+@given(binade_double, binade_double, st.integers(min_value=-4, max_value=4))
+def test_fma_matches_exact_cancelling_over_every_binade(a, b, k):
+    c = -(a * b)
+    for _ in range(abs(k)):
+        c = math.nextafter(c, math.copysign(math.inf, k))
+    assert_fma_exact(a, b, c)
+
+
+NAN_TRIPLES = [
+    (float_of_bits(0x7FF8000000000123), 1.0, 1.0),  # a payload, which a libm fma keeps
+    (1.0, float_of_bits(0xFFF8000000000001), 1.0),
+    (0.0, 1.0, float_of_bits(0x7FF8000000000123)),
+    (float_of_bits(0xFFF800000000ABCD), 0.0, 0.0),
+    (math.inf, 0.0, 1.0),  # invalid operations
+    (0.0, -math.inf, 1.0),
+    (math.inf, 1.0, -math.inf),
+    (-math.inf, -1.0, -math.inf),
+]
+
+
+@pytest.mark.parametrize("a, b, c", NAN_TRIPLES)
+def test_fma_nan_is_canonical(a, b, c):
+    assert hex_of(b64_fma(a, b, c)) == hex_of(_fma_exact(a, b, c)) == "0x7FF8000000000000"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fma_tv import denotation
 from fma_tv._bits import bits_of, float_from_hex
+from fma_tv.cli import SamplerConfig, corpus_tuples, sample_tuple, special_values
 from fma_tv.denotation import GlobalEnv, LocalEnv, interp_cfg2
 from fma_tv.error_model import Add, Const, Fma, Mul, Var, derive_bound
-from fma_tv.fp_semantics import MAX_FINITE, MAX_SUBNORMAL, MIN_SUBNORMAL, Double, Poison, to_rational
+from fma_tv.fp_semantics import MAX_FINITE, MAX_SUBNORMAL, MIN_SUBNORMAL, Double, Poison, b64_fma, to_rational
 from fma_tv.ir_core import GlobalId, LocalId, parse_module
 from fma_tv.refinement import (
     AlignmentError,
@@ -760,3 +763,47 @@ def test_poison_and_mixed_tuples_take_the_reference_path(checker):
                 continue
             with pytest.raises(ValueError):
                 checker.check(args)
+
+
+# ---------------------------------------------------------------------------
+# the fma inlined in the generated check
+
+# the special corpus, the infinities and each guard of the fma's transform with its neighbours
+FMA_LIMITS = (*special_values(), math.inf, -math.inf, *(
+    s * x for g in (2.0**995, 2.0**-968, 2.0**1021)
+    for x in (math.nextafter(g, 0.0), g, math.nextafter(g, math.inf)) for s in (1.0, -1.0)))
+
+
+@pytest.mark.parametrize("case", [(FMA_FN, NON_FMA_FN, ALIGN), DOT_CASE], ids=["canonical", "dot8"])
+def test_generated_check_matches_reference_on_every_fma_route(case):
+    opt, orig, align = case
+    checker = EquivChecker(orig, opt, align)
+    n = len(checker.params)
+    rng = random.Random(n)
+    full = SamplerConfig(exp_min=-1074, exp_max=1023)
+    inputs = [
+        *corpus_tuples(n),
+        *(sample_tuple(rng, n, full) for _ in range(20_000)),
+        *(tuple(rng.choice(FMA_LIMITS) for _ in range(n)) for _ in range(20_000)),
+    ]
+    mismatches = [xs for xs in inputs if checker.check(xs).to_json() != checker.check_reference(xs).to_json()]
+    assert mismatches[:3] == []
+
+
+def test_generated_check_calls_a_wrapped_fma_only_off_the_inline_routes(monkeypatch):
+    """The fmuladd is inlined by instruction, so a wrapper installed before construction sees only exact-route calls."""
+    calls = []
+
+    def wrapped(a, b, c):
+        calls.append((a, b, c))
+        return b64_fma(a, b, c)
+
+    monkeypatch.setattr(denotation, "b64_fma", wrapped)
+    checker = EquivChecker(NON_FMA_FN, FMA_FN, ALIGN)
+    # the transform, a zero factor, a zero addend
+    for xs in ((1.5, 2.5, 3.5), (-0.0, 2.5, 3.5), (MIN_SUBNORMAL, MIN_SUBNORMAL, -0.0)):
+        assert checker.check(xs).status is Status.PASS
+    assert calls == []
+    xs = (MIN_SUBNORMAL, MIN_SUBNORMAL, 1.0)  # a product under the transform's guard
+    assert checker.check(xs).status is Status.PASS
+    assert calls == [xs]
