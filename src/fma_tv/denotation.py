@@ -7,17 +7,13 @@ lists with the most recent binding first, so shadowing and removal behave
 like the list they are.  Poison propagates through every operation and the
 intrinsic alike.
 
-`interp_cfg2` is the reference semantics.  `compile_block` flattens a block
-once into straight-line operations over a slot array of raw doubles; the
-refinement checker generates code from that form for every sampled input and
-keeps the interpreter for everything the compiled form does not cover
-(poison arguments, pre-populated environments, unsupported input).  Both
-round with the same `b64_*` operations, and tests hold them bit-identical.
+`interp_cfg2` is the reference semantics.  The refinement checker generates
+straight-line code from the same blocks for samples of raw doubles, rounding
+as the `b64_*` operations do, and tests hold the two bit-identical.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .fp_semantics import Double, Poison, Value, b64_add, b64_fma, b64_mul, b64_sub, value_to_str
@@ -30,7 +26,6 @@ from .ir_core import (
     FunctionDef,
     GlobalId,
     Instruction,
-    IntrinsicCall,
     LocalId,
     LocalRef,
 )
@@ -273,83 +268,3 @@ def interp_cfg2(
     """Run `f` on `args` over initial environments; final state plus trace."""
     locals_, ret_val, trace = _run_block(f, _bind_params(f, args, l))
     return MachineState(g, locals_, ret_val), trace
-
-
-# ---------------------------------------------------------------------------
-# Compiled straight-line evaluation
-
-
-@dataclass(frozen=True, slots=True)
-class CompiledBlock:
-    """A block flattened to operations over a slot array of raw doubles.
-
-    The slots hold the parameters first, then the block's literal operands
-    in program order, then one result per instruction.  Each entry of
-    `code` is (op, lhs, rhs, addend) as slot indices, the addend -1 for
-    two-operand ops; its destination is the next slot.  `entries` is the
-    final local environment as (id, slot) pairs, most recent first, and
-    `result` the slot of the returned operand.
-    """
-
-    consts: tuple[float, ...]
-    code: tuple[tuple[Callable[..., float], int, int, int], ...]
-    entries: tuple[tuple[LocalId, int], ...]
-    result: int
-
-    def slot_of(self, ident: LocalId) -> int | None:
-        """Slot of the final binding of `ident`; None when it has none."""
-        for k, slot in self.entries:
-            if k == ident:
-                return slot
-        return None
-
-
-def compile_block(f: FunctionDef) -> CompiledBlock | None:
-    """Flatten `f` into a `CompiledBlock`.
-
-    On poison-free arguments, running `code` in order gives, bit for bit,
-    the values that `interp_cfg2` binds and returns from empty environments.  Returns None
-    where the interpreter raises: fast-math flags, a call other than the
-    three-operand fmuladd, or an undefined local.
-    """
-    ops: list[tuple[Callable[..., float], tuple[Expr, ...], LocalId]] = []
-    for instr in f.body.blk_code:
-        if isinstance(instr, FBinop):
-            if instr.fm_flags:
-                return None
-            ops.append((_BINOP[instr.kind], (instr.lhs, instr.rhs), instr.dest))
-        elif instr.callee.text == FMULADD_F64 and len(instr.args) == 3:
-            # read at compile time: a wrapper installed now sees the calls off the inline routes
-            ops.append((b64_fma, instr.args, instr.dest))
-        else:
-            return None
-    ret = f.body.blk_term.value
-    operands = [e for _, srcs, _ in ops for e in srcs] + [ret]
-    consts = tuple(e.value for e in operands if not isinstance(e, LocalRef))
-
-    n = len(f.params)
-    env = {p: i for i, p in enumerate(f.params)}
-    entries = [(p, i) for i, p in enumerate(f.params)]
-    next_const = n
-    next_result = n + len(consts)
-
-    def slot(e: Expr) -> int | None:
-        nonlocal next_const
-        if isinstance(e, LocalRef):
-            return env.get(e.id)
-        next_const += 1
-        return next_const - 1
-
-    code = []
-    for op, srcs, dest in ops:
-        slots = [slot(e) for e in srcs]
-        if None in slots:
-            return None
-        code.append((op, *slots) if len(slots) == 3 else (op, *slots, -1))
-        env[dest] = next_result
-        entries.append((dest, next_result))
-        next_result += 1
-    result = slot(ret)
-    if result is None:
-        return None
-    return CompiledBlock(consts, tuple(code), tuple(reversed(entries)), result)

@@ -481,11 +481,14 @@ def _compile_exact(parts, n_read: int) -> Callable:
     exponents added), and each part sums its monomials as integers shifted
     to the least exponent `low`; the largest part is rounded up once.
     """
-    ns = {"isfinite": math.isfinite, "INF": math.inf, "round_dyadic": _round_dyadic}
+    ns = {"isfinite": math.isfinite, "INF": math.inf, "round_dyadic": _round_dyadic, "frexp": math.frexp,
+          "SIG": 2.0**53}
     lines = ["if not all(map(isfinite, mags)):", "    return INF"]
+    # m * 2**53 is an integer for the frexp significand m of a double, as in `_fma_exact`
     lines += [line for i in range(n_read) for line in (
-        f"n{i}, d{i} = mags[{i}].as_integer_ratio()", f"e{i} = 1 - d{i}.bit_length()")]
-    # every exponent is at most 0, so 0 starts the minimum (and the bound of no monomials is 0)
+        f"n{i}, e{i} = frexp(mags[{i}])", f"n{i}, e{i} = int(n{i} * SIG), e{i} - 53")]
+    # `low` need only be at most every exponent, so 0 may start the minimum
+    # (and the bound of no monomials is 0)
     lines.append("low = best = 0")
     sums = []
     for k, mons in enumerate(parts):

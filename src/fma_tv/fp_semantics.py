@@ -161,6 +161,8 @@ def _fma_exact(a: Binary64, b: Binary64, c: Binary64) -> Binary64:
         return c
     # x == mx * 2**ex, and mx * 2**53 is an integer: sum the integers at the lesser exponent
     (ma, ea), (mb, eb), (mc, ec) = math.frexp(a), math.frexp(b), math.frexp(c)
+    if ea + eb >= 1027:
+        return a * b  # |a*b| >= 2**1025 and |c| < 2**1024: the sum rounds to the product's infinity
     ep, ec = ea + eb - 106, ec - 53
     low = min(ep, ec)
     n = (int(ma * 2.0**53) * int(mb * 2.0**53) << ep - low) + (int(mc * 2.0**53) << ec - low)

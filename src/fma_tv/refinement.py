@@ -26,14 +26,8 @@ from math import inf, isfinite
 from typing import NamedTuple
 
 from ._bits import dual_of, same_bits
-from .denotation import (
-    CompiledBlock,
-    EvalError,
-    GlobalEnv,
-    LocalEnv,
-    compile_block,
-    interp_cfg2,
-)
+from . import denotation
+from .denotation import EvalError, GlobalEnv, LocalEnv, interp_cfg2
 from .error_model import (
     Add,
     Const,
@@ -46,7 +40,7 @@ from .error_model import (
     compile_paper_bound,
     expr_variables,
 )
-from .fp_semantics import Double, Poison, Value, b64_add, b64_mul, b64_sub, compile_function, fma_source
+from .fp_semantics import Double, Poison, Value, b64_sub, compile_function, fma_source
 from .ir_core import (
     FBinop,
     FBinopKind,
@@ -230,8 +224,8 @@ class Verdict(NamedTuple):
 # ---------------------------------------------------------------------------
 # Value and environment refinement
 
-# the `b64_*` operations that are exactly Python's float operators
-_NATIVE = {b64_mul: "*", b64_add: "+", b64_sub: "-"}
+# the Python float operator that is exactly each binary operation's `b64_*`
+_OPERATOR = {FBinopKind.FMUL: "*", FBinopKind.FADD: "+", FBinopKind.FSUB: "-"}
 
 
 def _compare(x_opt: float, x_orig: float) -> tuple[float, bool]:
@@ -394,15 +388,13 @@ class EquivChecker:
     unavailable), which of them gates the verdict, and whether the
     published one audits the derived one.  A sample only evaluates them.
 
-    Construction also compiles both blocks to straight-line evaluation over
-    slots (`compile_block`), resolves the aligned pairs, the returned
-    operands and the leftover comparison to slots (`CompiledPair`), and
-    from these and the bound plan generates the function `compiled` that
-    `check` runs on every sample of raw floats or of `Double`s.
-    `interp_cfg2` stays the reference semantics: `check_reference` always
-    uses it, and `check` falls back to it for poison, mixed or wrongly
-    sized arguments, pre-populated environments and anything the compiler
-    does not cover, where `compiled` is None.
+    From both blocks, the alignment and the bound plan, construction also
+    generates `compiled`: one straight-line function that `check` runs on
+    every tuple of raw floats.  `interp_cfg2` stays the reference
+    semantics: `check_reference` always uses it, and `check` falls back to
+    it for `Double`s, poison, mixed or wrongly sized arguments,
+    pre-populated environments and unsupported pairs, where `compiled` is
+    None.
     """
 
     def __init__(
@@ -483,12 +475,9 @@ class EquivChecker:
 
         self.compiled = None
         if unsupported is None and not self.globals_env.entries and not self.locals_env.entries:
-            pair = CompiledPair.build(original, optimized, alignment)
-            self.compiled = None if pair is None else self._generate(pair)
+            self.compiled = self._generate()
         # the argument types `compiled` takes, as `check`'s one type scan sees them
-        self._floats = self._doubles = None
-        if self.compiled is not None:
-            self._floats, self._doubles = (float,) * len(self.params), (Double,) * len(self.params)
+        self._floats = None if self.compiled is None else (float,) * len(self.params)
 
     # -- per-sample work
 
@@ -500,51 +489,67 @@ class EquivChecker:
     def check(self, args: tuple[Value | float, ...]) -> Verdict:
         """The verdict for one input tuple, of bare floats or of values.
 
-        A tuple of the right arity, all floats or all `Double`s, runs the
-        generated function (the `Double`s unboxed once); everything else
-        goes through `check_reference`, with the same verdict either way.
-        The verdict's `args` is `args` as passed.
+        A tuple of floats of the right arity runs the generated function;
+        everything else, `Double`s included, goes through `check_reference`,
+        with the same verdict either way.  The verdict's `args` is `args` as
+        passed.
         """
-        kinds = tuple(map(type, args))
-        if kinds == self._floats:
-            return self.compiled(args, args)
-        if kinds == self._doubles:
-            return self.compiled(args, tuple([a.v for a in args]))
+        if tuple(map(type, args)) == self._floats:
+            return self.compiled(args)
         return self.check_reference(args)
 
-    def _generate(self, pair: CompiledPair):
-        """`check` on poison-free arguments, as one function specialised to this checker.
+    def _generate(self):
+        """`check` on a tuple of floats, as one function specialised to this checker.
 
-        Straight-line source over `args`, the caller's tuple, and `xs`, its
-        floats: both blocks, with native `*`, `+` and `-` for the `b64_*`
-        operations (they are exactly these) and each fmuladd as `fma_source`
-        routes it, calling the fma that `compile_block` captured only off its
-        inline routes, the differences, both bounds as `CompiledBound.source`
-        routes them, and a passing verdict built in place.  Any other
-        outcome is left to `check_reference`.
+        Straight-line source over `args`: both blocks, each binary
+        operation as its Python float operator (exactly its `b64_*`) and
+        each fmuladd as `fma_source` routes it, calling the `b64_fma` that
+        `denotation` holds at construction only off its inline routes; the
+        differences; both bounds as `CompiledBound.source` routes them; and
+        a passing verdict built in place.  Any other outcome is left to
+        `check_reference`.  Wellformedness binds every local once, so each
+        block's names in binding order are its final environment.  Names
+        come from indices only: `x{i}` for parameter i, `o{k}` and `p{k}`
+        for instruction k of the original and the optimized block, and
+        `o{k}_{j}`, `p{k}_{j}` for operand j's literal (k past the last
+        instruction for the return); every value is bound in `ns`.
         """
         n = len(self.params)
         ns = {"same_bits": same_bits, "reference": self.check_reference, "INF": inf, "new": tuple.__new__,
               "Verdict": Verdict, "Detail": VerdictDetail, "PASS": Status.PASS, "SOURCE": self._gate,
-              "AUDITED": self._audited}
-        body = [f"{''.join(f'x{i}, ' for i in range(n))}= xs"] if n else []
+              "AUDITED": self._audited, "fma_exact": denotation.b64_fma}
+        body = [f"{''.join(f'x{i}, ' for i in range(n))}= args"] if n else []
 
-        def slot(tag: str, i: int) -> str:
-            return f"x{i}" if i < n else f"{tag}{i}"
+        def emit(tag: str, block: FunctionDef) -> tuple[dict[LocalId, str], str]:
+            """Append `block` to `body`: its final environment as names, and the name it returns."""
+            env = {p: f"x{i}" for i, p in enumerate(self.params)}
 
-        for tag, block in (("o", pair.original), ("p", pair.optimized)):
-            ns.update((slot(tag, n + k), c) for k, c in enumerate(block.consts))
-            for dest, (op, *srcs) in enumerate(block.code, n + len(block.consts)):
-                operands = [slot(tag, i) for i in srcs if i >= 0]
-                if len(operands) == 2:
-                    body.append(f"{slot(tag, dest)} = {f' {_NATIVE[op]} '.join(operands)}")
-                else:  # the fmuladd, whatever `op` wraps: inline routes, else a call to `op`
-                    ns[f"{tag}f{dest}"] = op
-                    body += fma_source(slot(tag, dest), *operands, f"{tag}f{dest}", ns)
-        # each distinct (optimized, original) slot pair compared, the return last
-        compared = dict.fromkeys([*pair.pairs, (pair.optimized.result, pair.original.result)])
+            def operand(e, k: int, j: int) -> str:
+                if isinstance(e, LocalRef):
+                    return env[e.id]
+                ns[f"{tag}{k}_{j}"] = e.value
+                return f"{tag}{k}_{j}"
+
+            code = block.body.blk_code
+            for k, instr in enumerate(code):
+                dest = f"{tag}{k}"
+                if isinstance(instr, FBinop):
+                    lhs, rhs = operand(instr.lhs, k, 0), operand(instr.rhs, k, 1)
+                    body.append(f"{dest} = {lhs} {_OPERATOR[instr.kind]} {rhs}")
+                else:
+                    args = (operand(e, k, j) for j, e in enumerate(instr.args))
+                    body.extend(fma_source(dest, *args, "fma_exact", ns))
+                env[instr.dest] = dest
+            return env, operand(block.body.blk_term.value, len(code), 0)
+
+        orig_env, orig_ret = emit("o", self.original)
+        opt_env, opt_ret = emit("p", self.optimized)
+        align = self.alignment
+        # each distinct (optimized, original) pair of names compared, None for an unbound id, the return last
+        pairs = [(opt_env.get(o), orig_env.get(g)) for o, g in align.pairs]
+        compared = dict.fromkeys([*pairs, (opt_ret, orig_ret)])
         diffs = {ij: f"d{k}" for k, ij in enumerate(compared) if None not in ij}
-        body += [f"{d} = abs({slot('p', i)} - {slot('o', j)})" for (i, j), d in diffs.items()]
+        body += [f"{d} = abs({i} - {j})" for (i, j), d in diffs.items()]
         body += [f"m{i} = abs(x{i})" for i in range(n)]
         for out, tag, bound in (("bd", "D_", self._derived_eval), ("bp", "P_", self._paper_eval)):
             body += [f"{out} = None"] if bound is None else bound.source(out, tag, n, ns)
@@ -553,9 +558,16 @@ class EquivChecker:
             holds = _HOLDS_SOURCE[self._strict]
             return " and ".join(holds.format(d=diffs[ij], b=b) if ij in diffs else "False" for ij in compared)
 
-        same = [f"same_bits({slot('p', i)}, {slot('o', j)})" for i, j in pair.leftover or ()]
-        leftover = "False" if pair.leftover is None else " and ".join(same) or "True"
-        used, ret = "bd" if self._gate == "derived" else "bp", diffs[pair.optimized.result, pair.original.result]
+        # the leftover clause: the same ids in the same order, then the same bits
+        removal = align.fresh_optimized | align.fresh_original
+        rest_opt = [(k, v) for k, v in opt_env.items() if k not in removal]
+        rest_orig = [(k, v) for k, v in orig_env.items() if k not in removal]
+        leftover = "False"
+        if [k for k, _ in rest_opt] == [k for k, _ in rest_orig]:
+            # a parameter always agrees with itself
+            same = [f"same_bits({i}, {j})" for (_, i), (_, j) in zip(rest_opt, rest_orig) if i != j]
+            leftover = " and ".join(same) or "True"
+        used, ret = "bd" if self._gate == "derived" else "bp", diffs[opt_ret, orig_ret]
         vacuous = "False" if self._strict else f"not {ret} < INF"
         disagrees = f"not ({all_hold('bp')})" if self._audited else "False"
         body += [
@@ -564,7 +576,7 @@ class EquivChecker:
             f"False, {vacuous}, AUDITED, {disagrees}))))",
             "return reference(args)",
         ]
-        return compile_function("check", "args, xs", body, ns)
+        return compile_function("check", "args", body, ns)
 
     def check_reference(self, args: tuple[Value | float, ...]) -> Verdict:
         """The verdict for one input tuple by way of `interp_cfg2`; bare floats are boxed first."""
@@ -662,43 +674,6 @@ class EquivChecker:
                 paper_disagrees=paper_disagrees,
             ),
         )
-
-
-@dataclass(frozen=True)
-class CompiledPair:
-    """Both blocks compiled, with every local the verdict reads resolved to a slot.
-
-    `pairs` holds (optimized slot, original slot) per aligned pair, None
-    for an id the block never binds.  `leftover` holds the slot pairs whose
-    values must agree bit for bit after the fresh ids are removed; a pair
-    of the same parameter slot is left out, as it always agrees.  It is
-    None when the leftover id sequences differ, so the clause fails on
-    every input.
-    """
-
-    original: CompiledBlock
-    optimized: CompiledBlock
-    pairs: tuple[tuple[int | None, int | None], ...]
-    leftover: tuple[tuple[int, int], ...] | None
-
-    @classmethod
-    def build(
-        cls, original: FunctionDef, optimized: FunctionDef, alignment: AlignmentSpec
-    ) -> CompiledPair | None:
-        orig, opt = compile_block(original), compile_block(optimized)
-        if orig is None or opt is None:
-            return None
-        pairs = tuple((opt.slot_of(o), orig.slot_of(g)) for o, g in alignment.pairs)
-        removal = alignment.fresh_optimized | alignment.fresh_original
-        rest_opt = [(k, i) for k, i in opt.entries if k not in removal]
-        rest_orig = [(k, j) for k, j in orig.entries if k not in removal]
-        leftover = None
-        if [k for k, _ in rest_opt] == [k for k, _ in rest_orig]:
-            n = len(original.params)
-            leftover = tuple(
-                (i, j) for (_, i), (_, j) in zip(rest_opt, rest_orig) if not i == j < n
-            )
-        return cls(orig, opt, pairs, leftover)
 
 
 def check_equiv(

@@ -4,14 +4,13 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from fma_tv._bits import bits_of, float_of_bits, hex_of, same_bits
+from fma_tv._bits import float_of_bits, hex_of
 from fma_tv.denotation import (
     INTRINSIC_INPUT_ERROR,
     TAU,
-    EvalError,
     GlobalEnv,
     IntrinsicCallEvent,
     IntrinsicError,
@@ -23,7 +22,6 @@ from fma_tv.denotation import (
     Trace,
     UndefinedLocalError,
     UnknownIntrinsicError,
-    compile_block,
     denote_block,
     denote_instr,
     eval_expr,
@@ -334,77 +332,3 @@ def test_wellformedness_predicts_undefined_locals(f, data):
         assert ran
     if not ran:
         assert not wf
-
-
-# ---------------------------------------------------------------------------
-# compiled straight-line evaluation against the interpreter
-
-
-def run_slots(compiled, xs):
-    """Every slot's value for the poison-free arguments `xs`: what `code` means."""
-    s = [*xs, *compiled.consts]
-    for op, a, b, c in compiled.code:
-        s.append(op(s[a], s[b]) if c < 0 else op(s[a], s[b], s[c]))
-    return s
-
-
-@settings(max_examples=300)
-@given(function_defs(allow_fsub=True), st.data())
-def test_compiled_block_matches_interpreter(f, data):
-    xs = tuple(data.draw(any_double) for _ in f.params)
-    compiled = compile_block(f)
-    assert compiled is not None
-    slots = run_slots(compiled, xs)
-    state, _ = interp_cfg2(f, GlobalEnv.empty(), LocalEnv.empty(), dbls(*xs))
-    # the same final environment, id for id and bit for bit, and the same return
-    assert [k for k, _ in compiled.entries] == [k for k, _ in state.locals.entries]
-    for (ident, slot), (_, value) in zip(compiled.entries, state.locals.entries):
-        assert same_bits(slots[slot], value.v), ident
-        assert compiled.slot_of(ident) == slot
-    assert same_bits(slots[compiled.result], state.result.v)
-
-
-def test_compiled_block_canonical_pair():
-    witness = (1.0 + 2.0**-27, 1.0 + 2.0**-27, -(1.0 + 2.0**-26))
-    for f in (FMA_FN, NON_FMA_FN):
-        compiled = compile_block(f)
-        state, _ = interp_cfg2(f, GlobalEnv.empty(), LocalEnv.empty(), dbls(*witness))
-        assert compiled.consts == ()
-        assert run_slots(compiled, witness)[compiled.result] == state.result.v
-    assert run_slots(compile_block(FMA_FN), witness)[3] == 2.0**-54
-    assert compile_block(NON_FMA_FN).slot_of(anon(9)) is None
-
-
-def test_compiled_block_literals_take_their_own_slots():
-    (f,) = parse_module(
-        "define double @f(double %0) {\n"
-        "  %2 = fmul double %0, 2.0\n"
-        "  %3 = call double @llvm.fmuladd.f64(double %2, double -0.0, double %0)\n"
-        "  ret double 0x7FF8000000000001\n"
-        "}"
-    )
-    compiled = compile_block(f)
-    # parameter, then the literals in program order, then one slot per result
-    assert [bits_of(c) for c in compiled.consts] == [
-        bits_of(2.0), bits_of(-0.0), 0x7FF8000000000001
-    ]
-    assert compiled.entries == ((anon(3), 5), (anon(2), 4), (anon(0), 0))
-    assert compiled.result == 3
-    state, _ = interp_cfg2(f, GlobalEnv.empty(), LocalEnv.empty(), dbls(3.0))
-    slots = run_slots(compiled, (3.0,))
-    assert slots[4] == 6.0
-    assert same_bits(slots[5], state.locals.lookup(anon(3)).v)
-    assert same_bits(slots[compiled.result], state.result.v)
-
-
-def test_compile_block_refuses_what_the_interpreter_rejects():
-    for text in (
-        (TESTDATA / "non_fma.ll").read_text().replace("fadd double", "fadd fast double"),
-        (TESTDATA / "fma.ll").read_text().replace("fmuladd.f64", "fmuladd.f32"),
-        "define double @f(double %0) {\n  ret double %7\n}",
-        "define double @f(double %0) {\n  %2 = fadd double %0, %5\n  ret double %2\n}",
-    ):
-        (f,) = parse_module(text)
-        assert compile_block(f) is None
-        with pytest.raises(EvalError):
-            interp_cfg2(f, GlobalEnv.empty(), LocalEnv.empty(), dbls(*([1.0] * len(f.params))))

@@ -282,12 +282,19 @@ def test_fma_exact_fallback_matches_oracle():
         (1e308, 2.0, -1.7e308),
         (2.0**-537, 2.0**-537, MIN_SUBNORMAL),
         (MAX_FINITE, MAX_FINITE, -MAX_FINITE),
+        (-MAX_FINITE, MAX_FINITE, MAX_FINITE),
+        (2.0**512, 2.0**512, -MAX_FINITE),
+        (2.0**513, 2.0**512, -MAX_FINITE),
         (-0.0, 5.0, -0.0),
         (math.inf, 0.0, 1.0),
         (math.nan, 1.0, 1.0),
     ]
     for a, b, c in cases:
         assert same_float(_fma_exact(a, b, c), oracle_fma(a, b, c))
+    # either side of the overflow shortcut, where the frexp exponents of a and b sum to 1027
+    assert _fma_exact(2.0**512, 2.0**512, -MAX_FINITE) == 2.0**971
+    assert _fma_exact(2.0**513, 2.0**512, -MAX_FINITE) == math.inf
+    assert _fma_exact(-MAX_FINITE, MAX_FINITE, MAX_FINITE) == -math.inf
 
 
 @given(st.integers(min_value=-(2**1200), max_value=2**1200), st.integers(min_value=-2400, max_value=1100))

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from fma_tv import denotation
 from fma_tv._bits import bits_of, float_from_hex
 from fma_tv.cli import SamplerConfig, corpus_tuples, sample_tuple, special_values
-from fma_tv.denotation import GlobalEnv, LocalEnv, interp_cfg2
+from fma_tv.denotation import EvalError, GlobalEnv, LocalEnv, interp_cfg2
 from fma_tv.error_model import Add, Const, Fma, Mul, Var, derive_bound
 from fma_tv.fp_semantics import MAX_FINITE, MAX_SUBNORMAL, MIN_SUBNORMAL, Double, Poison, b64_fma, to_rational
-from fma_tv.ir_core import GlobalId, LocalId, parse_module
+from fma_tv.ir_core import GlobalId, LocalId, WellformednessError, parse_module
 from fma_tv.refinement import (
     AlignmentError,
     AlignmentSpec,
@@ -448,8 +448,10 @@ CONFIGS = tuple(
 )
 
 
-def assert_compiled_matches_reference(checker, args):
-    assert checker.check(args).to_json() == checker.check_reference(args).to_json()
+def assert_compiled_matches_reference(checker, xs):
+    """check on the floats `xs` gives check_reference's verdict on them and on their Doubles."""
+    want = checker.check_reference(xs).to_json()
+    assert checker.check(xs).to_json() == want == checker.check_reference(dbls(*xs)).to_json()
 
 
 @settings(max_examples=300)
@@ -462,7 +464,7 @@ def test_compiled_check_matches_reference_canonical(case, cfg, xs):
     opt, orig, align = case
     checker = EquivChecker(orig, opt, align, cfg)
     assert (checker.compiled is None) == (checker.static_unsupported is not None)
-    assert_compiled_matches_reference(checker, dbls(*xs))
+    assert_compiled_matches_reference(checker, xs)
 
 
 def test_compiled_check_matches_reference_on_special_values():
@@ -474,7 +476,7 @@ def test_compiled_check_matches_reference_on_special_values():
     ]
     for xs in itertools.product(specials, repeat=3):
         for checker in checkers:
-            assert_compiled_matches_reference(checker, dbls(*xs))
+            assert_compiled_matches_reference(checker, xs)
 
 
 @st.composite
@@ -506,8 +508,7 @@ def test_compiled_check_matches_reference_random_pairs(pair, cfg, data):
     opt, orig, align = pair
     checker = EquivChecker(orig, opt, align, cfg)
     assert (checker.compiled is None) == (checker.static_unsupported is not None)
-    args = tuple(Double(data.draw(any_double)) for _ in opt.params)
-    assert_compiled_matches_reference(checker, args)
+    assert_compiled_matches_reference(checker, tuple(data.draw(any_double) for _ in opt.params))
 
 
 def ir_block(body: str, n_params: int = 3):
@@ -537,7 +538,7 @@ def test_generated_bounds_route_like_the_compiled_bounds(opt, orig, align):
         assert paper._mag_limit < 1e120 < derived._mag_limit
     for xs in itertools.product(edges, repeat=3):
         mags = tuple(map(abs, xs))
-        d = checker.check(dbls(*xs)).detail
+        d = checker.check(xs).detail
         for got, bound in ((d.bound_derived, derived), (d.bound_paper, paper)):
             assert bits_of(got) == bits_of(bound(mags)), xs
             within = all(m <= bound._mag_limit for m in mags)
@@ -581,6 +582,26 @@ EDGE_CASES = {
         identity_alignment(),
     ),
     "leftover non-empty, passing": (TINY_OPT, TINY_ORIG, identity_alignment()),
+    # -0.0 literal operands and a literal NaN return with a payload: no derived bound
+    "-0.0 literals, NaN return": (
+        ir_block("  %3 = fmul double %0, 2.0\n"
+                 "  %4 = call double @llvm.fmuladd.f64(double %3, double -0.0, double %1)\n"
+                 "  ret double 0x7FF8000000000001\n"),
+        ir_block("  %3 = fmul double %0, 2.0\n  %4 = fmul double %3, -0.0\n  %5 = fadd double %4, %1\n"
+                 "  ret double 0x7FF8000000000001\n"),
+        load_alignment('{"pairs": [["%4", "%5"]], "fresh_optimized": ["%4"], "fresh_original": ["%4", "%5"]}'),
+    ),
+    # named locals that are not Python identifiers, paired and compared as leftovers
+    "named locals": (
+        parse_module("define double @f(double %x.1, double %a-b, double %$t) {\n"
+                     "  %s-1 = fmul double %$t, %x.1\n"
+                     "  %r = call double @llvm.fmuladd.f64(double %x.1, double %a-b, double %$t)\n"
+                     "  ret double %r\n}\n")[0],
+        parse_module("define double @f(double %x.1, double %a-b, double %$t) {\n"
+                     "  %s-1 = fmul double %$t, %x.1\n  %m.0 = fmul double %x.1, %a-b\n"
+                     "  %r = fadd double %m.0, %$t\n  ret double %r\n}\n")[0],
+        load_alignment('{"pairs": [["%r", "%r"]], "fresh_optimized": ["%r"], "fresh_original": ["%m.0", "%r"]}'),
+    ),
 }
 
 
@@ -595,7 +616,37 @@ def test_generated_check_edge_cases_match_reference(name):
             continue
         assert checker.compiled is not None
         for xs in itertools.product(values, repeat=len(orig.params)):
-            assert_compiled_matches_reference(checker, dbls(*xs))
+            assert_compiled_matches_reference(checker, xs)
+
+
+def test_generated_check_observes_the_canonical_witness():
+    """The product's 2**-54 that the unfused pair rounds away and the fma keeps."""
+    witness = (1.0 + 2.0**-27, 1.0 + 2.0**-27, -(1.0 + 2.0**-26))
+    checker = EquivChecker(NON_FMA_FN, FMA_FN, ALIGN)
+    assert checker.compiled is not None
+    assert checker.check(witness).detail.observed_diff == 2.0**-54
+    assert_compiled_matches_reference(checker, witness)
+
+
+def test_no_generated_check_where_the_interpreter_rejects():
+    """Flags and foreign calls are unsupported, undefined locals raise; neither gets `compiled`."""
+    for text, raises in (
+        ((TESTDATA / "non_fma.ll").read_text().replace("fadd double", "fadd fast double"), False),
+        ((TESTDATA / "fma.ll").read_text().replace("fmuladd.f64", "fmuladd.f32"), False),
+        ("define double @f(double %0) {\n  ret double %7\n}", True),
+        ("define double @f(double %0) {\n  %2 = fadd double %0, %5\n  ret double %2\n}", True),
+    ):
+        (f,) = parse_module(text)
+        ones = (1.0,) * len(f.params)
+        with pytest.raises(EvalError):
+            interp_cfg2(f, G0, L0, dbls(*ones))
+        if raises:
+            with pytest.raises(WellformednessError):
+                EquivChecker(f, f, identity_alignment())
+            continue
+        checker = EquivChecker(f, f, identity_alignment())
+        assert checker.compiled is None
+        assert checker.check(ones).status is Status.UNSUPPORTED
 
 
 @st.composite
@@ -648,7 +699,7 @@ def test_check_poison_takes_the_reference_path(poison_at, data):
     args = tuple(Poison() if p else Double(data.draw(any_double)) for p in poison_at)
     checker = EquivChecker(NON_FMA_FN, FMA_FN, ALIGN)
     assert checker.compiled is not None
-    assert_compiled_matches_reference(checker, args)
+    assert checker.check(args).to_json() == checker.check_reference(args).to_json()
     assert checker.check(args).detail.poison_result
 
 
