@@ -27,6 +27,8 @@ from . import __version__
 from ._bits import dual_of, float_from_hex, hex_of
 from .denotation import EvalError, GlobalEnv, LocalEnv, interp_cfg2, strip_taus, value_to_str
 from .error_model import (
+    DEFAULT_DELTA,
+    DEFAULT_ETA,
     derive_bound,
     epsilon_fma_paper,
     eval_bound,
@@ -304,8 +306,8 @@ def cmd_validate(
         "special_corpus": sampler.include_special_corpus,
         "mode": cfg.mode.value,
         "bound": cfg.bound_source.value,
-        "delta": str(cfg.params.delta),
-        "eta": str(cfg.params.eta),
+        "delta": str(DEFAULT_DELTA),
+        "eta": str(DEFAULT_ETA),
         "threads": 1,
     }
     with report_file if report_file is not None else contextlib.nullcontext():

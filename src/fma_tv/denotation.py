@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .fp_semantics import Double, Poison, Value, b64_add, b64_fma, b64_mul, b64_sub, value_to_str
 from .ir_core import (
-    DType,
     Expr,
     FBinop,
     FBinopKind,
@@ -147,10 +146,6 @@ class LocalEnv:
     def bind(self, ident: LocalId, value: Value) -> LocalEnv:
         return LocalEnv(((ident, value),) + self.entries)
 
-    def remove(self, ident: LocalId) -> LocalEnv:
-        """Remove every binding of `ident`."""
-        return LocalEnv(tuple((k, v) for k, v in self.entries if k != ident))
-
     def remove_all(self, idents) -> LocalEnv:
         drop = frozenset(idents)
         return LocalEnv(tuple((k, v) for k, v in self.entries if k not in drop))
@@ -194,14 +189,10 @@ def llvm_fmuladd_f64(args: tuple[Value, ...]) -> Value:
     Exactly three double-typed values; any poison operand poisons the
     result, otherwise a single-rounding fma.
     """
-    ok = len(args) == 3 and all(
-        isinstance(a, Double) or (isinstance(a, Poison) and a.ty is DType.DOUBLE)
-        for a in args
-    )
-    if not ok:
+    if len(args) != 3 or not all(isinstance(a, (Double, Poison)) for a in args):
         raise IntrinsicError(INTRINSIC_INPUT_ERROR)
     if any(isinstance(a, Poison) for a in args):
-        return Poison(DType.DOUBLE)
+        return Poison()
     a, b, c = args
     return Double(b64_fma(a.v, b.v, c.v))
 
@@ -222,7 +213,7 @@ def denote_instr(instr: Instruction, locals_: LocalEnv) -> tuple[LocalEnv, tuple
         lhs = _read_operand(instr.lhs, locals_, events)
         rhs = _read_operand(instr.rhs, locals_, events)
         if isinstance(lhs, Poison) or isinstance(rhs, Poison):
-            result: Value = Poison(DType.DOUBLE)
+            result: Value = Poison()
         else:
             result = Double(_BINOP[instr.kind](lhs.v, rhs.v))
     else:

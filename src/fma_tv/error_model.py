@@ -369,20 +369,22 @@ def _fold(target: str, op: str, items: list[str]) -> list[str]:
 class CompiledBound:
     """Per-sample upward evaluation of a precompiled bound polynomial.
 
-    Call with non-negative input magnitudes in the variable order the
-    compiler was given; returns a binary64 that over-approximates the exact
-    bound, or inf if any magnitude is inf or nan.  Per monomial the factors
-    at least 1 are multiplied first, then the coefficient, then the rest, so
-    a subnormal intermediate is never amplified back up; magnitudes large
-    enough that the leading factors alone could overflow, or could amplify
-    the rounding of a subnormal coefficient past the absolute slack, are
-    routed to an exact rational evaluation instead, as are inf and nan.
-    The float path is generated once, by `source`.
+    Call with the `nvars` non-negative input magnitudes in the variable
+    order the compiler was given; returns a binary64 that over-approximates
+    the exact bound, or inf if any magnitude is inf or nan.  Per monomial
+    the factors at least 1 are multiplied first, then the coefficient, then
+    the rest, so a subnormal intermediate is never amplified back up;
+    magnitudes large enough that the leading factors alone could overflow,
+    or could amplify the rounding of a subnormal coefficient past the
+    absolute slack, are routed to an exact rational evaluation instead, as
+    are inf and nan.
+    The routing and the float path are generated once, by `source`, and
+    the exact path by `_compile_exact`.
     """
 
     __slots__ = ("_parts", "_rel_slack", "_mag_limit", "_eval", "_exact")
 
-    def __init__(self, polys: tuple[_Poly, ...]):
+    def __init__(self, polys: tuple[_Poly, ...], nvars: int):
         parts = []
         exact_parts = []
         n_ops = 0
@@ -428,7 +430,7 @@ class CompiledBound:
             self._mag_limit = min(self._mag_limit, 2.0 ** ((20 - count_exp) // tiny_degree))
         ns: dict = {}
         n_read = 1 + max((i for mons in parts for _, idxs in mons for i in idxs), default=-1)
-        body = [*(f"m{i} = mags[{i}]" for i in range(n_read)), *self.source("b", "c", n_read, ns), "return b"]
+        body = [*(f"m{i} = mags[{i}]" for i in range(nvars)), *self.source("b", "c", nvars, ns), "return b"]
         self._eval = compile_function("bound", "mags", body, ns)
         self._exact = _compile_exact(exact_parts, n_read)
 
@@ -439,9 +441,10 @@ class CompiledBound:
     def source(self, out: str, tag: str, nvars: int, ns: dict) -> list[str]:
         """Statements setting `out` to this bound at magnitudes `m0` ... `m{nvars-1}`.
 
-        The one definition of the float path, which `__call__` runs and the
-        refinement checker inlines; a magnitude not at most the limit takes
-        the exact path instead.  Variable i splits into `g{i}`, its magnitude
+        The one definition of the bound's routing, which `__call__` runs and
+        the refinement checker inlines: any magnitude not at most the limit,
+        read or not (an unread inf or nan gives inf too), takes the exact
+        path instead.  Variable i splits into `g{i}`, its magnitude
         if at least 1 and else 1.0, and `s{i}`, the converse: a monomial
         g...*coeff*s... keeps the order above, as a factor of 1.0 is exact.
         Each part sums from 0.0 left to right, the largest wins (by `>`),
@@ -464,10 +467,6 @@ class CompiledBound:
         return [f"if {within}:", *(f"    {line}" for line in lines), "else:", f"    {out} = {tag}exact(({mags}))"]
 
     def __call__(self, mags: tuple[float, ...]) -> float:
-        # every magnitude routes, read or not: an unread inf or nan gives inf too
-        for m in mags:
-            if not (m <= self._mag_limit):
-                return self._eval_exact(mags)
         return self._eval(mags)
 
 
@@ -525,7 +524,7 @@ def compile_derived_bound(
     `var_order` fixes the positional meaning of the magnitude tuple the
     evaluator takes; it must cover every variable the expressions read.
     """
-    return CompiledBound(_derived_polys(original, optimized, var_order, params))
+    return CompiledBound(_derived_polys(original, optimized, var_order, params), len(var_order))
 
 
 def _derived_polys(
@@ -560,4 +559,4 @@ def compile_paper_bound(params: ErrorModelParams = ErrorModelParams()) -> Compil
     d, h, one, two = (
         _Poly.const(q, 3) for q in (params.delta, params.eta, Fraction(1), Fraction(2))
     )
-    return CompiledBound((_paper_formula(A, B, C, d, h, one, two),))
+    return CompiledBound((_paper_formula(A, B, C, d, h, one, two),), 3)

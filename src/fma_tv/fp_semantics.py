@@ -11,11 +11,12 @@ hold, and otherwise `_fma_exact`, exact shifted-integer arithmetic.  Every
 NaN it returns is the canonical quiet NaN 0x7FF8000000000000, whatever the
 operands' payloads.
 
-`round_rational` is the independent reference point of the whole package:
-it rounds an arbitrary rational to binary64 using integer arithmetic only
-(no host floating point), with gradual underflow and IEEE overflow
-semantics.  `round_rational_up` is its directed (toward +infinity) variant,
-used when a computed value must never under-approximate a real one.
+`_round_dyadic` is the one rounding routine: it rounds an integer times a
+power of two to binary64 by shift and mask, to nearest or toward +infinity,
+with gradual underflow and IEEE overflow semantics.  `round_rational_up`
+serves it a dyadic rational, for a computed value that must never
+under-approximate a real one.  The independent reference for both roundings
+is the oracle in `tests/oracles.py`, which imports nothing from here.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._bits import bits_of, float_of_bits, hex_of
-from .ir_core import DType
 
 Binary64 = float
-ExactRational = Fraction
 
 _SIG_BITS = 53
 _EMIN = -1074          # value = m * 2**e; least subnormal has m == 1, e == _EMIN
@@ -48,15 +47,8 @@ def is_finite(x: Binary64) -> bool:
     return math.isfinite(x)
 
 
-def to_rational(x: Binary64) -> ExactRational:
-    """Exact rational value of a finite binary64; raises on inf/NaN."""
-    if not math.isfinite(x):
-        raise ValueError(f"no rational value for {x!r}")
-    return Fraction(x)
-
-
 # ---------------------------------------------------------------------------
-# Reference rounding
+# Rounding
 
 
 def _round_dyadic(n: int, e: int, to_nearest: bool) -> Binary64:
@@ -91,35 +83,13 @@ def _round_dyadic(n: int, e: int, to_nearest: bool) -> Binary64:
     return x if n > 0 else -x
 
 
-def _round_ints(n: int, d: int, to_nearest: bool) -> Binary64:
-    """Round n/d (d > 0) to binary64, as `_round_dyadic` rounds.
-
-    Pure integer arithmetic throughout.  A power-of-two `d` (every dyadic
-    rational) is a shift; otherwise the quotient is taken to at least two
-    bits below where it rounds, plus a sticky bit for a nonzero remainder,
-    which is all that either rounding needs.
-    """
-    if d & (d - 1) == 0:
-        return _round_dyadic(n, 1 - d.bit_length(), to_nearest)
-    # |n|/d >= 2**(k-1) for k = |n|.bit_length() - d.bit_length(), so it
-    # rounds at 2**(k-53) or at the least subnormal, at least 2 above 2**e
-    a = abs(n)
-    e = max(a.bit_length() - d.bit_length() - _SIG_BITS - 3, _EMIN - 2)
-    q, rem = divmod(a << -e, d) if e < 0 else divmod(a, d << e)
-    q = 2 * q + (rem != 0)
-    return _round_dyadic(-q if n < 0 else q, e - 1, to_nearest)
-
-
-def round_rational(q: ExactRational | int) -> Binary64:
-    """Nearest binary64 to the rational `q`, ties to even."""
+def round_rational_up(q: Fraction | int) -> Binary64:
+    """Least binary64 that is >= the dyadic rational `q`; any other `q` raises ValueError."""
     q = Fraction(q)
-    return _round_ints(q.numerator, q.denominator, to_nearest=True)
-
-
-def round_rational_up(q: ExactRational | int) -> Binary64:
-    """Least binary64 that is >= the rational `q`."""
-    q = Fraction(q)
-    return _round_ints(q.numerator, q.denominator, to_nearest=False)
+    d = q.denominator
+    if d & (d - 1):
+        raise ValueError(f"not a dyadic rational: {q}")
+    return _round_dyadic(q.numerator, 1 - d.bit_length(), False)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +238,7 @@ class Double:
 
 @dataclass(frozen=True, slots=True)
 class Poison:
-    """The poison value of the given type."""
-
-    ty: DType = DType.DOUBLE
+    """The poison `double`."""
 
 
 Value = Double | Poison
@@ -279,5 +247,5 @@ Value = Double | Poison
 def value_to_str(v: Value) -> str:
     """Render a value for traces and reports: hex bits plus decimal."""
     if isinstance(v, Poison):
-        return f"poison({v.ty})"
+        return "poison(double)"
     return f"{hex_of(v.v)} ({v.v!r})"

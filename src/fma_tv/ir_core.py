@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._bits import bits_of, float_of_bits, hex_of
 
@@ -28,7 +28,7 @@ _CONTROL_FLOW_OPS = frozenset({"br", "switch", "indirectbr", "invoke", "resume"}
 
 
 # ---------------------------------------------------------------------------
-# Identifiers and types
+# Identifiers
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,10 +47,6 @@ class LocalId:
             raise ValueError(f"not a local identifier: {s!r}")
         return cls(s[1:])
 
-    @property
-    def is_anon(self) -> bool:
-        return self.text.isdigit()
-
     def __str__(self) -> str:
         return "%" + self.text
 
@@ -63,15 +59,6 @@ class GlobalId:
 
     def __str__(self) -> str:
         return "@" + self.text
-
-
-class DType(enum.Enum):
-    """Element types; `double` is the only member of the fragment."""
-
-    DOUBLE = "double"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +167,6 @@ class FunctionDef:
     name: GlobalId
     params: tuple[LocalId, ...]
     body: BasicBlock
-    # Source attribute text, kept only for diagnostics; never compared.
-    attrs: tuple[str, ...] = field(default=(), compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -317,30 +302,29 @@ class _Parser:
 
     def _parse_define(self) -> FunctionDef:
         self._expect("word", "define")
-        attrs = list(self._parse_attr_words(RET_ATTRS))
+        self._parse_attr_words(RET_ATTRS)
         self._expect("word", "double")
         name = GlobalId(self._expect("global").text[1:])
         self._expect("punct", "(")
         params = self._parse_params()
         self._expect("punct", ")")
-        while True:
-            tok = self._peek()
-            if tok is None:
-                raise self._error(tok, "expected '{'")
-            if tok.kind == "word" and tok.text in FN_ATTRS or tok.kind == "attrgroup":
-                attrs.append(self._next().text)
-            else:
-                break
+        self._skip_fn_attrs()
         self._expect("punct", "{")
         block = self._parse_block(len(params))
         self._expect("punct", "}")
-        return FunctionDef(name, tuple(params), block, tuple(attrs))
+        return FunctionDef(name, tuple(params), block)
 
     def _parse_attr_words(self, allowed: frozenset[str]) -> list[str]:
         out = []
         while (tok := self._peek()) is not None and tok.kind == "word" and tok.text in allowed:
             out.append(self._next().text)
         return out
+
+    def _skip_fn_attrs(self) -> None:
+        while (tok := self._peek()) is not None and (
+            tok.kind == "attrgroup" or (tok.kind == "word" and tok.text in FN_ATTRS)
+        ):
+            self._next()
 
     def _parse_params(self) -> list[LocalId]:
         params: list[LocalId] = []
@@ -373,10 +357,7 @@ class _Parser:
                 break
             if tok.kind == "punct" and tok.text in "{}":
                 raise self._error(tok, "expected ')'")
-        while (tok := self._peek()) is not None and (
-            tok.kind == "attrgroup" or (tok.kind == "word" and tok.text in FN_ATTRS)
-        ):
-            self._next()
+        self._skip_fn_attrs()
 
     def _skip_attributes(self) -> None:
         # `attributes #0 = { ... }` trailer emitted by clang; contents ignored.

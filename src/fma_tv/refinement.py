@@ -31,7 +31,6 @@ from .denotation import EvalError, GlobalEnv, LocalEnv, interp_cfg2
 from .error_model import (
     Add,
     Const,
-    ErrorModelParams,
     Fma,
     FpExpr,
     Mul,
@@ -168,7 +167,6 @@ def load_alignment(text: str) -> AlignmentSpec:
 class RefinementConfig:
     mode: Mode = Mode.LENIENT
     bound_source: BoundSource = BoundSource.BOTH
-    params: ErrorModelParams = ErrorModelParams()
 
 
 class VerdictDetail(NamedTuple):
@@ -238,13 +236,13 @@ def _classify(v_opt: Value | None, v_orig: Value | None):
     """Reduce one comparison to what remains to decide once a bound is known.
 
     None: holds for any bound.  False: fails for any bound (a missing
-    value, or poison against anything but poison of the same type).
+    value, or poison against anything but poison).
     Otherwise the (|difference|, all-finite) pair of `_compare`.
     """
     if v_opt is None or v_orig is None:
         return False
     if isinstance(v_opt, Poison) and isinstance(v_orig, Poison):
-        return None if v_opt.ty is v_orig.ty else False
+        return None
     if isinstance(v_opt, Poison) or isinstance(v_orig, Poison):
         return False
     return _compare(v_opt.v, v_orig.v)
@@ -390,11 +388,11 @@ class EquivChecker:
 
     From both blocks, the alignment and the bound plan, construction also
     generates `compiled`: one straight-line function that `check` runs on
-    every tuple of raw floats.  `interp_cfg2` stays the reference
-    semantics: `check_reference` always uses it, and `check` falls back to
-    it for `Double`s, poison, mixed or wrongly sized arguments,
-    pre-populated environments and unsupported pairs, where `compiled` is
-    None.
+    every tuple of raw floats; it is None exactly when the pair is
+    statically unsupported.  `interp_cfg2` stays the reference semantics:
+    `check_reference` always uses it, and `check` falls back to it for
+    `Double`s, poison, mixed or wrongly sized arguments and unsupported
+    pairs.
     """
 
     def __init__(
@@ -403,15 +401,11 @@ class EquivChecker:
         optimized: FunctionDef,
         alignment: AlignmentSpec,
         config: RefinementConfig = RefinementConfig(),
-        globals_env: GlobalEnv | None = None,
-        locals_env: LocalEnv | None = None,
     ):
         self.original = original
         self.optimized = optimized
         self.alignment = alignment
         self.config = config
-        self.globals_env = globals_env if globals_env is not None else GlobalEnv.empty()
-        self.locals_env = locals_env if locals_env is not None else LocalEnv.empty()
 
         if original.params != optimized.params:
             raise ValueError(
@@ -453,13 +447,11 @@ class EquivChecker:
                 if expr_variables(expr_orig) != expr_variables(expr_opt):
                     why_no_derived = "expressions read different variables"
                 else:
-                    derived_eval = compile_derived_bound(
-                        expr_orig, expr_opt, tuple(str(p) for p in self.params), config.params
-                    )
+                    derived_eval = compile_derived_bound(expr_orig, expr_opt, tuple(str(p) for p in self.params))
             except UnsupportedExprError as e:
                 why_no_derived = str(e)
             if len(self.params) == 3:
-                paper_eval = compile_paper_bound(config.params)
+                paper_eval = compile_paper_bound()
             if src is BoundSource.PAPER_FORMULA and paper_eval is None:
                 unsupported = "published bound needs exactly three double parameters"
             elif src is BoundSource.DERIVED and derived_eval is None:
@@ -473,9 +465,7 @@ class EquivChecker:
         self._strict = config.mode is Mode.STRICT
         self.static_unsupported = unsupported
 
-        self.compiled = None
-        if unsupported is None and not self.globals_env.entries and not self.locals_env.entries:
-            self.compiled = self._generate()
+        self.compiled = None if unsupported is not None else self._generate()
         # the argument types `compiled` takes, as `check`'s one type scan sees them
         self._floats = None if self.compiled is None else (float,) * len(self.params)
 
@@ -578,8 +568,13 @@ class EquivChecker:
         ]
         return compile_function("check", "args", body, ns)
 
-    def check_reference(self, args: tuple[Value | float, ...]) -> Verdict:
-        """The verdict for one input tuple by way of `interp_cfg2`; bare floats are boxed first."""
+    def check_reference(
+        self, args: tuple[Value | float, ...], g: GlobalEnv = GlobalEnv.empty(), l: LocalEnv = LocalEnv.empty()
+    ) -> Verdict:
+        """The verdict for one input tuple by way of `interp_cfg2`, run from `g` and `l`.
+
+        Bare floats are boxed first.
+        """
         if self.static_unsupported is not None:
             return Verdict(
                 Status.UNSUPPORTED, VerdictDetail(args=args, message=self.static_unsupported)
@@ -587,8 +582,8 @@ class EquivChecker:
         # each bare float is the defined double of the same bits
         values = tuple(Double(a) if isinstance(a, float) else a for a in args)
         try:
-            ms_orig, _ = interp_cfg2(self.original, self.globals_env, self.locals_env, values)
-            ms_opt, _ = interp_cfg2(self.optimized, self.globals_env, self.locals_env, values)
+            ms_orig, _ = interp_cfg2(self.original, g, l, values)
+            ms_opt, _ = interp_cfg2(self.optimized, g, l, values)
         except EvalError as e:
             return Verdict(Status.UNSUPPORTED, VerdictDetail(args=args, message=str(e)))
 
@@ -685,5 +680,5 @@ def check_equiv(
     align: AlignmentSpec,
     cfg: RefinementConfig = RefinementConfig(),
 ) -> Verdict:
-    """Check one input tuple; see EquivChecker for the batched form."""
-    return EquivChecker(f_orig, f_opt, align, cfg, g, l).check(args)
+    """Check one input tuple from the environments `g` and `l`; see EquivChecker for the batched form."""
+    return EquivChecker(f_orig, f_opt, align, cfg).check_reference(args, g, l)

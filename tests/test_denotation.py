@@ -32,7 +32,6 @@ from fma_tv.denotation import (
 from fma_tv.fp_semantics import Double, Poison
 from fma_tv.ir_core import (
     DoubleLit,
-    DType,
     FBinop,
     FBinopKind,
     GlobalId,
@@ -167,8 +166,8 @@ def test_local_env_lookup_and_shadowing():
     shadowed = env.bind(anon(1), Double(9.0))
     assert shadowed.lookup(anon(1)) == Double(9.0)
     # removal drops every binding of the name, not just the newest
-    assert shadowed.remove(anon(1)).lookup(anon(1)) is None
-    assert shadowed.remove(anon(1)).lookup(anon(2)) == Double(2.0)
+    assert shadowed.remove_all([anon(1)]).lookup(anon(1)) is None
+    assert shadowed.remove_all([anon(1)]).lookup(anon(2)) == Double(2.0)
     assert shadowed.remove_all([anon(1), anon(2)]).entries == ()
 
 
@@ -268,8 +267,8 @@ def test_poison_argument_poisons_result():
     for f in (FMA_FN, NON_FMA_FN):
         args = (Double(1.0), Poison(), Double(2.0))
         state, trace = interp_cfg2(f, GlobalEnv.empty(), LocalEnv.empty(), args)
-        assert state.result == Poison(DType.DOUBLE)
-        assert trace.events[-1] == Ret(Poison(DType.DOUBLE))
+        assert state.result == Poison()
+        assert trace.events[-1] == Ret(Poison())
 
 
 @given(function_defs(), st.data())

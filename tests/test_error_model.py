@@ -39,7 +39,6 @@ from fma_tv.fp_semantics import (
     MIN_SUBNORMAL,
     is_finite,
     round_rational_up,
-    to_rational,
 )
 from fma_tv._bits import bits_of
 from oracles import oracle_add, oracle_fma, oracle_mul, oracle_sub
@@ -252,7 +251,7 @@ SANDWICH_ABS = Fraction(1, 2**1040)
 
 def assert_sandwich(exact, fast):
     assert is_finite(fast)
-    q = to_rational(fast)
+    q = Fraction(fast)
     assert exact <= q
     assert q <= exact * SANDWICH_REL + SANDWICH_ABS
 
@@ -320,7 +319,7 @@ def test_compiled_extreme_magnitudes(ma, mb, mc):
         assert_sandwich(exact, fast)
     else:
         # only a bound that truly has no binary64 home may round to inf
-        assert exact > to_rational(1.7976931348623157e308)
+        assert exact > Fraction(1.7976931348623157e308)
 
 
 @pytest.mark.parametrize("magnitude", [mags, extreme], ids=["mags", "extreme"])
@@ -336,7 +335,7 @@ def test_compiled_derived_matches_exact_on_random_pairs(magnitude, pair, data):
         assert_sandwich(exact, fast)
     else:
         # inf only where the sandwich's upper end leaves the format
-        assert exact * SANDWICH_REL + SANDWICH_ABS > to_rational(MAX_FINITE)
+        assert exact * SANDWICH_REL + SANDWICH_ABS > Fraction(MAX_FINITE)
 
 
 # the exact fallback, called directly, against the Fraction reference
@@ -432,7 +431,7 @@ exact_path_mags = st.one_of(edge_mags, binade_mags)
 @given(data=st.data())
 def test_generated_exact_path_equals_fraction_polys(polys, data):
     ms = data.draw(st.tuples(*[exact_path_mags] * len(next(iter(polys[0].coeffs)))))
-    assert bits_of(CompiledBound(polys)._eval_exact(ms)) == bits_of(fraction_bound(polys, ms))
+    assert bits_of(CompiledBound(polys, len(ms))._eval_exact(ms)) == bits_of(fraction_bound(polys, ms))
 
 
 @settings(max_examples=40, deadline=None)
@@ -447,7 +446,7 @@ def test_generated_exact_path_chunks_a_4096_monomial_part():
     # one sum of 4096 shifted monomials: past what one expression can compile
     polys = product_of_sums(12)
     assert len(polys[0].coeffs) == 4096
-    bound = CompiledBound(polys)
+    bound = CompiledBound(polys, 24)
     rng = random.Random(10)
     cases = [(m,) * 24 for m in (0.0, MIN_SUBNORMAL, MIN_NORMAL, 1.0, MAX_FINITE)]
     cases.append(tuple([0.0, MIN_SUBNORMAL, MIN_NORMAL, 1.0, MAX_FINITE, 3.5] * 4))
@@ -470,6 +469,8 @@ def test_generated_exact_path_is_inf_for_non_finite_magnitudes(bound, n):
             for fill in (0.0, MIN_SUBNORMAL, 1.0, MAX_FINITE):
                 mags = tuple(bad if j == i else fill for j in range(n))
                 assert bound._eval_exact(mags) == math.inf, mags
+                # every magnitude routes, read or not
+                assert bound(mags) == math.inf, mags
 
 
 def test_fma_roles_modulo_commutativity():
@@ -527,18 +528,18 @@ def test_generated_float_path_splits_long_sums_and_products():
     for _ in range(40):
         power = power * x
         poly = poly + power * _Poly.const(Fraction(5, 8), 2)
-    bound = CompiledBound((poly, poly + _Poly.variable(1, 2)))
+    bound = CompiledBound((poly, poly + _Poly.variable(1, 2)), 2)
     for ms in ((1.0, 2.0), (1.01, 0.5), (0.99, 3.0), (0.0, 0.0), (bound._mag_limit, MIN_SUBNORMAL)):
         assert bits_of(bound(ms)) == bits_of(loop_float_path(bound, ms))
         # the exact path rounds up, so it can only loosen the upper end
-        assert_sandwich(to_rational(bound._eval_exact(ms)), bound(ms))
+        assert_sandwich(Fraction(bound._eval_exact(ms)), bound(ms))
 
 
 def test_compiled_bound_rejects_bad_coefficients():
     with pytest.raises(ValueError, match="must be a dyadic rational"):
-        CompiledBound((_Poly.const(Fraction(1, 3), 1),))
+        CompiledBound((_Poly.const(Fraction(1, 3), 1),), 1)
     with pytest.raises(ValueError, match="must be non-negative"):
-        CompiledBound((_Poly.const(Fraction(-1, 4), 1),))
+        CompiledBound((_Poly.const(Fraction(-1, 4), 1),), 1)
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,18 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fma_tv
 from fma_tv import fp_semantics
 from fma_tv._bits import bits_of, float_from_hex, float_of_bits, hex_of, same_bits
 from fma_tv.cli import special_values
@@ -21,15 +26,13 @@ from fma_tv.fp_semantics import (
     Poison,
     _fma_exact,
     _round_dyadic,
-    _round_ints,
     b64_add,
     b64_fma,
     b64_mul,
     b64_sub,
     is_finite,
-    round_rational,
     round_rational_up,
-    to_rational,
+    value_to_str,
 )
 from oracles import (
     OVERFLOW_TIE,
@@ -42,9 +45,25 @@ from oracles import (
 )
 from strategies import any_double, binade_double, finite_double
 
-rationals = st.fractions(
-    min_value=Fraction(-(2**1030)), max_value=Fraction(2**1030), max_denominator=2**1100
+# n / 2**k, as every binary64, bound coefficient and magnitude is
+dyadics = st.builds(
+    lambda n, k: Fraction(n, 2**k), st.integers(min_value=-(2**1100), max_value=2**1100), st.integers(0, 2200)
 )
+
+
+# ---------------------------------------------------------------------------
+# layering
+
+
+def test_numeric_layer_does_not_import_the_ir_layer():
+    # `_bits` serves both layers so that neither imports the other
+    src = str(Path(fma_tv.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fma_tv.fp_semantics, sys; print('fma_tv.ir_core' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------
@@ -142,70 +161,14 @@ def test_is_finite():
 # reference rounding
 
 
-def test_round_rational_examples():
-    assert round_rational(Fraction(1, 2)) == 0.5
-    assert hex_of(round_rational(Fraction(1, 3))) == "0x3FD5555555555555"
-    assert round_rational(Fraction(2) ** 1024) == math.inf
-    assert round_rational(-(Fraction(2) ** 1024)) == -math.inf
+def dyadic(n: int, e: int) -> Fraction:
+    return Fraction(n) * Fraction(2) ** e
 
 
-def test_round_rational_ties_to_even():
-    # midpoint below an odd mantissa goes down, below an even one goes up
-    assert round_rational(1 + Fraction(1, 2**53)) == 1.0
-    assert same_bits(round_rational(1 + Fraction(3, 2**53)), 1.0 + 2.0**-51)
-    # subnormal ties: 2**-1075 sits midway between 0 and the least subnormal
-    assert same_bits(round_rational(Fraction(1, 2**1075)), 0.0)
-    assert same_bits(round_rational(-Fraction(1, 2**1075)), -0.0)
-    assert round_rational(Fraction(3, 2**1075)) == 2.0**-1073
-    assert round_rational(Fraction(3, 2**1076)) == MIN_SUBNORMAL
-
-
-def test_round_rational_overflow_threshold():
-    just_under = OVERFLOW_TIE - Fraction(1, 2**200)
-    assert round_rational(just_under) == MAX_FINITE
-    assert round_rational(OVERFLOW_TIE) == math.inf
-    assert round_rational(-OVERFLOW_TIE) == -math.inf
-    assert round_rational(-just_under) == -MAX_FINITE
-
-
-def test_round_rational_up_examples():
-    assert round_rational_up(Fraction(0)) == 0.0
-    assert round_rational_up(Fraction(1, 2)) == 0.5
-    assert round_rational_up(Fraction(1, 2**1075)) == MIN_SUBNORMAL
-    assert round_rational_up(Fraction(1, 2**5000)) == MIN_SUBNORMAL
-    assert round_rational_up(Fraction(2) ** 2000) == math.inf
-    assert round_rational_up(-(Fraction(2) ** 2000)) == -MAX_FINITE
-    up = round_rational_up(Fraction(1, 3))
-    assert hex_of(up) == "0x3FD5555555555556"
-
-
-def test_to_rational():
-    assert to_rational(0.5) == Fraction(1, 2)
-    assert to_rational(MIN_SUBNORMAL) == Fraction(1, 2**1074)
-    with pytest.raises(ValueError):
-        to_rational(math.inf)
-    with pytest.raises(ValueError):
-        to_rational(math.nan)
-
-
-@given(finite_double)
-def test_round_rational_roundtrip(x):
-    # rationals carry no zero sign, so -0.0 comes back as +0.0
-    expected = 0.0 if x == 0.0 else x
-    assert same_bits(round_rational(to_rational(x)), expected)
-    assert same_bits(round_rational_up(to_rational(x)), expected)
-
-
-@given(rationals)
-def test_round_rational_matches_verified_oracle(q):
-    assert same_float(round_rational(q), oracle_round_nearest(q, verify=True))
-
-
-@given(rationals)
-def test_round_rational_up_adjacency(q):
-    up = round_rational_up(q)
+def assert_least_at_or_above(up: float, q: Fraction):
+    """`up` is the least binary64 that is >= q."""
     if math.isinf(up):
-        assert q > Fraction(MAX_FINITE)
+        assert up > 0 and q > Fraction(MAX_FINITE)
         return
     assert Fraction(up) >= q
     below = math.nextafter(up, -math.inf)
@@ -216,19 +179,36 @@ def test_round_rational_up_adjacency(q):
 TOP = (1 << 53) - 1  # the largest significand
 # (n, k) for n / 2**k at the edges of the shift-and-mask split
 POW2_EDGES = [
-    (1, 0), (3, 2), (TOP, 0), (TOP << 971, 0), (1, 1074), (TOP >> 1, 1074),  # exact
+    (1, 0), (1, 1), (3, 2), (TOP, 0), (TOP << 971, 0), (1, 1074), (TOP >> 1, 1074),  # exact
     ((1 << 54) - 1, 0), ((1 << 54) - 1, 1),  # carry into the next binade
+    ((1 << 53) + 1, 53), ((1 << 53) + 3, 53),  # ties to even at 1
     (1, 1075), (3, 1075), (3, 1076), (1, 1076), (1, 5000),  # least subnormal ties
     ((1 << 53) - 1, 1075), ((1 << 52) - 1, 1074), ((1 << 105) - 1, 1126),  # normal boundary
-    (1 << 1024, 0), (1 << 1947, 0), ((2 * TOP + 1) << 970, 0), ((4 * TOP + 1) << 969, 0),  # overflow
+    (1 << 1024, 0), (1 << 1947, 0), (1 << 2000, 0), ((2 * TOP + 1) << 970, 0), ((4 * TOP + 1) << 969, 0),  # overflow
+    (((2 * TOP + 1) << 1170) - 1, 200),  # just under the overflow tie
 ]
 
 
 @pytest.mark.parametrize("n, k", POW2_EDGES + [(-n, k) for n, k in POW2_EDGES])
 @pytest.mark.parametrize("to_nearest", [True, False], ids=["nearest", "up"])
-def test_round_ints_power_of_two_edges_match_division(n, k, to_nearest):
-    # a multiple of 3 in the denominator forces the divmod path
-    assert same_bits(_round_ints(n, 1 << k, to_nearest), _round_ints(3 * n, 3 << k, to_nearest))
+def test_round_dyadic_edges_match_verified_oracle(n, k, to_nearest):
+    q = dyadic(n, -k)
+    if to_nearest:
+        assert same_float(_round_dyadic(n, -k, True), oracle_round_nearest(q, verify=True))
+    else:
+        assert_least_at_or_above(_round_dyadic(n, -k, False), q)
+
+
+def test_round_dyadic_examples():
+    assert same_bits(_round_dyadic(-1, -1075, True), -0.0)  # a tie below the least subnormal keeps its sign
+    assert _round_dyadic(3, -1075, True) == 2.0**-1073
+    # either side of the overflow tie
+    just_under = OVERFLOW_TIE - Fraction(1, 2**200)
+    assert _round_dyadic(OVERFLOW_TIE.numerator, 0, True) == math.inf
+    assert _round_dyadic(-just_under.numerator, -200, True) == -MAX_FINITE
+    assert _round_dyadic(1, -5000, False) == MIN_SUBNORMAL
+    assert _round_dyadic(1, 2000, False) == math.inf
+    assert _round_dyadic(-1, 2000, False) == -MAX_FINITE
 
 
 @given(
@@ -236,11 +216,41 @@ def test_round_ints_power_of_two_edges_match_division(n, k, to_nearest):
     st.integers(min_value=0, max_value=1100),
     st.integers(min_value=-2, max_value=2),
     st.integers(min_value=0, max_value=2300),
-    st.booleans(),
 )
-def test_round_ints_power_of_two_matches_division(m, shift, nudge, k, to_nearest):
+def test_round_dyadic_draws_match_verified_oracle(m, shift, nudge, k):
     n = (m << shift) + nudge
-    assert same_bits(_round_ints(n, 1 << k, to_nearest), _round_ints(3 * n, 3 << k, to_nearest))
+    q = dyadic(n, -k)
+    assert same_float(_round_dyadic(n, -k, True), oracle_round_nearest(q, verify=True))
+    assert_least_at_or_above(_round_dyadic(n, -k, False), q)
+
+
+def test_round_rational_up_examples():
+    assert round_rational_up(Fraction(0)) == 0.0
+    assert round_rational_up(Fraction(1, 2)) == 0.5
+    assert round_rational_up(7) == 7.0
+    assert round_rational_up(Fraction(1, 2**1075)) == MIN_SUBNORMAL
+    assert round_rational_up(-(Fraction(2) ** 2000)) == -MAX_FINITE
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(-5, 6), Fraction(1, 3 * 2**60)])
+def test_round_rational_up_rejects_non_dyadic(q):
+    with pytest.raises(ValueError, match="dyadic"):
+        round_rational_up(q)
+
+
+@given(finite_double)
+def test_round_roundtrip(x):
+    # rationals carry no zero sign, so -0.0 comes back as +0.0
+    expected = 0.0 if x == 0.0 else x
+    q = Fraction(x)
+    n, e = q.numerator, 1 - q.denominator.bit_length()
+    assert same_bits(_round_dyadic(n, e, True), expected)
+    assert same_bits(round_rational_up(q), expected)
+
+
+@given(dyadics)
+def test_round_rational_up_adjacency(q):
+    assert_least_at_or_above(round_rational_up(q), q)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +309,9 @@ def test_fma_exact_fallback_matches_oracle():
 
 @given(st.integers(min_value=-(2**1200), max_value=2**1200), st.integers(min_value=-2400, max_value=1100))
 def test_round_dyadic_matches_verified_oracle(n, e):
-    q = Fraction(n) * Fraction(2) ** e
+    q = dyadic(n, e)
     assert same_float(_round_dyadic(n, e, True), oracle_round_nearest(q, verify=True))
-    assert same_bits(_round_dyadic(n, e, False), round_rational_up(q))
+    assert_least_at_or_above(_round_dyadic(n, e, False), q)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +453,7 @@ def test_fma_matches_exact_on_ties():
     triples = list(tie_triples(rng))
     for a, b, c in triples:
         q = Fraction(a) * Fraction(b) + Fraction(c)
-        lo = round_rational(q)
+        lo = oracle_round_nearest(q)
         # a tie: q sits halfway to the other neighbour of its rounding
         other = math.nextafter(lo, math.inf if Fraction(lo) < q else -math.inf)
         assert Fraction(lo) - q == q - Fraction(other), (a, b, c)
@@ -554,6 +564,6 @@ def test_double_bit_equality():
     assert Double(1.0) != Poison()
 
 
-def test_poison_type():
+def test_poison_renders_as_double():
     assert Poison() == Poison()
-    assert Poison().ty.value == "double"
+    assert value_to_str(Poison()) == "poison(double)"

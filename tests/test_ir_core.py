@@ -106,7 +106,6 @@ def test_parse_comments_and_named_locals():
     )
     assert f.params == (LocalId("x"), LocalId("y"))
     assert f.body.blk_code[0].dest == LocalId("sum")
-    assert not f.params[0].is_anon
     assert str(f.params[0]) == "%x"
 
 
@@ -195,9 +194,10 @@ def test_print_parse_roundtrip_canonical():
 
 
 def test_attrs_do_not_affect_equality():
+    assert "local_unnamed_addr #0" in FMA_TEXT
     (with_attrs,) = parse_module(FMA_TEXT)
     (without,) = parse_module(print_block(with_attrs))
-    assert with_attrs.attrs != () and without.attrs == ()
+    assert "#0" not in print_block(with_attrs)
     assert with_attrs == without
 
 

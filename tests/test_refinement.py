@@ -15,7 +15,7 @@ from fma_tv._bits import bits_of, float_from_hex
 from fma_tv.cli import SamplerConfig, corpus_tuples, sample_tuple, special_values
 from fma_tv.denotation import EvalError, GlobalEnv, LocalEnv, interp_cfg2
 from fma_tv.error_model import Add, Const, Fma, Mul, Var, derive_bound
-from fma_tv.fp_semantics import MAX_FINITE, MAX_SUBNORMAL, MIN_SUBNORMAL, Double, Poison, b64_fma, to_rational
+from fma_tv.fp_semantics import MAX_FINITE, MAX_SUBNORMAL, MIN_SUBNORMAL, Double, Poison, b64_fma
 from fma_tv.ir_core import GlobalId, LocalId, WellformednessError, parse_module
 from fma_tv.refinement import (
     AlignmentError,
@@ -411,9 +411,9 @@ def test_canonical_pair_sound_under_derived_bound(xs):
             recover_expr(FMA_FN),
             {f"%{i}": abs(x) for i, x in enumerate(xs)},
         ).magnitude_bound
-        assert abs(to_rational(r1) - to_rational(r2)) <= exact
+        assert abs(Fraction(r1) - Fraction(r2)) <= exact
         # the checker's compiled bound never undercuts the exact one
-        assert to_rational(v.detail.bound_used) >= exact
+        assert Fraction(v.detail.bound_used) >= exact
 
 
 def test_verdict_json_shape():
@@ -509,6 +509,14 @@ def test_compiled_check_matches_reference_random_pairs(pair, cfg, data):
     checker = EquivChecker(orig, opt, align, cfg)
     assert (checker.compiled is None) == (checker.static_unsupported is not None)
     assert_compiled_matches_reference(checker, tuple(data.draw(any_double) for _ in opt.params))
+
+
+@given(block_pairs())
+def test_supported_means_generated(pair):
+    opt, orig, align = pair
+    for cfg in CONFIGS:
+        checker = EquivChecker(orig, opt, align, cfg)
+        assert (checker.compiled is None) == (checker.static_unsupported is not None), cfg
 
 
 def ir_block(body: str, n_params: int = 3):
@@ -703,21 +711,16 @@ def test_check_poison_takes_the_reference_path(poison_at, data):
     assert checker.check(args).detail.poison_result
 
 
-def test_check_populated_environments_take_the_reference_path():
+def test_check_equiv_from_populated_environments():
     g = GlobalEnv(entries=((GlobalId("gv"), Double(7.0)),))
     l = LocalEnv.empty().bind(LocalId("keep"), Double(5.0))
     args = dbls(1.0, 2.0, 3.0)
-    for checker in (
-        EquivChecker(NON_FMA_FN, FMA_FN, ALIGN, globals_env=g),
-        EquivChecker(NON_FMA_FN, FMA_FN, ALIGN, locals_env=l),
-    ):
-        assert checker.compiled is None
-        assert checker.check(args).status is Status.PASS
-    # the same verdict as on empty environments, which take the compiled path
-    assert (
-        check_equiv(FMA_FN, NON_FMA_FN, g, L0, args, ALIGN).to_json()
-        == check_equiv(FMA_FN, NON_FMA_FN, G0, L0, args, ALIGN).to_json()
-    )
+    empty = check_equiv(FMA_FN, NON_FMA_FN, G0, L0, args, ALIGN).to_json()
+    assert empty["status"] == "pass"
+    for genv, lenv in ((g, L0), (G0, l), (g, l)):
+        assert check_equiv(FMA_FN, NON_FMA_FN, genv, lenv, args, ALIGN).to_json() == empty
+    # the same verdict as the generated check on the bare floats
+    assert EquivChecker(NON_FMA_FN, FMA_FN, ALIGN).compiled((1.0, 2.0, 3.0)).to_json() == empty
 
 
 def test_check_arity_mismatch_still_raises():
