@@ -10,6 +10,7 @@ import struct
 
 _PACK_D = struct.Struct("<d")
 _PACK_Q = struct.Struct("<Q")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def bits_of(x: float) -> int:
@@ -37,10 +38,10 @@ def dual_of(x: float | None) -> dict | None:
 
 
 def float_from_hex(s: str) -> float:
-    """Parse a 16-digit hex bit pattern produced by `hex_of`."""
-    if len(s) != 18 or not (s.startswith("0x") or s.startswith("0X")):
+    """Parse a 16-digit hex bit pattern produced by `hex_of` (`int` alone also takes `_` and spaces)."""
+    if len(s) != 18 or s[:2] not in ("0x", "0X") or not _HEX_DIGITS.issuperset(s[2:]):
         raise ValueError(f"expected 0x followed by 16 hex digits, got {s!r}")
-    return float_of_bits(int(s, 16))
+    return float_of_bits(int(s[2:], 16))
 
 
 def same_bits(x: float, y: float) -> bool:

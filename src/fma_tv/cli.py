@@ -359,28 +359,27 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
     for index, raw in enumerate(stream):
         total += 1
         v = checker.check(raw)
-        d = v.detail
         counts[v.status.value] += 1
         if v.status is Status.PASS:
-            if d.vacuous:
+            if v.vacuous:
                 counts["vacuous_pass"] += 1
-            if d.poison_result:
+            if v.poison_result:
                 counts["poison_pass"] += 1
-        if d.observed_diff is not None and is_finite(d.observed_diff):
-            if d.observed_diff > 0.0:
+        if v.observed_diff is not None and is_finite(v.observed_diff):
+            if v.observed_diff > 0.0:
                 counts["nonzero_diff"] += 1
-            if worst is None or d.observed_diff > worst[0]:
+            if worst is None or v.observed_diff > worst[0]:
                 worst = (
-                    d.observed_diff,
+                    v.observed_diff,
                     {
                         "index": index,
                         "args": [dual_of(x) for x in raw],
-                        "observed_diff": dual_of(d.observed_diff),
-                        "bound_derived": dual_of(d.bound_derived),
-                        "bound_paper": dual_of(d.bound_paper),
+                        "observed_diff": dual_of(v.observed_diff),
+                        "bound_derived": dual_of(v.bound_derived),
+                        "bound_paper": dual_of(v.bound_paper),
                     },
                 )
-        if d.paper_disagrees:
+        if v.paper_disagrees:
             paper_discrepancies += 1
             if len(paper_examples) < _MAX_COUNTEREXAMPLES:
                 paper_examples.append({"index": index, **v.to_json()})

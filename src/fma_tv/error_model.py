@@ -17,6 +17,7 @@ bound is converted to a binary64, rounding upward.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -553,10 +554,9 @@ def _derived_polys(
     return (first, base + delta * m2)
 
 
-def compile_paper_bound(params: ErrorModelParams = ErrorModelParams()) -> CompiledBound:
-    """Compile epsilon_fma_paper into a fast evaluator over (|a|, |b|, |c|)."""
+@functools.cache
+def compile_paper_bound() -> CompiledBound:
+    """Compile epsilon_fma_paper into a fast evaluator over (|a|, |b|, |c|), once per process."""
     A, B, C = (_Poly.variable(i, 3) for i in range(3))
-    d, h, one, two = (
-        _Poly.const(q, 3) for q in (params.delta, params.eta, Fraction(1), Fraction(2))
-    )
+    d, h, one, two = (_Poly.const(q, 3) for q in (DEFAULT_DELTA, DEFAULT_ETA, Fraction(1), Fraction(2)))
     return CompiledBound((_paper_formula(A, B, C, d, h, one, two),), 3)

@@ -1,11 +1,13 @@
 """Refinement between an original block and its fma-contracted form.
 
-A verdict holds when (1) global environments are bit-identical, (2) local
-environments agree: aligned intermediates are within the error bound and
-everything outside the declared fresh sets is bit-identical entry for
-entry, and (3) returned values are within the bound.  Poison must map to
-poison.  The bound comes from the error model, per sample, from the
-magnitudes of the actual arguments.
+A verdict holds when (1) local environments agree: aligned intermediates
+are within the error bound and everything outside the declared fresh sets
+is bit-identical entry for entry, and (2) returned values are within the
+bound.  Poison must map to poison.  The relation's third clause, equal
+global environments, holds by construction: the blocks read and write no
+globals, so both runs end with the environment they started from.  The
+bound comes from the error model, per sample, from the magnitudes of the
+actual arguments.
 
 Two finiteness readings are supported.  Lenient treats a comparison whose
 endpoints or difference overflow as vacuously true (the published reading);
@@ -15,11 +17,14 @@ The relation is defined once: `double_refine` and `local_refine` are built
 from the per-value comparison (`_classify`), the bound test (`_all_hold`)
 and the leftover test (`_leftover_ok`), and `EquivChecker` builds its
 verdicts, and the audit of the published bound, from the same three.
+Every check yields one flat `Verdict` record, `status` first; `check_equiv`
+reuses one checker per block pair.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 from math import inf, isfinite
@@ -169,13 +174,14 @@ class RefinementConfig:
     bound_source: BoundSource = BoundSource.BOTH
 
 
-class VerdictDetail(NamedTuple):
-    """Everything a report needs to reproduce or explain one check.
+class Verdict(NamedTuple):
+    """The outcome of one check, with everything a report needs to reproduce or explain it.
 
     `args` is the input tuple as the caller passed it: a bare float there is
     the defined double of the same bits, and renders like one.
     """
 
+    status: Status
     args: tuple[Value | float, ...] = ()
     message: str | None = None
     failed_clause: str | None = None
@@ -192,6 +198,7 @@ class VerdictDetail(NamedTuple):
 
     def to_json(self) -> dict:
         return {
+            "status": self.status.value,
             "args": [
                 dual_of(a) if isinstance(a, float) else "poison" if isinstance(a, Poison) else dual_of(a.v)
                 for a in self.args
@@ -209,14 +216,6 @@ class VerdictDetail(NamedTuple):
             "audited": self.audited,
             "paper_disagrees": self.paper_disagrees,
         }
-
-
-class Verdict(NamedTuple):
-    status: Status
-    detail: VerdictDetail = VerdictDetail()
-
-    def to_json(self) -> dict:
-        return {"status": self.status.value, **self.detail.to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +404,6 @@ class EquivChecker:
         self.original = original
         self.optimized = optimized
         self.alignment = alignment
-        self.config = config
 
         if original.params != optimized.params:
             raise ValueError(
@@ -471,11 +469,6 @@ class EquivChecker:
 
     # -- per-sample work
 
-    def _bounds(self, mags: tuple[float, ...]) -> tuple[float | None, float | None]:
-        """(derived, paper) bounds for these argument magnitudes, None where unavailable."""
-        derived, paper = self._derived_eval, self._paper_eval
-        return (None if derived is None else derived(mags)), (None if paper is None else paper(mags))
-
     def check(self, args: tuple[Value | float, ...]) -> Verdict:
         """The verdict for one input tuple, of bare floats or of values.
 
@@ -506,7 +499,7 @@ class EquivChecker:
         """
         n = len(self.params)
         ns = {"same_bits": same_bits, "reference": self.check_reference, "INF": inf, "new": tuple.__new__,
-              "Verdict": Verdict, "Detail": VerdictDetail, "PASS": Status.PASS, "SOURCE": self._gate,
+              "Verdict": Verdict, "PASS": Status.PASS, "SOURCE": self._gate,
               "AUDITED": self._audited, "fma_exact": denotation.b64_fma}
         body = [f"{''.join(f'x{i}, ' for i in range(n))}= args"] if n else []
 
@@ -562,8 +555,8 @@ class EquivChecker:
         disagrees = f"not ({all_hold('bp')})" if self._audited else "False"
         body += [
             f"if {leftover} and {all_hold(used)}:",
-            f"    return new(Verdict, (PASS, new(Detail, (args, None, None, (), {ret}, {used}, SOURCE, bp, bd, "
-            f"False, {vacuous}, AUDITED, {disagrees}))))",
+            f"    return new(Verdict, (PASS, args, None, None, (), {ret}, {used}, SOURCE, bp, bd, "
+            f"False, {vacuous}, AUDITED, {disagrees}))",
             "return reference(args)",
         ]
         return compile_function("check", "args", body, ns)
@@ -573,59 +566,33 @@ class EquivChecker:
     ) -> Verdict:
         """The verdict for one input tuple by way of `interp_cfg2`, run from `g` and `l`.
 
-        Bare floats are boxed first.
+        Bare floats are boxed first.  Neither block reads or writes a
+        global, so both runs end with `g` and only the locals and the
+        return are compared.
         """
         if self.static_unsupported is not None:
-            return Verdict(
-                Status.UNSUPPORTED, VerdictDetail(args=args, message=self.static_unsupported)
-            )
+            return Verdict(Status.UNSUPPORTED, args, self.static_unsupported)
         # each bare float is the defined double of the same bits
         values = tuple(Double(a) if isinstance(a, float) else a for a in args)
         try:
             ms_orig, _ = interp_cfg2(self.original, g, l, values)
             ms_opt, _ = interp_cfg2(self.optimized, g, l, values)
         except EvalError as e:
-            return Verdict(Status.UNSUPPORTED, VerdictDetail(args=args, message=str(e)))
+            return Verdict(Status.UNSUPPORTED, args, str(e))
 
-        pair_checks = [
-            _classify(ms_opt.locals.lookup(opt_id), ms_orig.locals.lookup(orig_id))
-            for opt_id, orig_id in self.alignment.pairs
-        ]
-        ret_orig, ret_opt = ms_orig.result, ms_opt.result
-        return self._verdict(
-            args,
-            tuple(abs(a.v) if isinstance(a, Double) else 0.0 for a in values),
-            ms_opt.globals == ms_orig.globals,
-            _leftover_ok(ms_opt.locals, ms_orig.locals, self.alignment),
-            pair_checks,
-            _classify(ret_opt, ret_orig),
-            isinstance(ret_opt, Poison) and isinstance(ret_orig, Poison),
-        )
-
-    def _verdict(
-        self,
-        args: tuple[Value | float, ...],
-        mags: tuple[float, ...],
-        globals_ok: bool,
-        leftover_ok: bool,
-        pair_checks: list,
-        ret_check,
-        poison_result: bool,
-    ) -> Verdict:
-        """Bounds, clause outcomes and the audit for one evaluated sample."""
-        bound_derived, bound_paper = self._bounds(mags)
-        source_used = self._gate
-        bound_used = bound_derived if source_used == "derived" else bound_paper
+        mags = tuple(abs(a.v) if isinstance(a, Double) else 0.0 for a in values)
+        derived, paper = self._derived_eval, self._paper_eval
+        bound_derived = None if derived is None else derived(mags)
+        bound_paper = None if paper is None else paper(mags)
+        bound_used = bound_derived if self._gate == "derived" else bound_paper
         strict = self._strict
+        pairs = self.alignment.pairs
+        pair_checks = [_classify(ms_opt.locals.lookup(o), ms_orig.locals.lookup(r)) for o, r in pairs]
+        ret_opt, ret_orig = ms_opt.result, ms_orig.result
+        ret_check = _classify(ret_opt, ret_orig)
+        leftover_ok = _leftover_ok(ms_opt.locals, ms_orig.locals, self.alignment)
         pairs_ok = _all_hold(pair_checks, bound_used, strict)
         ret_ok = _all_hold((ret_check,), bound_used, strict)
-        bad_pairs: tuple[str, ...] = ()
-        if not pairs_ok:
-            bad_pairs = tuple(
-                f"{opt_id}~{orig_id}"
-                for (opt_id, orig_id), c in zip(self.alignment.pairs, pair_checks)
-                if not _all_hold((c,), bound_used, strict)
-            )
 
         # a (|difference|, all-finite) return check means both returns are doubles
         observed_diff = None
@@ -635,40 +602,41 @@ class EquivChecker:
             vacuous = not (strict or finite)
 
         # audited means bound_used is the derived bound: only the checks can
-        # make the two verdicts differ, and only if every other clause holds
+        # make the two verdicts differ, and only if the leftover clause holds
         paper_disagrees = (
             self._audited
-            and globals_ok
             and leftover_ok
             and (pairs_ok and ret_ok) != _all_hold((*pair_checks, ret_check), bound_paper, strict)
         )
 
-        if globals_ok and pairs_ok and leftover_ok and ret_ok:
+        if pairs_ok and leftover_ok and ret_ok:
             status, clause, ids = Status.PASS, None, ()
-        elif not globals_ok:
-            status, clause, ids = Status.FAIL, "globals", ()
         elif not (pairs_ok and leftover_ok):
-            status, clause, ids = Status.FAIL, "locals", bad_pairs
+            status, clause = Status.FAIL, "locals"
+            ids = tuple(f"{o}~{r}" for (o, r), c in zip(pairs, pair_checks) if not _all_hold((c,), bound_used, strict))
         else:
             status, clause, ids = Status.FAIL, "return", ()
 
         return Verdict(
             status,
-            VerdictDetail(
-                args=args,
-                failed_clause=clause,
-                failed_ids=ids,
-                observed_diff=observed_diff,
-                bound_used=bound_used,
-                bound_source_used=source_used,
-                bound_paper=bound_paper,
-                bound_derived=bound_derived,
-                poison_result=poison_result,
-                vacuous=vacuous,
-                audited=self._audited,
-                paper_disagrees=paper_disagrees,
-            ),
+            args,
+            failed_clause=clause,
+            failed_ids=ids,
+            observed_diff=observed_diff,
+            bound_used=bound_used,
+            bound_source_used=self._gate,
+            bound_paper=bound_paper,
+            bound_derived=bound_derived,
+            poison_result=isinstance(ret_opt, Poison) and isinstance(ret_orig, Poison),
+            vacuous=vacuous,
+            audited=self._audited,
+            paper_disagrees=paper_disagrees,
         )
+
+
+# A checker holds no per-check state, and `check_reference` looks up
+# `interp_cfg2` when it runs, so one checker serves every call on its pair.
+_pair_checker = functools.lru_cache(maxsize=32)(EquivChecker)
 
 
 def check_equiv(
@@ -680,5 +648,8 @@ def check_equiv(
     align: AlignmentSpec,
     cfg: RefinementConfig = RefinementConfig(),
 ) -> Verdict:
-    """Check one input tuple from the environments `g` and `l`; see EquivChecker for the batched form."""
-    return EquivChecker(f_orig, f_opt, align, cfg).check_reference(args, g, l)
+    """Check one input tuple from the environments `g` and `l`; see EquivChecker for the batched form.
+
+    The checker is built once per `(f_orig, f_opt, align, cfg)` and reused.
+    """
+    return _pair_checker(f_orig, f_opt, align, cfg).check_reference(args, g, l)

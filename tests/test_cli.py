@@ -1,6 +1,7 @@
 """Command-line driver: sampling, reports, single runs, bound queries."""
 
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -45,6 +46,7 @@ from fma_tv.refinement import BoundSource, EquivChecker, Mode, RefinementConfig,
 from fma_tv._bits import hex_of
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
+BENCH = TESTDATA.parent / "bench"
 FMA = str(TESTDATA / "fma.ll")
 NON_FMA = str(TESTDATA / "non_fma.ll")
 ALIGNMENT = str(TESTDATA / "alignment.json")
@@ -228,6 +230,11 @@ def test_run_input_errors():
         code, _, err = run_cmd_run(NON_FMA, inputs)
         assert code == 2, inputs
         assert err.startswith("error: ")
+
+
+def test_run_rejects_separators_in_hex_bits():
+    code, _, err = run_cmd_run(FMA, "a=0x3FF0_00000000000,b=1,c=0")
+    assert code == 2 and "expected 0x followed by 16 hex digits" in err
 
 
 def test_run_intrinsic_arity_error(tmp_path):
@@ -554,6 +561,27 @@ def test_threads_env(tmp_path, monkeypatch):
     monkeypatch.setenv("FMA_TV_THREADS", "4")
     _, doc, _ = run_validate(tmp_path, report_name="t4.json", samples=5)
     assert doc["config"]["threads"] == 1
+
+
+def test_bench_tracer_finds_every_hook():
+    # a hook target that no longer exists makes the traced benchmark read 0 for its layer
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer().install() as tracer:
+        assert tracer.missing == []
+
+
+def test_validate_calls_check_once_per_sample(monkeypatch):
+    # the traced benchmark run reconciles its count of `check` calls with the report
+    calls = []
+    check = EquivChecker.check
+    monkeypatch.setattr(EquivChecker, "check", lambda self, args: calls.append(args) or check(self, args))
+    (original,) = parse_module(Path(NON_FMA).read_text())
+    (optimized,) = parse_module(Path(FMA).read_text())
+    checker = EquivChecker(original, optimized, load_alignment(Path(ALIGNMENT).read_text()))
+    report = validate(checker, SamplerConfig(samples=100, seed=3), {})
+    assert len(calls) == report.samples_run["total"] == 100 + 16**3
 
 
 @pytest.mark.parametrize("report", ["", "missing/report.json"], ids=["directory", "missing-parent"])

@@ -76,8 +76,9 @@ def test_bit_codecs_roundtrip():
         assert same_bits(float_from_hex(hex_of(x)), x)
     assert hex_of(1.0) == "0x3FF0000000000000"
     assert hex_of(-0.0) == "0x8000000000000000"
-    with pytest.raises(ValueError):
-        float_from_hex("0x3FF")
+    for text in ("0x3FF", "0x_FF0000000000000", "0x3FF0_00000000000", "0x3FF000000000000 "):
+        with pytest.raises(ValueError):
+            float_from_hex(text)
     with pytest.raises(ValueError):
         float_of_bits(1 << 64)
 

@@ -26,7 +26,7 @@ from fma_tv.refinement import (
     RefinementConfig,
     Status,
     UnsupportedExprError,
-    VerdictDetail,
+    Verdict,
     check_equiv,
     double_refine,
     identity_alignment,
@@ -258,10 +258,10 @@ def test_recover_expr_unsupported():
 def test_check_equiv_canonical_pass():
     v = check_equiv(FMA_FN, NON_FMA_FN, G0, L0, dbls(1.0, 1.0, 0.0), ALIGN)
     assert v.status is Status.PASS
-    assert v.detail.observed_diff == 0.0
-    assert v.detail.bound_source_used == "derived"
-    assert v.detail.audited and not v.detail.paper_disagrees
-    assert v.detail.bound_derived is not None and v.detail.bound_paper is not None
+    assert v.observed_diff == 0.0
+    assert v.bound_source_used == "derived"
+    assert v.audited and not v.paper_disagrees
+    assert v.bound_derived is not None and v.bound_paper is not None
 
 
 def test_check_equiv_fsub_mutant_fails():
@@ -269,21 +269,21 @@ def test_check_equiv_fsub_mutant_fails():
     (mutant,) = parse_module(fsub_text)
     v = check_equiv(FMA_FN, mutant, G0, L0, dbls(1.0, 1.0, 1.0), ALIGN)
     assert v.status is Status.FAIL
-    assert v.detail.failed_clause == "locals"
-    assert v.detail.failed_ids == ("%4~%5",)
-    assert v.detail.observed_diff == 2.0
+    assert v.failed_clause == "locals"
+    assert v.failed_ids == ("%4~%5",)
+    assert v.observed_diff == 2.0
     # fsub has no expression-level counterpart, so the derived bound is
     # unavailable and the published three-parameter formula takes over
-    assert v.detail.bound_source_used == "paper"
-    assert v.detail.bound_derived is None
-    assert not v.detail.audited
+    assert v.bound_source_used == "paper"
+    assert v.bound_derived is None
+    assert not v.audited
 
 
 def test_check_equiv_poison_pass():
     v = check_equiv(FMA_FN, NON_FMA_FN, G0, L0, (Double(1.0), Poison(), Double(2.0)), ALIGN)
     assert v.status is Status.PASS
-    assert v.detail.poison_result
-    assert v.detail.observed_diff is None
+    assert v.poison_result
+    assert v.observed_diff is None
 
 
 @given(st.lists(st.booleans(), min_size=3, max_size=3).filter(any), st.data())
@@ -293,16 +293,16 @@ def test_check_equiv_poison_compatibility(poison_at, data):
     )
     v = check_equiv(FMA_FN, NON_FMA_FN, G0, L0, args, ALIGN)
     assert v.status is Status.PASS
-    assert v.detail.poison_result
+    assert v.poison_result
 
 
 def test_check_equiv_strict_lenient_divergence():
     args = dbls(1e200, 1e200, 0.0)
     lenient = check_equiv(FMA_FN, NON_FMA_FN, G0, L0, args, ALIGN)
     strict = check_equiv(FMA_FN, NON_FMA_FN, G0, L0, args, ALIGN, STRICT)
-    assert lenient.status is Status.PASS and lenient.detail.vacuous
+    assert lenient.status is Status.PASS and lenient.vacuous
     assert strict.status is Status.FAIL
-    assert strict.detail.failed_clause == "locals"
+    assert strict.failed_clause == "locals"
 
 
 def test_check_equiv_preserves_nonempty_globals():
@@ -320,7 +320,7 @@ def test_check_equiv_renamed_intrinsic_unsupported():
     (renamed,) = parse_module(text)
     v = check_equiv(renamed, NON_FMA_FN, G0, L0, dbls(1.0, 1.0, 0.0), ALIGN)
     assert v.status is Status.UNSUPPORTED
-    assert v.detail.message == "optimized: unsupported call to @llvm.fmuladd.f32"
+    assert v.message == "optimized: unsupported call to @llvm.fmuladd.f32"
 
 
 def test_check_equiv_flags_unsupported():
@@ -328,7 +328,7 @@ def test_check_equiv_flags_unsupported():
     (flagged,) = parse_module(text)
     v = check_equiv(FMA_FN, flagged, G0, L0, dbls(1.0, 1.0, 0.0), ALIGN)
     assert v.status is Status.UNSUPPORTED
-    assert "fast-math flags" in v.detail.message
+    assert "fast-math flags" in v.message
 
 
 def test_check_equiv_param_mismatch_raises():
@@ -346,8 +346,8 @@ def test_check_equiv_permuted_alignment_fails():
     )
     v = check_equiv(FMA_FN, NON_FMA_FN, G0, L0, dbls(1.0, 1.0, 0.0), perm)
     assert v.status is Status.FAIL
-    assert v.detail.failed_clause == "locals"
-    assert v.detail.failed_ids == ("%5~%4",)
+    assert v.failed_clause == "locals"
+    assert v.failed_ids == ("%5~%4",)
 
 
 def test_bound_source_gating():
@@ -359,7 +359,7 @@ def test_bound_source_gating():
     cfg = RefinementConfig(bound_source=BoundSource.PAPER_FORMULA)
     v = check_equiv(two, two, G0, L0, dbls(1.0, 2.0), identity_alignment(), cfg)
     assert v.status is Status.UNSUPPORTED
-    assert v.detail.message == "published bound needs exactly three double parameters"
+    assert v.message == "published bound needs exactly three double parameters"
 
     # the derived bound needs both blocks inside the expression language
     fsub_text = (TESTDATA / "non_fma.ll").read_text().replace("fadd", "fsub")
@@ -367,7 +367,7 @@ def test_bound_source_gating():
     cfg = RefinementConfig(bound_source=BoundSource.DERIVED)
     v = check_equiv(FMA_FN, mutant, G0, L0, dbls(1.0, 1.0, 1.0), ALIGN, cfg)
     assert v.status is Status.UNSUPPORTED
-    assert v.detail.message == "derived bound unavailable: no error model for fsub"
+    assert v.message == "derived bound unavailable: no error model for fsub"
 
 
 def test_checker_static_validation_is_input_independent():
@@ -389,8 +389,8 @@ def test_check_equiv_reflexive(f, data):
     args = tuple(Double(data.draw(finite_double)) for _ in f.params)
     v = check_equiv(f, f, G0, L0, args, identity_alignment())
     assert v.status is Status.PASS
-    if v.detail.observed_diff is not None and not v.detail.vacuous:
-        assert v.detail.observed_diff == 0.0
+    if v.observed_diff is not None and not v.vacuous:
+        assert v.observed_diff == 0.0
 
 
 @settings(max_examples=300)
@@ -405,7 +405,7 @@ def test_canonical_pair_sound_under_derived_bound(xs):
     ms_orig, _ = interp_cfg2(NON_FMA_FN, G0, L0, args)
     ms_opt, _ = interp_cfg2(FMA_FN, G0, L0, args)
     r1, r2 = ms_orig.result.v, ms_opt.result.v
-    if all(map(math.isfinite, (r1, r2, *xs))) and not v.detail.vacuous:
+    if all(map(math.isfinite, (r1, r2, *xs))) and not v.vacuous:
         exact = derive_bound(
             recover_expr(NON_FMA_FN),
             recover_expr(FMA_FN),
@@ -413,7 +413,7 @@ def test_canonical_pair_sound_under_derived_bound(xs):
         ).magnitude_bound
         assert abs(Fraction(r1) - Fraction(r2)) <= exact
         # the checker's compiled bound never undercuts the exact one
-        assert Fraction(v.detail.bound_used) >= exact
+        assert Fraction(v.bound_used) >= exact
 
 
 def test_verdict_json_shape():
@@ -422,7 +422,7 @@ def test_verdict_json_shape():
     assert doc["status"] == "pass"
     assert doc["args"][0] == {"decimal": "1.0", "hex": "0x3FF0000000000000"}
     assert doc["observed_diff"] == {"decimal": "0.0", "hex": "0x0000000000000000"}
-    assert set(doc) == {"status"} | set(VerdictDetail().to_json())
+    assert list(doc) == list(Verdict(Status.PASS).to_json())
     pv = check_equiv(
         FMA_FN, NON_FMA_FN, G0, L0, (Poison(), Double(1.0), Double(2.0)), ALIGN
     )
@@ -546,7 +546,7 @@ def test_generated_bounds_route_like_the_compiled_bounds(opt, orig, align):
         assert paper._mag_limit < 1e120 < derived._mag_limit
     for xs in itertools.product(edges, repeat=3):
         mags = tuple(map(abs, xs))
-        d = checker.check(xs).detail
+        d = checker.check(xs)
         for got, bound in ((d.bound_derived, derived), (d.bound_paper, paper)):
             assert bits_of(got) == bits_of(bound(mags)), xs
             within = all(m <= bound._mag_limit for m in mags)
@@ -632,7 +632,7 @@ def test_generated_check_observes_the_canonical_witness():
     witness = (1.0 + 2.0**-27, 1.0 + 2.0**-27, -(1.0 + 2.0**-26))
     checker = EquivChecker(NON_FMA_FN, FMA_FN, ALIGN)
     assert checker.compiled is not None
-    assert checker.check(witness).detail.observed_diff == 2.0**-54
+    assert checker.check(witness).observed_diff == 2.0**-54
     assert_compiled_matches_reference(checker, witness)
 
 
@@ -684,7 +684,6 @@ def test_checker_verdicts_follow_the_public_relation(case, cfg):
     v = EquivChecker(orig, opt, align, cfg).check(args)
     if v.status is Status.UNSUPPORTED:
         return
-    d = v.detail
     ms_orig, _ = interp_cfg2(orig, G0, L0, args)
     ms_opt, _ = interp_cfg2(opt, G0, L0, args)
 
@@ -695,11 +694,11 @@ def test_checker_verdicts_follow_the_public_relation(case, cfg):
 
     def rejected(opt_id, orig_id):
         x, y = ms_opt.locals.lookup(opt_id), ms_orig.locals.lookup(orig_id)
-        return x is None or y is None or not double_refine(x, y, d.bound_used, cfg)
+        return x is None or y is None or not double_refine(x, y, v.bound_used, cfg)
 
-    assert (v.status is Status.PASS) == holds(d.bound_used)
-    assert d.failed_ids == tuple(f"{o}~{g}" for o, g in align.pairs if rejected(o, g))
-    assert d.paper_disagrees == (d.audited and holds(d.bound_derived) != holds(d.bound_paper))
+    assert (v.status is Status.PASS) == holds(v.bound_used)
+    assert v.failed_ids == tuple(f"{o}~{g}" for o, g in align.pairs if rejected(o, g))
+    assert v.paper_disagrees == (v.audited and holds(v.bound_derived) != holds(v.bound_paper))
 
 
 @given(st.lists(st.booleans(), min_size=3, max_size=3).filter(any), st.data())
@@ -708,7 +707,7 @@ def test_check_poison_takes_the_reference_path(poison_at, data):
     checker = EquivChecker(NON_FMA_FN, FMA_FN, ALIGN)
     assert checker.compiled is not None
     assert checker.check(args).to_json() == checker.check_reference(args).to_json()
-    assert checker.check(args).detail.poison_result
+    assert checker.check(args).poison_result
 
 
 def test_check_equiv_from_populated_environments():
@@ -773,7 +772,7 @@ def assert_routes_agree(checker, xs):
     values = dbls(*xs)
     want = checker.check_reference(values).to_json()
     v, v_values = checker.check(xs), checker.check(values)
-    assert v.detail.args is xs and v_values.detail.args is values
+    assert v.args is xs and v_values.args is values
     assert v.to_json() == v_values.to_json() == want
 
 
@@ -806,7 +805,7 @@ def test_poison_and_mixed_tuples_take_the_reference_path(checker):
     mixed = (Double(xs[0]), *xs[1:])
     for args in (mixed, (*xs[:-1], Poison()), (*dbls(*xs[:-1]), Poison())):
         v = checker.check(args)
-        assert v.detail.args is args
+        assert v.args is args
         boxed = tuple(Double(a) if isinstance(a, float) else a for a in args)
         assert v.to_json() == checker.check_reference(boxed).to_json()
     assert checker.check(mixed).to_json() == checker.check(xs).to_json()
