@@ -195,7 +195,7 @@ def _read_file(path: str) -> str:
 def _single_function(path: str) -> FunctionDef:
     functions = parse_module(_read_file(path))
     if len(functions) != 1:
-        raise ParseError(1, 1, f"{path}: expected exactly one function definition, found {len(functions)}")
+        raise ValueError(f"{path}: expected exactly one function definition, found {len(functions)}")
     try:
         check_wellformed(functions[0])
     except WellformednessError as e:

@@ -120,6 +120,14 @@ def expr_variables(e: FpExpr) -> frozenset[str]:
     return expr_variables(e.lhs) | expr_variables(e.rhs)
 
 
+def _shared_variables(original: FpExpr, optimized: FpExpr) -> frozenset[str]:
+    """The variables both expressions read; a pair reading different sets has no bound."""
+    vs, vs_opt = expr_variables(original), expr_variables(optimized)
+    if vs != vs_opt:
+        raise MismatchedExpressionsError(f"variable sets differ: {sorted(vs)} vs {sorted(vs_opt)}")
+    return vs
+
+
 # ---------------------------------------------------------------------------
 # Bounds
 
@@ -220,12 +228,7 @@ def derive_bound(
     values, including the final rounding incurred when the comparison itself
     subtracts them.
     """
-    vs = expr_variables(original)
-    vs_opt = expr_variables(optimized)
-    if vs != vs_opt:
-        raise MismatchedExpressionsError(
-            f"variable sets differ: {sorted(vs)} vs {sorted(vs_opt)}"
-        )
+    vs = _shared_variables(original, optimized)
     missing = sorted(v for v in vs if v not in mags)
     if missing:
         raise UnknownVariableError(f"no magnitude for {', '.join(missing)}")
@@ -532,7 +535,7 @@ def _derived_polys(
     original: FpExpr, optimized: FpExpr, var_order: tuple[str, ...], params: ErrorModelParams
 ) -> tuple[_Poly, ...]:
     """derive_bound for this pair as polynomials in the magnitudes; the bound is their maximum."""
-    vs = expr_variables(original) | expr_variables(optimized)
+    vs = _shared_variables(original, optimized)
     missing = sorted(v for v in vs if v not in var_order)
     if missing:
         raise UnknownVariableError(f"no position for {', '.join(missing)}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import re
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
 from ._bits import bits_of, float_of_bits, hex_of
@@ -108,6 +109,9 @@ class FBinopKind(enum.Enum):
         return self.value
 
 
+_BINOP_SPELLINGS = frozenset(k.value for k in FBinopKind)
+
+
 @dataclass(frozen=True, slots=True)
 class FBinop:
     """`dest = <kind> [flags] double lhs, rhs`."""
@@ -151,15 +155,12 @@ class Ret:
         return f"ret double {self.value}"
 
 
-Terminator = Ret
-
-
 @dataclass(frozen=True, slots=True)
 class BasicBlock:
     blk_id: LocalId
     blk_phis: tuple[()]
     blk_code: tuple[Instruction, ...]
-    blk_term: Terminator
+    blk_term: Ret
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,9 +229,6 @@ class _Token:
     col: int
 
 
-_EOF = "end of input"
-
-
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, line_start, pos = 1, 0, 0
@@ -264,99 +262,103 @@ class _Parser:
         i = self.pos + ahead
         return self.tokens[i] if i < len(self.tokens) else None
 
+    def _at(self, kind: str, texts: str | Collection[str] | None = None, ahead: int = 0) -> bool:
+        """Whether the token `ahead` places on is a `kind` token spelled as (one of) `texts`."""
+        tok = self._peek(ahead)
+        return tok is not None and tok.kind == kind and (
+            texts is None or (tok.text == texts if isinstance(texts, str) else tok.text in texts))
+
     def _next(self) -> _Token:
         tok = self._peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("word", "", 1, 1)
-            raise ParseError(last.line, last.col + len(last.text), f"unexpected {_EOF}")
+            raise self._at_end("unexpected end of input")
         self.pos += 1
         return tok
 
+    def _at_end(self, message: str) -> ParseError:
+        # reached only after a token was read, so there is a last token
+        last = self.tokens[-1]
+        return ParseError(last.line, last.col + len(last.text), message)
+
     def _error(self, tok: _Token | None, message: str) -> ParseError:
         if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("word", "", 1, 1)
-            return ParseError(last.line, last.col + len(last.text), f"{message} (found {_EOF})")
+            return self._at_end(f"{message} (found end of input)")
         return ParseError(tok.line, tok.col, f"{message} (found {tok.text!r})")
 
-    def _expect(self, kind: str, text: str | None = None) -> _Token:
+    def _control_flow(self) -> ParseError:
         tok = self._peek()
-        want = text if text is not None else kind
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
-            raise self._error(tok, f"expected {want!r}")
+        return ParseError(tok.line, tok.col, "unsupported: control flow")
+
+    def _expect(self, kind: str, text: str | None = None) -> _Token:
+        if not self._at(kind, text):
+            raise self._error(self._peek(), f"expected {text or kind!r}")
         return self._next()
 
     # -- grammar
 
     def parse_module(self) -> tuple[FunctionDef, ...]:
         functions: list[FunctionDef] = []
-        while (tok := self._peek()) is not None:
-            if tok.kind == "word" and tok.text == "define":
+        while self._peek() is not None:
+            if self._at("word", "define"):
                 functions.append(self._parse_define())
-            elif tok.kind == "word" and tok.text == "declare":
+            elif self._at("word", "declare"):
                 self._skip_declare()
-            elif tok.kind == "word" and tok.text == "attributes":
+            elif self._at("word", "attributes"):
                 self._skip_attributes()
             else:
-                raise self._error(tok, "expected 'define' or 'declare'")
+                raise self._error(self._peek(), "expected 'define' or 'declare'")
         return tuple(functions)
 
     def _parse_define(self) -> FunctionDef:
-        self._expect("word", "define")
-        self._parse_attr_words(RET_ATTRS)
-        self._expect("word", "double")
-        name = GlobalId(self._expect("global").text[1:])
-        self._expect("punct", "(")
-        params = self._parse_params()
-        self._expect("punct", ")")
+        name = self._parse_head("define")
+        params = self._parse_doubles(lambda i: LocalId(self._next().text[1:]) if self._at("local") else LocalId.anon(i))
         self._skip_fn_attrs()
         self._expect("punct", "{")
         block = self._parse_block(len(params))
         self._expect("punct", "}")
-        return FunctionDef(name, tuple(params), block)
+        return FunctionDef(name, params, block)
 
-    def _parse_attr_words(self, allowed: frozenset[str]) -> list[str]:
-        out = []
-        while (tok := self._peek()) is not None and tok.kind == "word" and tok.text in allowed:
-            out.append(self._next().text)
-        return out
+    def _parse_head(self, keyword: str) -> GlobalId:
+        """`<keyword> [attrs] double @name`, which `define`, `declare` and `call` share."""
+        self._expect("word", keyword)
+        self._parse_attr_words(RET_ATTRS)
+        self._expect("word", "double")
+        return GlobalId(self._expect("global").text[1:])
+
+    def _parse_doubles(self, item: Callable[[int], object]) -> tuple:
+        """`( double [noundef] X, ... )`, where `item(i)` reads the i-th X."""
+        self._expect("punct", "(")
+        items = []
+        if not self._at("punct", ")"):
+            while True:
+                self._expect("word", "double")
+                self._parse_attr_words(PARAM_ATTRS)
+                items.append(item(len(items)))
+                if not self._at("punct", ","):
+                    break
+                self._next()
+        self._expect("punct", ")")
+        return tuple(items)
+
+    def _parse_attr_words(self, allowed: frozenset[str]) -> tuple[str, ...]:
+        start = self.pos
+        while self._at("word", allowed):
+            self._next()
+        return tuple(tok.text for tok in self.tokens[start:self.pos])
 
     def _skip_fn_attrs(self) -> None:
-        while (tok := self._peek()) is not None and (
-            tok.kind == "attrgroup" or (tok.kind == "word" and tok.text in FN_ATTRS)
-        ):
+        while self._at("attrgroup") or self._at("word", FN_ATTRS):
             self._next()
-
-    def _parse_params(self) -> list[LocalId]:
-        params: list[LocalId] = []
-        if self._peek() is not None and self._peek().kind == "punct" and self._peek().text == ")":
-            return params
-        while True:
-            self._expect("word", "double")
-            self._parse_attr_words(PARAM_ATTRS)
-            tok = self._peek()
-            if tok is not None and tok.kind == "local":
-                params.append(LocalId(self._next().text[1:]))
-            else:
-                params.append(LocalId.anon(len(params)))
-            tok = self._peek()
-            if tok is not None and tok.kind == "punct" and tok.text == ",":
-                self._next()
-                continue
-            return params
 
     def _skip_declare(self) -> None:
         # `declare double @callee(...)`: checked for shape, then dropped
-        self._expect("word", "declare")
-        self._parse_attr_words(RET_ATTRS)
-        self._expect("word", "double")
-        self._expect("global")
+        self._parse_head("declare")
         self._expect("punct", "(")
-        while True:
-            tok = self._next()
-            if tok.kind == "punct" and tok.text == ")":
-                break
-            if tok.kind == "punct" and tok.text in "{}":
-                raise self._error(tok, "expected ')'")
+        while not self._at("punct", ")"):
+            if self._at("punct", ("{", "}")):
+                raise self._error(self._peek(), "expected ')'")
+            self._next()
+        self._next()
         self._skip_fn_attrs()
 
     def _skip_attributes(self) -> None:
@@ -367,85 +369,49 @@ class _Parser:
         self._expect("punct", "{")
         depth = 1
         while depth:
-            tok = self._next()
-            if tok.kind == "punct" and tok.text == "{":
-                depth += 1
-            elif tok.kind == "punct" and tok.text == "}":
-                depth -= 1
+            depth += self._at("punct", "{") - self._at("punct", "}")
+            self._next()
 
     def _parse_block(self, n_params: int) -> BasicBlock:
         code: list[Instruction] = []
-        term: Terminator | None = None
-        while term is None:
-            tok = self._peek()
-            if tok is None:
-                raise self._error(tok, "expected instruction or 'ret'")
-            nxt = self._peek(1)
-            if nxt is not None and nxt.kind == "punct" and nxt.text == ":":
-                raise ParseError(tok.line, tok.col, "unsupported: control flow")
-            if tok.kind == "word" and tok.text in _CONTROL_FLOW_OPS:
-                raise ParseError(tok.line, tok.col, "unsupported: control flow")
-            if tok.kind == "word" and tok.text == "ret":
-                term = self._parse_ret()
-            elif tok.kind == "local":
-                code.append(self._parse_instruction())
-            else:
-                raise self._error(tok, "expected instruction or 'ret'")
-        tok = self._peek()
-        if tok is not None and not (tok.kind == "punct" and tok.text == "}"):
-            if tok.kind in ("word", "intnum", "local"):
-                raise ParseError(tok.line, tok.col, "unsupported: control flow")
-            raise self._error(tok, "expected '}'")
+        while True:
+            if self._at("punct", ":", ahead=1) or self._at("word", _CONTROL_FLOW_OPS):
+                raise self._control_flow()
+            if self._at("word", "ret"):
+                break
+            if not self._at("local"):
+                raise self._error(self._peek(), "expected instruction or 'ret'")
+            code.append(self._parse_instruction())
+        self._next()
+        self._expect("word", "double")
+        term = Ret(self._parse_expr())
+        # a second statement after `ret` would open another block
+        if self._at("word") or self._at("intnum") or self._at("local"):
+            raise self._control_flow()
         return BasicBlock(LocalId.anon(n_params), (), tuple(code), term)
 
     def _parse_instruction(self) -> Instruction:
         dest = LocalId(self._expect("local").text[1:])
         self._expect("punct", "=")
-        tok = self._peek()
-        if tok is None:
-            raise self._error(tok, "expected opcode")
-        if tok.kind == "word" and tok.text in ("fmul", "fadd", "fsub"):
+        if self._at("word", _BINOP_SPELLINGS):
             kind = FBinopKind(self._next().text)
-            flags = tuple(self._parse_attr_words(FAST_MATH_FLAGS))
+            flags = self._parse_attr_words(FAST_MATH_FLAGS)
             self._expect("word", "double")
             lhs = self._parse_expr()
             self._expect("punct", ",")
-            rhs = self._parse_expr()
-            return FBinop(dest, kind, flags, lhs, rhs)
-        if tok.kind == "word" and tok.text in ("tail", "call"):
-            tail = False
-            if tok.text == "tail":
+            return FBinop(dest, kind, flags, lhs, self._parse_expr())
+        if self._at("word", ("tail", "call")):
+            if tail := self._at("word", "tail"):
                 self._next()
-                tail = True
-            self._expect("word", "call")
-            self._parse_attr_words(RET_ATTRS)
-            self._expect("word", "double")
-            callee = GlobalId(self._expect("global").text[1:])
-            self._expect("punct", "(")
-            args: list[Expr] = []
-            tok = self._peek()
-            if not (tok is not None and tok.kind == "punct" and tok.text == ")"):
-                while True:
-                    self._expect("word", "double")
-                    self._parse_attr_words(PARAM_ATTRS)
-                    args.append(self._parse_expr())
-                    tok = self._peek()
-                    if tok is not None and tok.kind == "punct" and tok.text == ",":
-                        self._next()
-                        continue
-                    break
-            self._expect("punct", ")")
-            while (tok := self._peek()) is not None and tok.kind == "attrgroup":
+            callee = self._parse_head("call")
+            args = self._parse_doubles(lambda _: self._parse_expr())
+            while self._at("attrgroup"):
                 self._next()
-            return IntrinsicCall(dest, callee, tuple(args), tail)
-        if tok.kind == "word" and tok.text in _CONTROL_FLOW_OPS:
-            raise ParseError(tok.line, tok.col, "unsupported: control flow")
-        raise self._error(tok, "unknown instruction opcode")
-
-    def _parse_ret(self) -> Terminator:
-        self._expect("word", "ret")
-        self._expect("word", "double")
-        return Ret(self._parse_expr())
+            return IntrinsicCall(dest, callee, args, tail)
+        if self._at("word", _CONTROL_FLOW_OPS):
+            raise self._control_flow()
+        tok = self._peek()
+        raise self._error(tok, "expected opcode" if tok is None else "unknown instruction opcode")
 
     def _parse_expr(self) -> Expr:
         tok = self._next()

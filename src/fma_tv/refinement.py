@@ -38,11 +38,11 @@ from .error_model import (
     Const,
     Fma,
     FpExpr,
+    MismatchedExpressionsError,
     Mul,
     Var,
     compile_derived_bound,
     compile_paper_bound,
-    expr_variables,
 )
 from .fp_semantics import Double, Poison, Value, b64_sub, compile_function, fma_source
 from .ir_core import (
@@ -442,11 +442,8 @@ class EquivChecker:
             why_no_derived = None
             try:
                 expr_orig, expr_opt = recover_expr(original), recover_expr(optimized)
-                if expr_variables(expr_orig) != expr_variables(expr_opt):
-                    why_no_derived = "expressions read different variables"
-                else:
-                    derived_eval = compile_derived_bound(expr_orig, expr_opt, tuple(str(p) for p in self.params))
-            except UnsupportedExprError as e:
+                derived_eval = compile_derived_bound(expr_orig, expr_opt, tuple(str(p) for p in self.params))
+            except (UnsupportedExprError, MismatchedExpressionsError) as e:
                 why_no_derived = str(e)
             if len(self.params) == 3:
                 paper_eval = compile_paper_bound()

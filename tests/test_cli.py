@@ -304,6 +304,21 @@ def test_run_parse_and_io_errors(tmp_path):
     assert run_cmd_run(str(tmp_path / "absent.ll"), "")[0] == 2
 
 
+@pytest.mark.parametrize("text, found", [
+    ("", 0),
+    ("define double @f() { ret double 0.0 }\ndefine double @g() { ret double 1.0 }\n", 2),
+], ids=["empty", "two defines"])
+def test_wrong_function_count_names_no_source_position(tmp_path, text, found):
+    block = tmp_path / "count.ll"
+    block.write_text(text)
+    message = f"error: {block}: expected exactly one function definition, found {found}\n"
+    assert run_cmd_run(str(block), "") == (2, "", message)
+    assert run_cmd_bound(str(block), FMA, "a=1,b=1,c=1") == (2, "", message)
+    out, err = io.StringIO(), io.StringIO()
+    code = cmd_validate(str(block), FMA, ALIGNMENT, SamplerConfig(samples=5), out=out, err=err)
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", message)
+
+
 # ---------------------------------------------------------------------------
 # bound
 
@@ -361,6 +376,21 @@ def test_bound_identical_files():
     assert lines[0] == f"derived bound: {expected!r} ({hex_of(expected)})"
     assert len(lines) == 2 and lines[1].split()[0] == "comparison"
     assert not any("paper" in line for line in lines)
+
+
+def test_mismatched_variable_sets_get_one_reason(tmp_path):
+    # `bound` and `validate` refuse a pair that reads different variables for the same reason
+    header = "define double @f(double %0, double %1) {\n"
+    original, optimized = tmp_path / "orig.ll", tmp_path / "opt.ll"
+    original.write_text(header + "  %3 = fadd double %0, %0\n  ret double %3\n}\n")
+    optimized.write_text(header + "  %3 = fadd double %1, %1\n  ret double %3\n}\n")
+    reason = "variable sets differ: ['%0'] vs ['%1']"
+    assert run_cmd_bound(str(original), str(optimized), "a=1,b=1") == (2, "", f"error: {reason}\n")
+    alignment = tmp_path / "align.json"
+    alignment.write_text('{"pairs": [["%3", "%3"]], "fresh_optimized": ["%3"], "fresh_original": ["%3"]}')
+    code, doc, _ = run_validate(tmp_path, original=str(original), optimized=str(optimized),
+                                alignment=str(alignment), samples=5)
+    assert code == 1 and doc["unsupported_reason"] == f"no bound available: {reason}"
 
 
 def test_bound_errors(tmp_path):

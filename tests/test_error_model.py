@@ -573,6 +573,16 @@ def test_mismatched_variable_sets():
         derive_bound(Add(Var("a"), Var("b")), Var("a"), {"a": 1, "b": 1})
 
 
+def test_compiled_bound_refuses_mismatched_variable_sets():
+    # the exact and the compiled derivation apply one variable-set rule
+    e1, e2 = Add(Var("%0"), Var("%0")), Add(Var("%1"), Var("%1"))
+    for derive in (lambda: derive_bound(e1, e2, {"%0": 1, "%1": 1}),
+                   lambda: compile_derived_bound(e1, e2, ("%0", "%1"))):
+        with pytest.raises(MismatchedExpressionsError) as exc:
+            derive()
+        assert str(exc.value) == "variable sets differ: ['%0'] vs ['%1']"
+
+
 def test_missing_magnitude():
     with pytest.raises(UnknownVariableError):
         derive_bound(ORIG, OPT, {"a": 1, "b": 1})

@@ -1,15 +1,18 @@
 """Parser, printer, and wellformedness checks for the IR fragment."""
 
+import dataclasses
 import math
 from pathlib import Path
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from fma_tv.ir_core import (
     BasicBlock,
     DoubleLit,
     FBinop,
+    FAST_MATH_FLAGS,
     FBinopKind,
     FunctionDef,
     GlobalId,
@@ -166,6 +169,54 @@ def test_parse_error_position():
     assert exc.value.line == 2
 
 
+_HEAD = "define double @f(double %0) {\n"
+PARSE_ERRORS = {
+    "end of input in the parameters": (
+        "define double @f(double %0,", (1, 28, "expected 'double' (found end of input)")),
+    "end of input after the open paren": (
+        "define double @f(", (1, 18, "expected 'double' (found end of input)")),
+    "end of input after '='": (_HEAD + "  %1 =", (2, 7, "expected opcode (found end of input)")),
+    "end of input in a declare": ("declare double @g(double", (1, 25, "unexpected end of input")),
+    "end of input in an attributes group": (
+        "attributes #0 = { nounwind", (1, 27, "unexpected end of input")),
+    "end of input in the block": (
+        _HEAD, (1, 30, "expected instruction or 'ret' (found end of input)")),
+    "label": (_HEAD + "entry:\n  ret double %0\n}", (2, 1, "unsupported: control flow")),
+    "ret then colon": (_HEAD + "  ret :", (2, 3, "unsupported: control flow")),
+    "br as an opcode": (_HEAD + "  %x = br label %e\n}", (2, 8, "unsupported: control flow")),
+    "br as a statement": (_HEAD + "  br label %e\n}", (2, 3, "unsupported: control flow")),
+    "instruction after ret": (
+        _HEAD + "  ret double %0\n  ret double %0\n}", (3, 3, "unsupported: control flow")),
+    "punctuation after ret": (_HEAD + "  ret double %0 )", (2, 17, "expected '}' (found ')')")),
+    "flag on a call": (
+        _HEAD + "  %1 = tail call contract double @llvm.fmuladd.f64(double %0, double %0, double %0)\n"
+        "  ret double %1\n}",
+        (2, 18, "expected 'double' (found 'contract')"),
+    ),
+    "3-digit hex literal": (
+        _HEAD + "  ret double 0x3FF\n}", (2, 14, "hex double literal needs 16 digits, got 3")),
+    "integer literal": (
+        _HEAD + "  ret double 1\n}", (2, 14, "integer literal '1' is not a valid double literal")),
+    "fdiv": (
+        _HEAD + "  %1 = fdiv double %0, %0\n  ret double %1\n}",
+        (2, 8, "unknown instruction opcode (found 'fdiv')"),
+    ),
+    "stray top-level token": ("foo", (1, 1, "expected 'define' or 'declare' (found 'foo')")),
+    "stray token after a define": (
+        _HEAD + "  ret double %0\n}\n)", (4, 1, "expected 'define' or 'declare' (found ')')")),
+    "unlexable character": (
+        "define double @f() { ret double 0.0 } !", (1, 39, "unexpected character '!'")),
+}
+
+
+@pytest.mark.parametrize("name", PARSE_ERRORS)
+def test_parse_error_exact_position_and_message(name):
+    text, expected = PARSE_ERRORS[name]
+    with pytest.raises(ParseError) as exc:
+        parse_module(text)
+    assert (exc.value.line, exc.value.col, exc.value.message) == expected
+
+
 # ---------------------------------------------------------------------------
 # printing
 
@@ -205,6 +256,55 @@ def test_attrs_do_not_affect_equality():
 def test_print_parse_roundtrip(f):
     (g,) = parse_module(print_block(f))
     assert f == g
+
+
+@st.composite
+def decorated_function_defs(draw):
+    """Random blocks with fast-math flags, named parameters and locals, and `tail` on and off."""
+    f = draw(function_defs(allow_fsub=True))
+    ids = list(f.params) + [instr.dest for instr in f.body.blk_code]
+    names = draw(st.lists(st.from_regex(r"[-a-zA-Z$._][-a-zA-Z$._0-9]{0,5}", fullmatch=True),
+                          min_size=len(ids), max_size=len(ids), unique=True))
+    rename = {i: LocalId(n) if draw(st.booleans()) else i for i, n in zip(ids, names)}
+
+    def ref(e):
+        return LocalRef(rename[e.id]) if isinstance(e, LocalRef) else e
+
+    code = []
+    for instr in f.body.blk_code:
+        if isinstance(instr, FBinop):
+            flags = tuple(draw(st.lists(st.sampled_from(sorted(FAST_MATH_FLAGS)), unique=True)))
+            instr = dataclasses.replace(instr, fm_flags=flags, lhs=ref(instr.lhs), rhs=ref(instr.rhs))
+        else:
+            instr = dataclasses.replace(instr, args=tuple(map(ref, instr.args)))
+        code.append(dataclasses.replace(instr, dest=rename[instr.dest]))
+    body = dataclasses.replace(f.body, blk_code=tuple(code), blk_term=Ret(ref(f.body.blk_term.value)))
+    return FunctionDef(f.name, tuple(rename[p] for p in f.params), body)
+
+
+def decorated_text(f):
+    """`f` as clang prints it: attributes, a `declare`, an `attributes` trailer, comments, CRLF."""
+    params = ", ".join(f"double noundef {p}" for p in f.params)
+    lines = [
+        "; ModuleID = 'decorated.c'",
+        "declare double @llvm.fmuladd.f64(double, double noundef, double) #1",
+        f"define dso_local noundef double {f.name}({params}) local_unnamed_addr #0 {{ ; entry",
+    ]
+    for instr in f.body.blk_code:
+        if isinstance(instr, IntrinsicCall):
+            args = ", ".join(f"double noundef {a}" for a in instr.args)
+            tail = "tail " if instr.tail else ""
+            lines.append(f"  {instr.dest} = {tail}call noundef double {instr.callee}({args}) #2")
+        else:
+            lines.append(f"  {instr} ; {instr.kind}")
+    lines += [f"  {f.body.blk_term}", "}", "attributes #0 = { nounwind { nested } }"]
+    return "\r\n".join(lines) + "\r\n"
+
+
+@given(decorated_function_defs())
+def test_print_parse_roundtrip_with_flags_and_names(f):
+    assert parse_module(print_block(f)) == (f,)
+    assert parse_module(decorated_text(f)) == (f,)
 
 
 def test_roundtrip_preserves_nan_literal_bits():
