@@ -21,6 +21,7 @@ import math
 import random
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -42,6 +43,7 @@ from .fp_semantics import (
     Double,
     Poison,
     Value,
+    compile_function,
     is_finite,
     round_rational_up,
 )
@@ -134,6 +136,27 @@ def sample_tuple(rng: random.Random, n_params: int, cfg: SamplerConfig) -> tuple
             e = bits(k)
         out.append(sign * math.ldexp(1.0 + math.ldexp(bits(52), -52), cfg.exp_min + e))
     return tuple(out)
+
+
+def compile_draw(n_params: int, cfg: SamplerConfig) -> Callable[[random.Random], tuple[float, ...]]:
+    """`sample_tuple` for `n_params` and `cfg`'s exponent range, unrolled into one function of `rng`.
+
+    The same `getrandbits` calls in the same order and the same `ldexp`
+    arithmetic, so it draws the same tuples and leaves `rng` in the same
+    state; `sample_tuple` stays its reference."""
+    width = cfg.exp_max - cfg.exp_min + 1
+    k = width.bit_length()
+    body = ["bits = rng.getrandbits"]
+    for i in range(n_params):
+        body += [
+            "sign = -1.0 if bits(1) else 1.0",
+            f"e = bits({k})",
+            f"while e >= {width}:",
+            f"    e = bits({k})",
+            f"x{i} = sign * ldexp(1.0 + ldexp(bits(52), -52), {cfg.exp_min} + e)",
+        ]
+    body.append(f"return ({''.join(f'x{i}, ' for i in range(n_params))})")
+    return compile_function("draw", "rng", body, {"ldexp": math.ldexp})
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +354,14 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
 
     Stops after the 16th counterexample.  The report's timing is left at 0.
     """
-    counts = dict.fromkeys(
-        ("pass", "fail", "unsupported", "vacuous_pass", "poison_pass", "nonzero_diff"), 0
-    )
     if checker.static_unsupported is not None:
         verdict = checker.check(())
         return Report(
             config,
             verdict="unsupported",
-            counts=counts,
+            counts=dict.fromkeys(
+                ("pass", "fail", "unsupported", "vacuous_pass", "poison_pass", "nonzero_diff"), 0
+            ),
             counterexamples=[{"index": None, **verdict.to_json()}],
             unsupported_reason=checker.static_unsupported,
         )
@@ -347,56 +369,68 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
     counterexamples: list[dict] = []
     paper_examples: list[dict] = []
     paper_discrepancies = 0
-    worst: tuple[float, dict] | None = None
-    total = 0
+    n_pass = n_fail = n_unsupported = n_vacuous = n_poison = n_nonzero = 0
+    # the largest finite difference and where it was first seen: (index, args, verdict)
+    worst_diff, worst = -1.0, None
+    index = -1
     stopped_early = False
     n_params = len(checker.params)
     corpus = corpus_tuples(n_params) if sampler.include_special_corpus else []
     rng = random.Random(sampler.seed)
     stream = itertools.chain(
-        corpus, (sample_tuple(rng, n_params, sampler) for _ in range(sampler.samples))
+        corpus, map(compile_draw(n_params, sampler), itertools.repeat(rng, sampler.samples))
     )
+    check = checker.check
+    PASS, FAIL, INF = Status.PASS, Status.FAIL, math.inf
     for index, raw in enumerate(stream):
-        total += 1
-        v = checker.check(raw)
-        counts[v.status.value] += 1
-        if v.status is Status.PASS:
-            if v.vacuous:
-                counts["vacuous_pass"] += 1
-            if v.poison_result:
-                counts["poison_pass"] += 1
-        if v.observed_diff is not None and is_finite(v.observed_diff):
-            if v.observed_diff > 0.0:
-                counts["nonzero_diff"] += 1
-            if worst is None or v.observed_diff > worst[0]:
-                worst = (
-                    v.observed_diff,
-                    {
-                        "index": index,
-                        "args": [dual_of(x) for x in raw],
-                        "observed_diff": dual_of(v.observed_diff),
-                        "bound_derived": dual_of(v.bound_derived),
-                        "bound_paper": dual_of(v.bound_paper),
-                    },
-                )
-        if v.paper_disagrees:
+        v = check(raw)
+        status, _, _, _, _, diff, _, _, _, _, poison, vacuous, _, disagrees = v
+        if status is PASS:
+            n_pass += 1
+            if vacuous:
+                n_vacuous += 1
+            if poison:
+                n_poison += 1
+        # a difference is never negative, so under INF means finite
+        if diff is not None and diff < INF:
+            if diff > 0.0:
+                n_nonzero += 1
+            if diff > worst_diff:
+                worst_diff, worst = diff, (index, raw, v)
+        if disagrees:
             paper_discrepancies += 1
             if len(paper_examples) < _MAX_COUNTEREXAMPLES:
                 paper_examples.append({"index": index, **v.to_json()})
-        if v.status is not Status.PASS:
+        if status is not PASS:
+            if status is FAIL:
+                n_fail += 1
+            else:
+                n_unsupported += 1
             counterexamples.append({"index": index, **v.to_json()})
             if len(counterexamples) == _MAX_COUNTEREXAMPLES:
                 stopped_early = True
                 break
 
+    total = index + 1
     n_corpus = min(total, len(corpus))
+    worst_sample = None
+    if worst is not None:
+        worst_index, worst_args, worst_v = worst
+        worst_sample = {
+            "index": worst_index,
+            "args": [dual_of(x) for x in worst_args],
+            "observed_diff": dual_of(worst_diff),
+            "bound_derived": dual_of(worst_v.bound_derived),
+            "bound_paper": dual_of(worst_v.bound_paper),
+        }
     return Report(
         config,
-        verdict="fail" if counts["fail"] else "unsupported" if counts["unsupported"] else "pass",
+        verdict="fail" if n_fail else "unsupported" if n_unsupported else "pass",
         samples_run={"random": total - n_corpus, "corpus": n_corpus, "total": total},
-        counts=counts,
-        max_observed_diff=None if worst is None else worst[0],
-        worst_sample=None if worst is None else worst[1],
+        counts={"pass": n_pass, "fail": n_fail, "unsupported": n_unsupported,
+                "vacuous_pass": n_vacuous, "poison_pass": n_poison, "nonzero_diff": n_nonzero},
+        max_observed_diff=None if worst is None else worst_diff,
+        worst_sample=worst_sample,
         paper_formula_discrepancies=paper_discrepancies,
         paper_formula_examples=paper_examples,
         counterexamples=counterexamples,

@@ -3,9 +3,11 @@
 The fragment covers single-basic-block function definitions over `double`:
 `fmul`/`fadd`/`fsub` binary operations, calls to `@llvm.fmuladd.f64`, and a
 `ret double` terminator.  Fast-math flags are parsed but rejected by the
-wellformedness check; attributes and attribute groups are parsed and
-discarded.  Control flow is out of scope and is reported as such at parse
-time.
+wellformedness check; attributes and attribute groups, string attributes
+included, are parsed and discarded, as are the `source_filename`,
+`target datalayout` and `target triple` header lines.  A quoted string
+anywhere else is a parse error.  Control flow is out of scope and is
+reported as such at parse time.
 """
 
 from __future__ import annotations
@@ -215,6 +217,7 @@ _TOKEN_RE = re.compile(
   | (?P<floatnum>-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+))
   | (?P<intnum>-?\d+)
   | (?P<word>[a-zA-Z_][a-zA-Z_0-9.]*)
+  | (?P<string>"[^"\n]*")
   | (?P<punct>[(){}=,:])
     """,
     re.VERBOSE,
@@ -305,6 +308,9 @@ class _Parser:
                 self._skip_declare()
             elif self._at("word", "attributes"):
                 self._skip_attributes()
+            elif self._at("word", "source_filename") or (
+                    self._at("word", "target") and self._at("word", ("datalayout", "triple"), ahead=1)):
+                self._skip_header()
             else:
                 raise self._error(self._peek(), "expected 'define' or 'declare'")
         return tuple(functions)
@@ -361,8 +367,16 @@ class _Parser:
         self._next()
         self._skip_fn_attrs()
 
+    def _skip_header(self) -> None:
+        # `source_filename = "..."`, `target datalayout = "..."`, `target triple = "..."`
+        if self._next().text == "target":
+            self._next()
+        self._expect("punct", "=")
+        self._expect("string")
+
     def _skip_attributes(self) -> None:
-        # `attributes #0 = { ... }` trailer emitted by clang; contents ignored.
+        # `attributes #0 = { ... }` trailer emitted by clang, string attributes
+        # such as `"frame-pointer"="none"` included; contents ignored.
         self._expect("word", "attributes")
         self._expect("attrgroup")
         self._expect("punct", "=")

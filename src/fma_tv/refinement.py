@@ -387,11 +387,11 @@ class EquivChecker:
 
     From both blocks, the alignment and the bound plan, construction also
     generates `compiled`: one straight-line function that `check` runs on
-    every tuple of raw floats; it is None exactly when the pair is
-    statically unsupported.  `interp_cfg2` stays the reference semantics:
-    `check_reference` always uses it, and `check` falls back to it for
-    `Double`s, poison, mixed or wrongly sized arguments and unsupported
-    pairs.
+    every tuple; it is None exactly when the pair is statically
+    unsupported.  `interp_cfg2` stays the reference semantics:
+    `check_reference` always uses it, `compiled` hands it `Double`s,
+    poison, mixed or wrongly sized arguments, and `check` calls it for
+    unsupported pairs.
     """
 
     def __init__(
@@ -461,27 +461,27 @@ class EquivChecker:
         self.static_unsupported = unsupported
 
         self.compiled = None if unsupported is not None else self._generate()
-        # the argument types `compiled` takes, as `check`'s one type scan sees them
-        self._floats = None if self.compiled is None else (float,) * len(self.params)
 
     # -- per-sample work
 
     def check(self, args: tuple[Value | float, ...]) -> Verdict:
         """The verdict for one input tuple, of bare floats or of values.
 
-        A tuple of floats of the right arity runs the generated function;
-        everything else, `Double`s included, goes through `check_reference`,
-        with the same verdict either way.  The verdict's `args` is `args` as
-        passed.
+        Runs the generated function, which takes a tuple of floats of the
+        right arity and hands everything else, `Double`s included, to
+        `check_reference`; an unsupported pair goes there directly.  The
+        verdict is the same either way, and its `args` is `args` as passed.
         """
-        if tuple(map(type, args)) == self._floats:
-            return self.compiled(args)
-        return self.check_reference(args)
+        compiled = self.compiled
+        return compiled(args) if compiled is not None else self.check_reference(args)
 
     def _generate(self):
-        """`check` on a tuple of floats, as one function specialised to this checker.
+        """`check` as one function specialised to this checker.
 
-        Straight-line source over `args`: both blocks, each binary
+        A guard first hands every tuple but one of exactly `float`s of the
+        right arity (an `int`, a `bool`, a `float` subclass, a `Double` or
+        poison included) to `check_reference`.  Then straight-line source
+        over `args`: both blocks, each binary
         operation as its Python float operator (exactly its `b64_*`) and
         each fmuladd as `fma_source` routes it, calling the `b64_fma` that
         `denotation` holds at construction only off its inline routes; the
@@ -498,7 +498,10 @@ class EquivChecker:
         ns = {"same_bits": same_bits, "reference": self.check_reference, "INF": inf, "new": tuple.__new__,
               "Verdict": Verdict, "PASS": Status.PASS, "SOURCE": self._gate,
               "AUDITED": self._audited, "fma_exact": denotation.b64_fma}
-        body = [f"{''.join(f'x{i}, ' for i in range(n))}= args"] if n else []
+        body = [f"if len(args) != {n}: return reference(args)"]
+        if n:
+            body += [f"{''.join(f'x{i}, ' for i in range(n))}= args",
+                     f"if {' or '.join(f'type(x{i}) is not float' for i in range(n))}: return reference(args)"]
 
         def emit(tag: str, block: FunctionDef) -> tuple[dict[LocalId, str], str]:
             """Append `block` to `body`: its final environment as names, and the name it returns."""

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies: doubles, expression trees, random blocks."""
+"""Shared hypothesis strategies: doubles, expression trees, random blocks and block pairs."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from fma_tv.ir_core import (
     LocalRef,
     Ret,
 )
+from fma_tv.refinement import AlignmentSpec
 
 # every bit pattern, via the float strategy's full-width mode
 any_double = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -122,3 +123,26 @@ def function_defs(draw, n_params=None, allow_fsub=False):
         ret = Ret(DoubleLit(draw(moderate_double)))
     body = BasicBlock(LocalId.anon(n_params), (), tuple(code), ret)
     return FunctionDef(GlobalId("f"), params, body)
+
+
+@st.composite
+def block_pairs(draw):
+    """Two random blocks over the same parameters, with a random alignment.
+
+    The fresh sets and pairs draw from the ids the blocks may bind plus one
+    they never do, so pairs can miss and leftovers can differ in ids or bits.
+    """
+    n = draw(st.integers(min_value=0, max_value=3))
+    opt = draw(function_defs(n_params=n, allow_fsub=True))
+    orig = draw(function_defs(n_params=n, allow_fsub=True))
+    ids = [LocalId.anon(k) for k in range(n + 1, n + 7)]
+    fresh_opt = draw(st.frozensets(st.sampled_from(ids)))
+    fresh_orig = draw(st.frozensets(st.sampled_from(ids)))
+    pairs = ()
+    if fresh_opt and fresh_orig:
+        pairs = tuple(draw(st.lists(
+            st.tuples(st.sampled_from(sorted(fresh_opt, key=str)),
+                      st.sampled_from(sorted(fresh_orig, key=str))),
+            max_size=2,
+        )))
+    return opt, orig, AlignmentSpec(pairs, fresh_opt, fresh_orig)

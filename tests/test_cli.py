@@ -15,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fma_tv
 import fma_tv.cli
@@ -26,6 +28,7 @@ from fma_tv.cli import (
     cmd_bound,
     cmd_run,
     cmd_validate,
+    compile_draw,
     corpus_tuples,
     main,
     sample_tuple,
@@ -42,8 +45,17 @@ from fma_tv.fp_semantics import (
     round_rational_up,
 )
 from fma_tv.ir_core import parse_module
-from fma_tv.refinement import BoundSource, EquivChecker, Mode, RefinementConfig, load_alignment
-from fma_tv._bits import hex_of
+from fma_tv.refinement import (
+    AlignmentSpec,
+    BoundSource,
+    EquivChecker,
+    Mode,
+    RefinementConfig,
+    Status,
+    load_alignment,
+)
+from fma_tv._bits import dual_of, hex_of
+from strategies import block_pairs, function_defs
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
 BENCH = TESTDATA.parent / "bench"
@@ -153,6 +165,21 @@ def test_sample_tuple_keeps_the_randint_stream(exp_range, n_params):
         got, want = sample_tuple(new, n_params, cfg), randint_sample_tuple(old, n_params, cfg)
         assert [hex_of(x) for x in got] == [hex_of(x) for x in want]
     assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("exp_range", [(-50, 50), (-1074, 1023), (-1074, -1074), (1023, 1023), (0, 63)])
+@pytest.mark.parametrize("n_params", [0, 1, 3, 16])
+def test_compiled_draw_keeps_the_sample_tuple_stream(exp_range, n_params):
+    cfg = SamplerConfig(exp_min=exp_range[0], exp_max=exp_range[1])
+    draw = compile_draw(n_params, cfg)
+    new, ref, old = random.Random(5), random.Random(5), random.Random(5)
+    for _ in range(300):
+        got = draw(new)
+        want = sample_tuple(ref, n_params, cfg)
+        assert [hex_of(x) for x in got] == [hex_of(x) for x in want]
+        assert [hex_of(x) for x in got] == [hex_of(x) for x in randint_sample_tuple(old, n_params, cfg)]
+        assert type(got) is tuple and all(type(x) is float for x in got)
+    assert new.getstate() == ref.getstate() == old.getstate()
 
 
 def test_parse_value():
@@ -302,6 +329,20 @@ def test_run_parse_and_io_errors(tmp_path):
     bad.write_text("define double @f() { ret double 1 }")
     assert run_cmd_run(str(bad), "")[0] == 2
     assert run_cmd_run(str(tmp_path / "absent.ll"), "")[0] == 2
+
+
+def test_clang_module_validates_and_a_stray_string_exits_2(tmp_path):
+    clang = tmp_path / "clang.ll"
+    clang.write_text('source_filename = "fma.c"\ntarget triple = "x86_64-pc-linux-gnu"\n'
+                     + Path(FMA).read_text() + 'attributes #1 = { nounwind "frame-pointer"="none" }\n')
+    code, doc, _ = run_validate(tmp_path, optimized=str(clang), samples=100)
+    assert (code, doc["verdict"]) == (0, "pass")
+    stray = tmp_path / "stray.ll"
+    stray.write_text(Path(FMA).read_text().replace("#0 {", '"x" {'))
+    out, err = io.StringIO(), io.StringIO()
+    assert cmd_validate(NON_FMA, str(stray), ALIGNMENT, SamplerConfig(samples=5), out=out, err=err) == 2
+    assert err.getvalue() == "error: line 1, col 103: expected '{' (found '\"x\"')\n"
+    assert run_cmd_run(str(stray), "a=1,b=2,c=3")[:2] == (2, "")
 
 
 @pytest.mark.parametrize("text, found", [
@@ -612,6 +653,101 @@ def test_validate_calls_check_once_per_sample(monkeypatch):
     checker = EquivChecker(original, optimized, load_alignment(Path(ALIGNMENT).read_text()))
     report = validate(checker, SamplerConfig(samples=100, seed=3), {})
     assert len(calls) == report.samples_run["total"] == 100 + 16**3
+
+
+def reference_report(checker, sampler, config):
+    """`validate` as a plain loop over `check_reference` and `sample_tuple`: the report to keep."""
+    counts = dict.fromkeys(("pass", "fail", "unsupported", "vacuous_pass", "poison_pass", "nonzero_diff"), 0)
+    if checker.static_unsupported is not None:
+        verdict = checker.check_reference(())
+        return Report(config, verdict="unsupported", counts=counts,
+                      counterexamples=[{"index": None, **verdict.to_json()}],
+                      unsupported_reason=checker.static_unsupported)
+    n = len(checker.params)
+    corpus = corpus_tuples(n) if sampler.include_special_corpus else []
+    rng = random.Random(sampler.seed)
+    inputs = itertools.chain(corpus, (sample_tuple(rng, n, sampler) for _ in range(sampler.samples)))
+    report = Report(config, counts=counts)
+    total = 0
+    for index, raw in enumerate(inputs):
+        total += 1
+        v = checker.check_reference(raw)
+        counts[v.status.value] += 1
+        if v.status is Status.PASS:
+            counts["vacuous_pass"] += v.vacuous
+            counts["poison_pass"] += v.poison_result
+        if v.observed_diff is not None and math.isfinite(v.observed_diff):
+            counts["nonzero_diff"] += v.observed_diff > 0.0
+            if report.max_observed_diff is None or v.observed_diff > report.max_observed_diff:
+                report.max_observed_diff = v.observed_diff
+                report.worst_sample = {
+                    "index": index,
+                    "args": [dual_of(x) for x in raw],
+                    "observed_diff": dual_of(v.observed_diff),
+                    "bound_derived": dual_of(v.bound_derived),
+                    "bound_paper": dual_of(v.bound_paper),
+                }
+        if v.paper_disagrees:
+            report.paper_formula_discrepancies += 1
+            if len(report.paper_formula_examples) < 16:
+                report.paper_formula_examples.append({"index": index, **v.to_json()})
+        if v.status is not Status.PASS:
+            report.counterexamples.append({"index": index, **v.to_json()})
+            if len(report.counterexamples) == 16:
+                report.stopped_early = True
+                break
+    n_corpus = min(total, len(corpus))
+    report.samples_run = {"random": total - n_corpus, "corpus": n_corpus, "total": total}
+    report.verdict = "fail" if counts["fail"] else "unsupported" if counts["unsupported"] else "pass"
+    return report
+
+
+CONFIGS = tuple(RefinementConfig(mode=m, bound_source=b) for m in Mode for b in BoundSource)
+EXP_RANGES = ((-50, 50), (-1074, 1023), (-1074, -1000), (900, 1023), (0, 63))
+CANONICAL_PAIR = (parse_module(Path(FMA).read_text())[0], parse_module(Path(NON_FMA).read_text())[0],
+                  load_alignment(Path(ALIGNMENT).read_text()))
+# random pairs are mostly unsupported or fail; a block against itself passes, and the canonical pair
+# passes with nonzero differences
+PAIRS = st.one_of(block_pairs(), function_defs().map(lambda f: (f, f, AlignmentSpec())), st.just(CANONICAL_PAIR))
+
+
+@settings(max_examples=60, deadline=None)
+@given(PAIRS, st.sampled_from(CONFIGS), st.integers(min_value=0, max_value=2**32),
+       st.integers(min_value=1, max_value=40), st.sampled_from(EXP_RANGES), st.booleans())
+def test_validate_matches_a_reference_loop(pair, cfg, seed, samples, exp_range, corpus):
+    opt, orig, align = pair
+    checker = EquivChecker(orig, opt, align, cfg)
+    sampler = SamplerConfig(samples, seed, *exp_range, include_special_corpus=corpus)
+    assert validate(checker, sampler, {}) == reference_report(checker, sampler, {})
+
+
+# the fsub mutant fails at once; `fmuladd(%2, %1, %0)` against `%2*%1 + %0`
+# (roles permuted) often exceeds the published formula, which reads magnitudes
+# in parameter order
+FSUB_ORIGINAL = parse_module(Path(NON_FMA).read_text().replace("fadd", "fsub"))[0]
+PERMUTED_ORIGINAL = parse_module(
+    Path(NON_FMA).read_text().replace("%0, %1", "%2, %1").replace("%4, %2", "%4, %0"))[0]
+PERMUTED_OPTIMIZED = parse_module(Path(FMA).read_text().replace(
+    "(double %0, double %1, double %2)\n", "(double %2, double %1, double %0)\n"))[0]
+
+
+@pytest.mark.parametrize("corpus", [True, False], ids=["corpus", "no-corpus"])
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.mode.value}-{c.bound_source.value}")
+def test_validate_matches_a_reference_loop_at_the_caps(cfg, corpus):
+    fma, _, align = CANONICAL_PAIR
+    mutant = EquivChecker(FSUB_ORIGINAL, fma, align, cfg)
+    permuted = EquivChecker(PERMUTED_ORIGINAL, PERMUTED_OPTIMIZED, align, cfg)
+    sampler = SamplerConfig(samples=1500, seed=11, include_special_corpus=corpus)
+    reports = []
+    for checker in (mutant, permuted):
+        report = validate(checker, sampler, {})
+        assert report == reference_report(checker, sampler, {})
+        reports.append(report)
+    if cfg.bound_source is not BoundSource.DERIVED:
+        assert reports[0].stopped_early and len(reports[0].counterexamples) == 16
+    # strict mode stops the permuted pair at the corpus's first overflow
+    if cfg == RefinementConfig():
+        assert len(reports[1].paper_formula_examples) == 16 < reports[1].paper_formula_discrepancies
 
 
 @pytest.mark.parametrize("report", ["", "missing/report.json"], ids=["directory", "missing-parent"])

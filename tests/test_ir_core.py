@@ -217,6 +217,57 @@ def test_parse_error_exact_position_and_message(name):
     assert (exc.value.line, exc.value.col, exc.value.message) == expected
 
 
+# testdata/fma.ll as clang writes a module: header lines, comments, and
+# attribute groups that hold string attributes
+CLANG_FMA = """\
+; ModuleID = 'fma.c'
+source_filename = "fma.c"
+target datalayout = "e-m:e-p270:32:32-p271:32:32-p272:64:64-i64:64-f80:128-n8:16:32:64-S128"
+target triple = "x86_64-pc-linux-gnu"
+
+; Function Attrs: mustprogress nofree nosync nounwind willreturn memory(none) uwtable
+define dso_local noundef double @f1(double noundef %0, double noundef %1, double noundef %2) local_unnamed_addr #0 {
+  %4 = tail call double @llvm.fmuladd.f64(double %0, double %1, double %2)
+  ret double %4
+}
+
+; Function Attrs: nocallback nofree nosync nounwind speculatable willreturn memory(none)
+declare double @llvm.fmuladd.f64(double, double, double) #1
+
+attributes #0 = { mustprogress nofree nosync nounwind willreturn memory(none) uwtable "frame-pointer"="none" \
+"min-legal-vector-width"="0" "no-trapping-math"="true" "target-cpu"="x86-64" "target-features"="+cx8,+sse2,+x87" }
+attributes #1 = { nocallback nofree nosync nounwind speculatable willreturn memory(none) }
+"""
+
+
+def test_clang_module_parses_like_the_bare_block():
+    assert parse_module(CLANG_FMA) == parse_module((TESTDATA / "fma.ll").read_text())
+
+
+# a quoted string outside a header line or an attribute group
+STRING_ERRORS = {
+    "string as a parameter": (
+        'define double @f(double "x") {\n  ret double 0.0\n}', (1, 25, "expected ')' (found '\"x\"')")),
+    "string as an operand": (_HEAD + '  ret double "x"\n}', (2, 14, "expected operand (found '\"x\"')")),
+    "string function attribute": (
+        'define double @f() "frame-pointer"="none" {\n  ret double 0.0\n}',
+        (1, 20, "expected '{' (found '\"frame-pointer\"')")),
+    "string at top level": ('"fma.c"', (1, 1, "expected 'define' or 'declare' (found '\"fma.c\"')")),
+    "header without '='": ('target triple "x"', (1, 15, "expected '=' (found '\"x\"')")),
+    "header without a string": ("source_filename = fma", (1, 19, "expected 'string' (found 'fma')")),
+    "unknown target line": ('target foo = "x"', (1, 1, "expected 'define' or 'declare' (found 'target')")),
+    "unterminated string": ('source_filename = "fma.c', (1, 19, "unexpected character '\"'")),
+}
+
+
+@pytest.mark.parametrize("name", STRING_ERRORS)
+def test_quoted_string_elsewhere_is_a_parse_error(name):
+    text, expected = STRING_ERRORS[name]
+    with pytest.raises(ParseError) as exc:
+        parse_module(text)
+    assert (exc.value.line, exc.value.col, exc.value.message) == expected
+
+
 # ---------------------------------------------------------------------------
 # printing
 

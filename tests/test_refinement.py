@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fma_tv import denotation
+from fma_tv import denotation, refinement
 from fma_tv._bits import bits_of, float_from_hex
 from fma_tv.cli import SamplerConfig, corpus_tuples, sample_tuple, special_values
 from fma_tv.denotation import EvalError, GlobalEnv, LocalEnv, interp_cfg2
@@ -34,7 +34,7 @@ from fma_tv.refinement import (
     local_refine,
     recover_expr,
 )
-from strategies import any_double, finite_double, function_defs
+from strategies import any_double, block_pairs, finite_double, function_defs
 from test_error_model import loop_float_path
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
@@ -479,29 +479,6 @@ def test_compiled_check_matches_reference_on_special_values():
             assert_compiled_matches_reference(checker, xs)
 
 
-@st.composite
-def block_pairs(draw):
-    """Two random blocks over the same parameters, with a random alignment.
-
-    The fresh sets and pairs draw from the ids the blocks may bind plus one
-    they never do, so pairs can miss and leftovers can differ in ids or bits.
-    """
-    n = draw(st.integers(min_value=0, max_value=3))
-    opt = draw(function_defs(n_params=n, allow_fsub=True))
-    orig = draw(function_defs(n_params=n, allow_fsub=True))
-    ids = [anon(k) for k in range(n + 1, n + 7)]
-    fresh_opt = draw(st.frozensets(st.sampled_from(ids)))
-    fresh_orig = draw(st.frozensets(st.sampled_from(ids)))
-    pairs = ()
-    if fresh_opt and fresh_orig:
-        pairs = tuple(draw(st.lists(
-            st.tuples(st.sampled_from(sorted(fresh_opt, key=str)),
-                      st.sampled_from(sorted(fresh_orig, key=str))),
-            max_size=2,
-        )))
-    return opt, orig, AlignmentSpec(pairs, fresh_opt, fresh_orig)
-
-
 @settings(max_examples=300)
 @given(block_pairs(), st.sampled_from(CONFIGS), st.data())
 def test_compiled_check_matches_reference_random_pairs(pair, cfg, data):
@@ -509,6 +486,41 @@ def test_compiled_check_matches_reference_random_pairs(pair, cfg, data):
     checker = EquivChecker(orig, opt, align, cfg)
     assert (checker.compiled is None) == (checker.static_unsupported is not None)
     assert_compiled_matches_reference(checker, tuple(data.draw(any_double) for _ in opt.params))
+
+
+class SubFloat(float):
+    pass
+
+
+def outcome(f, args):
+    """f(args) as a comparable value: the verdict, or the type and text of what it raised."""
+    try:
+        return f(args)
+    except Exception as e:  # the reference path's own error for an input it cannot denote
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("args", [
+    (1, 2.0, 3.0), (1.0, 2.0, 3), (True, 2.0, 3.0), (1.0, False, 3.0),
+    (SubFloat(1.5), 2.0, 3.0), (1.5, 2.0, SubFloat(-3.0)), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (),
+    (Double(1.5), 2.0, 3.0), (1.5, Poison(), 3.0),
+], ids=repr)
+def test_check_routes_all_but_floats_to_the_reference(args, monkeypatch):
+    runs = []
+    monkeypatch.setattr(refinement, "interp_cfg2", lambda *a: runs.append(a) or interp_cfg2(*a))
+    for opt, orig, align in CANONICAL_CASES:
+        checker = EquivChecker(orig, opt, align)
+        assert checker.compiled is not None
+        runs.clear()
+        got = outcome(checker.check, args)
+        assert runs, "check denoted nothing: the tuple took the generated path"
+        assert got == outcome(checker.check_reference, args)
+        # the same values as floats take the generated path, which leaves all but a pass to the reference
+        runs.clear()
+        passed = checker.check((1.5, 2.0, 3.0)).status is Status.PASS
+        assert passed == (runs == [])
+        if orig is NON_FMA_FN and align is ALIGN:
+            assert passed
 
 
 @given(block_pairs())
