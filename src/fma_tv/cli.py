@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -122,29 +123,21 @@ def corpus_tuples(n_params: int) -> list[tuple[float, ...]]:
 
 
 def sample_tuple(rng: random.Random, n_params: int, cfg: SamplerConfig) -> tuple[float, ...]:
-    """One pseudo-random input tuple: uniform sign, exponent, 52-bit mantissa.
-
-    The exponent is `rng.randint`'s draw inlined (`getrandbits` with rejection)."""
-    bits = rng.getrandbits
-    width = cfg.exp_max - cfg.exp_min + 1
-    k = width.bit_length()
-    out = []
-    for _ in range(n_params):
-        sign = -1.0 if bits(1) else 1.0
-        e = bits(k)
-        while e >= width:
-            e = bits(k)
-        out.append(sign * math.ldexp(1.0 + math.ldexp(bits(52), -52), cfg.exp_min + e))
-    return tuple(out)
+    """One pseudo-random input tuple: `compile_draw`'s draw, built once per parameter count and exponent range."""
+    return compile_draw(n_params, cfg)(rng)
 
 
 def compile_draw(n_params: int, cfg: SamplerConfig) -> Callable[[random.Random], tuple[float, ...]]:
-    """`sample_tuple` for `n_params` and `cfg`'s exponent range, unrolled into one function of `rng`.
+    """The sampler for `n_params` and `cfg`'s exponent range: one generated function of `rng`.
 
-    The same `getrandbits` calls in the same order and the same `ldexp`
-    arithmetic, so it draws the same tuples and leaves `rng` in the same
-    state; `sample_tuple` stays its reference."""
-    width = cfg.exp_max - cfg.exp_min + 1
+    Per parameter, `getrandbits(1)` for the sign, the exponent as `rng.randint` draws it
+    (`getrandbits(k)` with rejection) and `getrandbits(52)` for the mantissa, joined by `ldexp`."""
+    return _draw(n_params, cfg.exp_min, cfg.exp_max)
+
+
+@functools.lru_cache(maxsize=32)
+def _draw(n_params: int, exp_min: int, exp_max: int) -> Callable[[random.Random], tuple[float, ...]]:
+    width = exp_max - exp_min + 1
     k = width.bit_length()
     body = ["bits = rng.getrandbits"]
     for i in range(n_params):
@@ -153,7 +146,7 @@ def compile_draw(n_params: int, cfg: SamplerConfig) -> Callable[[random.Random],
             f"e = bits({k})",
             f"while e >= {width}:",
             f"    e = bits({k})",
-            f"x{i} = sign * ldexp(1.0 + ldexp(bits(52), -52), {cfg.exp_min} + e)",
+            f"x{i} = sign * ldexp(1.0 + ldexp(bits(52), -52), {exp_min} + e)",
         ]
     body.append(f"return ({''.join(f'x{i}, ' for i in range(n_params))})")
     return compile_function("draw", "rng", body, {"ldexp": math.ldexp})
@@ -369,7 +362,7 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
     counterexamples: list[dict] = []
     paper_examples: list[dict] = []
     paper_discrepancies = 0
-    n_pass = n_fail = n_unsupported = n_vacuous = n_poison = n_nonzero = 0
+    n_pass = n_vacuous = n_poison = n_nonzero = 0
     # the largest finite difference and where it was first seen: (index, args, verdict)
     worst_diff, worst = -1.0, None
     index = -1
@@ -381,7 +374,7 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
         corpus, map(compile_draw(n_params, sampler), itertools.repeat(rng, sampler.samples))
     )
     check = checker.check
-    PASS, FAIL, INF = Status.PASS, Status.FAIL, math.inf
+    PASS, INF = Status.PASS, math.inf
     for index, raw in enumerate(stream):
         v = check(raw)
         status, _, _, _, _, diff, _, _, _, _, poison, vacuous, _, disagrees = v
@@ -401,11 +394,7 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
             paper_discrepancies += 1
             if len(paper_examples) < _MAX_COUNTEREXAMPLES:
                 paper_examples.append({"index": index, **v.to_json()})
-        if status is not PASS:
-            if status is FAIL:
-                n_fail += 1
-            else:
-                n_unsupported += 1
+        if status is not PASS:  # every failing check is a counterexample
             counterexamples.append({"index": index, **v.to_json()})
             if len(counterexamples) == _MAX_COUNTEREXAMPLES:
                 stopped_early = True
@@ -425,9 +414,9 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
         }
     return Report(
         config,
-        verdict="fail" if n_fail else "unsupported" if n_unsupported else "pass",
+        verdict="fail" if counterexamples else "pass",
         samples_run={"random": total - n_corpus, "corpus": n_corpus, "total": total},
-        counts={"pass": n_pass, "fail": n_fail, "unsupported": n_unsupported,
+        counts={"pass": n_pass, "fail": len(counterexamples), "unsupported": 0,
                 "vacuous_pass": n_vacuous, "poison_pass": n_poison, "nonzero_diff": n_nonzero},
         max_observed_diff=None if worst is None else worst_diff,
         worst_sample=worst_sample,

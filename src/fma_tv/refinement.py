@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from ._bits import dual_of, same_bits
 from . import denotation
-from .denotation import EvalError, GlobalEnv, LocalEnv, interp_cfg2
+from .denotation import GlobalEnv, LocalEnv, interp_cfg2
 from .error_model import (
     Add,
     Const,
@@ -221,14 +221,8 @@ class Verdict(NamedTuple):
 # ---------------------------------------------------------------------------
 # Value and environment refinement
 
-# the Python float operator that is exactly each binary operation's `b64_*`
-_OPERATOR = {FBinopKind.FMUL: "*", FBinopKind.FADD: "+", FBinopKind.FSUB: "-"}
-
-
-def _compare(x_opt: float, x_orig: float) -> tuple[float, bool]:
-    """(|difference|, all-finite) of two defined doubles."""
-    diff = b64_sub(x_opt, x_orig)
-    return abs(diff), isfinite(x_opt) and isfinite(x_orig) and isfinite(diff)
+# each binary operation's Python float operator (exactly its `b64_*`) and error-model node, if any
+_FBINOP = {FBinopKind.FMUL: ("*", Mul), FBinopKind.FADD: ("+", Add), FBinopKind.FSUB: ("-", None)}
 
 
 def _classify(v_opt: Value | None, v_orig: Value | None):
@@ -236,7 +230,7 @@ def _classify(v_opt: Value | None, v_orig: Value | None):
 
     None: holds for any bound.  False: fails for any bound (a missing
     value, or poison against anything but poison).
-    Otherwise the (|difference|, all-finite) pair of `_compare`.
+    Otherwise the (|difference|, all-finite) pair of two defined doubles.
     """
     if v_opt is None or v_orig is None:
         return False
@@ -244,7 +238,8 @@ def _classify(v_opt: Value | None, v_orig: Value | None):
         return None
     if isinstance(v_opt, Poison) or isinstance(v_orig, Poison):
         return False
-    return _compare(v_opt.v, v_orig.v)
+    diff = b64_sub(v_opt.v, v_orig.v)
+    return abs(diff), isfinite(v_opt.v) and isfinite(v_orig.v) and isfinite(diff)
 
 
 def _all_hold(checks, bound: float, strict: bool) -> bool:
@@ -266,7 +261,7 @@ def _all_hold(checks, bound: float, strict: bool) -> bool:
     return True
 
 
-# `_all_hold` of one `_compare` result as source, over its |difference| `d` and the
+# `_all_hold` of one `_classify` pair as source, over its |difference| `d` and the
 # bound `b`: a finite difference has finite endpoints, so all-finite is `d < INF`
 _HOLDS_SOURCE = {False: "({d} <= {b} or not {d} < INF)", True: "({d} <= {b} and {d} < INF)"}
 
@@ -343,12 +338,9 @@ def recover_expr(f: FunctionDef) -> FpExpr:
     for instr in f.body.blk_code:
         if isinstance(instr, FBinop):
             if instr.fm_flags:
-                raise UnsupportedExprError(f"fast-math flags on {instr.dest}")
-            if instr.kind is FBinopKind.FMUL:
-                make = Mul
-            elif instr.kind is FBinopKind.FADD:
-                make = Add
-            else:
+                raise UnsupportedExprError(f"{WfKind.UNSUPPORTED_FLAGS.value}: {instr.dest}")
+            make = _FBINOP[instr.kind][1]
+            if make is None:
                 raise UnsupportedExprError(f"no error model for {instr.kind}")
             operands = (instr.lhs, instr.rhs)
         else:
@@ -380,7 +372,9 @@ class EquivChecker:
     parameter lists, wellformedness, alignment consistency, callee names,
     and availability of the requested bound.  Violations that make the pair
     fall outside the supported fragment surface as UNSUPPORTED verdicts;
-    violations that make the request itself ill-posed raise.  It also fixes
+    violations that make the request itself ill-posed raise.  Past them no
+    tuple of floats, `Double`s and poison makes the interpreter fail, so a
+    sample's verdict is PASS or FAIL.  It also fixes
     the bound plan: the compiled derived and published bounds (None where
     unavailable), which of them gates the verdict, and whether the
     published one audits the derived one.  A sample only evaluates them.
@@ -414,25 +408,21 @@ class EquivChecker:
         self.params = original.params
         alignment.validate_against(self.params)
 
-        unsupported: str | None = None
+        # a structural fault raises; the first flag in either block beats the first foreign call
+        flagged = foreign = None
         for f, tag in ((original, "original"), (optimized, "optimized")):
             try:
                 check_wellformed(f)
             except WellformednessError as e:
-                if e.kind is WfKind.UNSUPPORTED_FLAGS and unsupported is None:
-                    unsupported = f"{tag}: {e}"
-                elif e.kind is not WfKind.UNSUPPORTED_FLAGS:
+                if e.kind is not WfKind.UNSUPPORTED_FLAGS:
                     raise
-        if unsupported is None:
-            for f, tag in ((original, "original"), (optimized, "optimized")):
-                for instr in f.body.blk_code:
-                    if isinstance(instr, IntrinsicCall) and (
-                        instr.callee.text != FMULADD_F64 or len(instr.args) != 3
-                    ):
-                        unsupported = f"{tag}: unsupported call to {instr.callee}"
-                        break
-                if unsupported:
-                    break
+                flagged = flagged or f"{tag}: {e}"
+            for instr in f.body.blk_code:
+                if foreign is None and isinstance(instr, IntrinsicCall) and (
+                    instr.callee.text != FMULADD_F64 or len(instr.args) != 3
+                ):
+                    foreign = f"{tag}: unsupported call to {instr.callee}"
+        unsupported = flagged or foreign
 
         # the bound plan: each evaluator, or None where it is unavailable,
         # and which bound gates the verdict
@@ -518,7 +508,7 @@ class EquivChecker:
                 dest = f"{tag}{k}"
                 if isinstance(instr, FBinop):
                     lhs, rhs = operand(instr.lhs, k, 0), operand(instr.rhs, k, 1)
-                    body.append(f"{dest} = {lhs} {_OPERATOR[instr.kind]} {rhs}")
+                    body.append(f"{dest} = {lhs} {_FBINOP[instr.kind][0]} {rhs}")
                 else:
                     args = (operand(e, k, j) for j, e in enumerate(instr.args))
                     body.extend(fma_source(dest, *args, "fma_exact", ns))
@@ -568,17 +558,15 @@ class EquivChecker:
 
         Bare floats are boxed first.  Neither block reads or writes a
         global, so both runs end with `g` and only the locals and the
-        return are compared.
+        return are compared.  An argument of any other type raises the
+        interpreter's error where it is first read.
         """
         if self.static_unsupported is not None:
             return Verdict(Status.UNSUPPORTED, args, self.static_unsupported)
         # each bare float is the defined double of the same bits
         values = tuple(Double(a) if isinstance(a, float) else a for a in args)
-        try:
-            ms_orig, _ = interp_cfg2(self.original, g, l, values)
-            ms_opt, _ = interp_cfg2(self.optimized, g, l, values)
-        except EvalError as e:
-            return Verdict(Status.UNSUPPORTED, args, str(e))
+        ms_orig, _ = interp_cfg2(self.original, g, l, values)
+        ms_opt, _ = interp_cfg2(self.optimized, g, l, values)
 
         mags = tuple(abs(a.v) if isinstance(a, Double) else 0.0 for a in values)
         derived, paper = self._derived_eval, self._paper_eval

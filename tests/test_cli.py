@@ -434,6 +434,16 @@ def test_mismatched_variable_sets_get_one_reason(tmp_path):
     assert code == 1 and doc["unsupported_reason"] == f"no bound available: {reason}"
 
 
+def test_flagged_block_gets_one_reason(tmp_path):
+    # `bound` and `validate` name a fast-math flag with the same text
+    flagged = tmp_path / "flagged.ll"
+    flagged.write_text(Path(NON_FMA).read_text().replace("fmul double", "fmul fast double"))
+    reason = "fast-math flags present: %4"
+    assert run_cmd_bound(str(flagged), FMA, "a=1,b=1,c=1") == (2, "", f"error: {reason}\n")
+    code, doc, _ = run_validate(tmp_path, original=str(flagged), samples=5)
+    assert code == 1 and doc["unsupported_reason"] == f"original: {reason}"
+
+
 def test_bound_errors(tmp_path):
     unknown = tmp_path / "sqrt.ll"
     unknown.write_text(

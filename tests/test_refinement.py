@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fma_tv import denotation, refinement
 from fma_tv._bits import bits_of, float_from_hex
 from fma_tv.cli import SamplerConfig, corpus_tuples, sample_tuple, special_values
-from fma_tv.denotation import EvalError, GlobalEnv, LocalEnv, interp_cfg2
+from fma_tv.denotation import EvalError, GlobalEnv, IntrinsicError, LocalEnv, interp_cfg2
 from fma_tv.error_model import Add, Const, Fma, Mul, Var, derive_bound
 from fma_tv.fp_semantics import MAX_FINITE, MAX_SUBNORMAL, MIN_SUBNORMAL, Double, Poison, b64_fma
 from fma_tv.ir_core import GlobalId, LocalId, WellformednessError, parse_module
@@ -377,6 +377,16 @@ def test_checker_static_validation_is_input_independent():
     assert checker.static_unsupported is not None
     for args in (dbls(1.0, 1.0, 0.0), (Poison(), Poison(), Poison())):
         assert checker.check(args).status is Status.UNSUPPORTED
+
+
+@pytest.mark.parametrize("first", [1, True], ids=repr)
+def test_non_double_argument_read_by_fmuladd_raises(first):
+    """A supported pair gives no per-sample unsupported verdict: an `int` or `bool` raises the interpreter's error."""
+    checker = EquivChecker(FMA_FN, FMA_FN, identity_alignment())
+    assert checker.static_unsupported is None
+    for check in (checker.check, checker.check_reference):
+        with pytest.raises(IntrinsicError):
+            check((first, 2.0, 3.0))
 
 
 # ---------------------------------------------------------------------------
