@@ -22,7 +22,7 @@ import math
 import random
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -118,8 +118,12 @@ def special_values() -> tuple[float, ...]:
 
 def corpus_tuples(n_params: int) -> list[tuple[float, ...]]:
     """Cross product of the special corpus, capped at 10^4 combinations."""
-    product = itertools.product(special_values(), repeat=n_params)
-    return list(itertools.islice(product, _MAX_CORPUS_COMBINATIONS))
+    return list(_corpus(n_params))
+
+
+def _corpus(n_params: int) -> Iterator[tuple[float, ...]]:
+    """The corpus, drawn lazily: `validate` streams it rather than holding the list."""
+    return itertools.islice(itertools.product(special_values(), repeat=n_params), _MAX_CORPUS_COMBINATIONS)
 
 
 def sample_tuple(rng: random.Random, n_params: int, cfg: SamplerConfig) -> tuple[float, ...]:
@@ -131,7 +135,9 @@ def compile_draw(n_params: int, cfg: SamplerConfig) -> Callable[[random.Random],
     """The sampler for `n_params` and `cfg`'s exponent range: one generated function of `rng`.
 
     Per parameter, `getrandbits(1)` for the sign, the exponent as `rng.randint` draws it
-    (`getrandbits(k)` with rejection) and `getrandbits(52)` for the mantissa, joined by `ldexp`."""
+    (`getrandbits(k)` with rejection) and `getrandbits(52)` for the mantissa.  The
+    53-bit significand `2**52 + mantissa` is scaled by one `ldexp`, its only rounding
+    (in the subnormal range), and the sign applied after, as rounding to nearest is symmetric."""
     return _draw(n_params, cfg.exp_min, cfg.exp_max)
 
 
@@ -142,14 +148,15 @@ def _draw(n_params: int, exp_min: int, exp_max: int) -> Callable[[random.Random]
     body = ["bits = rng.getrandbits"]
     for i in range(n_params):
         body += [
-            "sign = -1.0 if bits(1) else 1.0",
+            f"s{i} = bits(1)",
             f"e = bits({k})",
             f"while e >= {width}:",
             f"    e = bits({k})",
-            f"x{i} = sign * ldexp(1.0 + ldexp(bits(52), -52), {exp_min} + e)",
+            f"x{i} = ldexp(bits(52) + TWO52, e + {exp_min - 52})",
+            f"if s{i}: x{i} = -x{i}",
         ]
     body.append(f"return ({''.join(f'x{i}, ' for i in range(n_params))})")
-    return compile_function("draw", "rng", body, {"ldexp": math.ldexp})
+    return compile_function("draw", "rng", body, {"ldexp": math.ldexp, "TWO52": 2.0**52})
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +375,9 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
     index = -1
     stopped_early = False
     n_params = len(checker.params)
-    corpus = corpus_tuples(n_params) if sampler.include_special_corpus else []
+    corpus, n_corpus = (), 0
+    if sampler.include_special_corpus:
+        corpus, n_corpus = _corpus(n_params), min(len(special_values()) ** n_params, _MAX_CORPUS_COMBINATIONS)
     rng = random.Random(sampler.seed)
     stream = itertools.chain(
         corpus, map(compile_draw(n_params, sampler), itertools.repeat(rng, sampler.samples))
@@ -401,7 +410,7 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
                 break
 
     total = index + 1
-    n_corpus = min(total, len(corpus))
+    n_corpus = min(total, n_corpus)
     worst_sample = None
     if worst is not None:
         worst_index, worst_args, worst_v = worst

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .fp_semantics import MAX_FINITE, MIN_NORMAL, Binary64, _round_dyadic, compile_function, is_finite, round_rational_up
+from .fp_semantics import MAX_FINITE, MIN_NORMAL, Binary64, compile_function, is_finite, round_rational_up, round_source
 from ._bits import bits_of
 
 DEFAULT_DELTA = Fraction(1, 2**53)
@@ -359,6 +359,14 @@ _EVAL_REL_SLACK = 1.0 + 2.0**-40
 _EVAL_ABS_SLACK = 2.0**-1050
 # operands per generated statement, which keeps the compiler's recursion shallow
 _CHUNK = 32
+# exact-path results kept per compiled bound, keyed by the magnitude tuple.
+# A bound reads magnitudes only, and the special corpus's 16 values are 8
+# magnitudes of both signs: while only MAX_FINITE is over the limit, the
+# capped corpus reaches at most 229 distinct exact-path tuples per bound
+# (169 at three parameters), so 512 keeps them all with room to spare,
+# while capping what random traffic that never repeats can fill (a 3-tuple
+# entry is about 250 bytes)
+_EXACT_MEMO = 512
 
 
 def _fold(target: str, op: str, items: list[str]) -> list[str]:
@@ -383,7 +391,8 @@ class CompiledBound:
     absolute slack, are routed to an exact rational evaluation instead, as
     are inf and nan.
     The routing and the float path are generated once, by `source`, and
-    the exact path by `_compile_exact`.
+    the exact path by `_compile_exact`, behind a memo of the last
+    `_EXACT_MEMO` magnitude tuples.
     """
 
     __slots__ = ("_parts", "_rel_slack", "_mag_limit", "_eval", "_exact")
@@ -433,14 +442,13 @@ class CompiledBound:
             # absolute slack
             self._mag_limit = min(self._mag_limit, 2.0 ** ((20 - count_exp) // tiny_degree))
         ns: dict = {}
-        n_read = 1 + max((i for mons in parts for _, idxs in mons for i in idxs), default=-1)
         body = [*(f"m{i} = mags[{i}]" for i in range(nvars)), *self.source("b", "c", nvars, ns), "return b"]
         self._eval = compile_function("bound", "mags", body, ns)
-        self._exact = _compile_exact(exact_parts, n_read)
+        self._exact = functools.lru_cache(maxsize=_EXACT_MEMO)(_compile_exact(exact_parts, nvars))
 
     def _eval_exact(self, mags: tuple[float, ...]) -> float:
-        """The bound at these magnitudes in exact arithmetic, rounded up once (see `_compile_exact`)."""
-        return self._exact(mags)
+        """The bound at these magnitudes in exact arithmetic, rounded up once (see `_compile_exact`), memoised."""
+        return self._exact(*mags)
 
     def source(self, out: str, tag: str, nvars: int, ns: dict) -> list[str]:
         """Statements setting `out` to this bound at magnitudes `m0` ... `m{nvars-1}`.
@@ -474,38 +482,45 @@ class CompiledBound:
         return self._eval(mags)
 
 
-def _compile_exact(parts, n_read: int) -> Callable:
-    """The bound at magnitudes `mags` exactly, rounded up, as generated code: inf if any magnitude is inf or nan.
+def _compile_exact(parts, nvars: int) -> Callable:
+    """The bound at magnitudes `m0` ... `m{nvars-1}` exactly, rounded up, as generated code.
 
-    `parts` holds, per part, each monomial as (coefficient numerator, its
+    Any magnitude that is inf or nan, read or not, gives inf.  `parts`
+    holds, per part, each monomial as (coefficient numerator, its
     power-of-two exponent, variable indices).  Every value is an integer
-    times a power of two: magnitude i is `n{i} * 2**e{i}`, monomial j of
-    part k is `N{k}_{j} * 2**E{k}_{j}` (the integers multiplied, the
-    exponents added), and each part sums its monomials as integers shifted
-    to the least exponent `low`; the largest part is rounded up once.
+    times a power of two: magnitude i is `n{i} * 2**(e{i} - 53)`, monomial j
+    of part k is `N{k}_{j} * 2**E{k}_{j}` (the integers multiplied, the
+    exponents added; coefficients are literals), and each part sums its
+    monomials as integers shifted to the least exponent `low`; the largest
+    part is rounded up once, by `round_source` inlined.
     """
-    ns = {"isfinite": math.isfinite, "INF": math.inf, "round_dyadic": _round_dyadic, "frexp": math.frexp,
-          "SIG": 2.0**53}
-    lines = ["if not all(map(isfinite, mags)):", "    return INF"]
+    ns = {"INF": math.inf, "frexp": math.frexp}
+    # nan < INF is false, so nan gives inf too
+    lines = [f"if not ({' and '.join(f'm{i} < INF' for i in range(nvars))}):", "    return INF"] if nvars else []
     # m * 2**53 is an integer for the frexp significand m of a double, as in `_fma_exact`
-    lines += [line for i in range(n_read) for line in (
-        f"n{i}, e{i} = frexp(mags[{i}])", f"n{i}, e{i} = int(n{i} * SIG), e{i} - 53")]
-    # `low` need only be at most every exponent, so 0 may start the minimum
-    # (and the bound of no monomials is 0)
-    lines.append("low = best = 0")
+    read = sorted({i for mons in parts for _, _, idxs in mons for i in idxs})
+    lines += [f"n{i}, e{i} = frexp(m{i})" for i in read]
+    lines += [f"n{i} = int(n{i} * {2.0**53!r})" for i in read]
+    # `low` need only be at most every exponent, so 0 and the constant
+    # monomials' exponents start the minimum (and the bound of no monomials is 0)
+    lines.append(f"low = {min([0, *(exp for mons in parts for _, exp, idxs in mons if not idxs)])}")
     sums = []
     for k, mons in enumerate(parts):
         terms = []
         for j, (num, exp, idxs) in enumerate(mons):
-            ns[f"K{k}_{j}"], ns[f"X{k}_{j}"] = num, exp
-            lines += _fold(f"N{k}_{j}", "*", [f"K{k}_{j}", *(f"n{i}" for i in idxs)])
-            lines += _fold(f"E{k}_{j}", "+", [f"X{k}_{j}", *(f"e{i}" for i in idxs)])
+            if not idxs:
+                terms.append(f"({num} << {exp} - low)")
+                continue
+            lines += _fold(f"N{k}_{j}", "*", [str(num), *(f"n{i}" for i in idxs)])
+            lines += _fold(f"E{k}_{j}", "+", [str(exp - 53 * len(idxs)), *(f"e{i}" for i in idxs)])
             lines.append(f"if E{k}_{j} < low: low = E{k}_{j}")
             terms.append(f"(N{k}_{j} << E{k}_{j} - low)")
-        sums.append(terms)
-    for terms in sums:
-        lines += [*_fold("t", "+", terms or ["0"]), "if t > best: best = t"]
-    return compile_function("exact", "mags", [*lines, "return round_dyadic(best, low, False)"], ns)
+        sums.append(terms or ["0"])
+    lines += _fold("best", "+", sums[0])
+    for terms in sums[1:]:
+        lines += [*_fold("t", "+", terms), "if t > best: best = t"]
+    lines += [*round_source("r", "best", "low", False, ns, signed=False), "return r"]
+    return compile_function("exact", "".join(f"m{i}, " for i in range(nvars)), lines, ns)
 
 
 def _poly_propagation(nvars: int, var_index: Mapping[str, int], params: ErrorModelParams, prefix: str) -> _Propagation:

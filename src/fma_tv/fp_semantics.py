@@ -11,11 +11,12 @@ hold, and otherwise `_fma_exact`, exact shifted-integer arithmetic.  Every
 NaN it returns is the canonical quiet NaN 0x7FF8000000000000, whatever the
 operands' payloads.
 
-`_round_dyadic` is the one rounding routine: it rounds an integer times a
-power of two to binary64 by shift and mask, to nearest or toward +infinity,
-with gradual underflow and IEEE overflow semantics.  `round_rational_up`
-serves it a dyadic rational, for a computed value that must never
-under-approximate a real one.  The independent reference for both roundings
+`round_source` is the one rounding routine: statements that round an
+integer times a power of two to binary64 by shift and mask, to nearest or
+toward +infinity, with gradual underflow and IEEE overflow semantics.
+`_round_dyadic` is compiled from it, and the exact path of a compiled error
+bound inlines it.  `round_rational_up` serves `_round_dyadic` a dyadic
+rational, for a computed value that must never under-approximate a real one.  The independent reference for both roundings
 is the oracle in `tests/oracles.py`, which imports nothing from here.
 """
 
@@ -47,40 +48,72 @@ def is_finite(x: Binary64) -> bool:
     return math.isfinite(x)
 
 
+def compile_function(name: str, params: str, body: list[str], ns: dict) -> Callable:
+    """`def name(params):` over the statements `body`, with every value it reads bound in `ns`."""
+    src = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(src, f"<fma_tv {name}>", "exec"), ns)
+    return ns[name]
+
+
 # ---------------------------------------------------------------------------
 # Rounding
 
 
-def _round_dyadic(n: int, e: int, to_nearest: bool) -> Binary64:
-    """Round n * 2**e to binary64.
+def round_source(out: str, n: str, e: str, to_nearest: bool, ns: dict, signed: bool = True) -> list[str]:
+    """Statements setting `out` to the integer `n` times 2 to the integer `e`, rounded to binary64.
 
-    `to_nearest` selects round-to-nearest-even; otherwise rounds toward
-    +infinity.  Shift and mask only: the significand keeps 53 bits, or fewer
-    where that would take its last bit below the least subnormal.
+    The one definition of the rounding, which `_round_dyadic` runs and the
+    compiled exact bound inlines: to nearest, ties to even, if `to_nearest`,
+    else toward +infinity.  Shift and mask only: the significand keeps 53
+    bits, or fewer where that would take its last bit below the least
+    subnormal.  Unless `signed`, `n` must be non-negative and the sign
+    tests are left out.  `n` and `e` are only read; temporaries are named
+    `r_*` and the constants are bound in `ns`.
     """
-    if n == 0:
-        return 0.0
-    m = -n if n < 0 else n
-    s = m.bit_length() - _SIG_BITS
-    if s < _EMIN - e:
-        s = _EMIN - e
-    if s > 0:
-        q = m >> s
-        if to_nearest:
-            half = 1 << (s - 1)
-            if m & half and (q & 1 or m & (half - 1)):
-                q += 1
-        elif n > 0 and q << s != m:
-            q += 1
-        m, e = q, e + s
-    # m <= 2**53 and e >= _EMIN, so m * 2**e is a binary64 unless it reaches
-    # 2**1024; zero keeps the sign
-    if m.bit_length() + e > _EMAX + _SIG_BITS:
-        if to_nearest or n > 0:
-            return POS_INF if n > 0 else NEG_INF
-        return -MAX_FINITE
-    x = math.ldexp(m, e)
-    return x if n > 0 else -x
+    ns.update({"ldexp": math.ldexp, "INF": POS_INF, "NEG_INF": NEG_INF, "MAX_FINITE": MAX_FINITE})
+    if to_nearest:
+        round_off = [
+            "        r_q = r_m >> r_s",
+            "        r_h = 1 << (r_s - 1)",
+            "        if r_m & r_h and (r_q & 1 or r_m & (r_h - 1)):",
+            "            r_q += 1",
+        ]
+    else:
+        # a ceiling on the magnitude of a positive n, a floor on that of a negative one
+        round_off = [f"        r_q = -(-r_m >> r_s){f' if {n} > 0 else r_m >> r_s' if signed else ''}"]
+    if signed:
+        overflow = f"INF if {n} > 0 else {'NEG_INF' if to_nearest else '-MAX_FINITE'}"
+        finite = [f"    elif {n} > 0:", f"        {out} = ldexp(r_m, r_e)", "    else:", f"        {out} = -ldexp(r_m, r_e)"]
+    else:
+        overflow, finite = "INF", ["    else:", f"        {out} = ldexp(r_m, r_e)"]
+    return [
+        f"if {n} == 0:",
+        f"    {out} = 0.0",
+        "else:",
+        f"    r_m, r_e = {f'-{n} if {n} < 0 else {n}' if signed else n}, {e}",
+        f"    r_s = r_m.bit_length() - {_SIG_BITS}",
+        f"    if r_s < {_EMIN} - r_e:",
+        f"        r_s = {_EMIN} - r_e",
+        "    if r_s > 0:",
+        *round_off,
+        "        r_m, r_e = r_q, r_e + r_s",
+        # r_m <= 2**53 and r_e >= _EMIN, so r_m * 2**r_e is a binary64 unless
+        # it reaches 2**1024; zero keeps the sign
+        f"    if r_m.bit_length() + r_e > {_EMAX + _SIG_BITS}:",
+        f"        {out} = {overflow}",
+        *finite,
+    ]
+
+
+_ROUND_NS: dict = {}
+_round_dyadic = compile_function("_round_dyadic", "n, e, to_nearest", [
+    "if to_nearest:",
+    *(f"    {line}" for line in round_source("x", "n", "e", True, _ROUND_NS)),
+    "else:",
+    *(f"    {line}" for line in round_source("x", "n", "e", False, _ROUND_NS)),
+    "return x",
+], _ROUND_NS)
+_round_dyadic.__doc__ = "Round n * 2**e to binary64, to nearest even or toward +infinity (see `round_source`)."
 
 
 def round_rational_up(q: Fraction | int) -> Binary64:
@@ -144,13 +177,6 @@ def _fma_exact(a: Binary64, b: Binary64, c: Binary64) -> Binary64:
             return -0.0 if psign and _signbit(c) else 0.0
         return 0.0
     return _round_dyadic(n, low, True)
-
-
-def compile_function(name: str, params: str, body: list[str], ns: dict) -> Callable:
-    """`def name(params):` over the statements `body`, with every value it reads bound in `ns`."""
-    src = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
-    exec(compile(src, f"<fma_tv {name}>", "exec"), ns)
-    return ns[name]
 
 
 # Guards of the error-free transform: Veltkamp's split of a factor under

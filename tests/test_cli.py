@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,6 +57,7 @@ from fma_tv.refinement import (
 )
 from fma_tv._bits import dual_of, hex_of
 from strategies import block_pairs, function_defs
+from test_refinement import dot_blocks
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
 BENCH = TESTDATA.parent / "bench"
@@ -758,6 +760,70 @@ def test_validate_matches_a_reference_loop_at_the_caps(cfg, corpus):
     # strict mode stops the permuted pair at the corpus's first overflow
     if cfg == RefinementConfig():
         assert len(reports[1].paper_formula_examples) == 16 < reports[1].paper_formula_discrepancies
+
+
+# validate streams the corpus: the same counts as the list, and less memory
+
+ONE_PARAM = parse_module("define double @f(double %0) {\n  %2 = fadd double %0, %0\n  ret double %2\n}\n")[0]
+CORPUS_CASES = {  # parameter count: (optimized, original, alignment)
+    1: (ONE_PARAM, ONE_PARAM, AlignmentSpec()),
+    3: CANONICAL_PAIR,
+    4: dot_blocks(2),
+    16: dot_blocks(8),
+}
+
+
+@pytest.mark.parametrize("n", CORPUS_CASES)
+def test_streamed_corpus_counts_as_the_list(n):
+    opt, orig, align = CORPUS_CASES[n]
+    checker = EquivChecker(orig, opt, align)
+    report = validate(checker, SamplerConfig(samples=3, seed=2), {})
+    assert report.samples_run == {"random": 3, "corpus": len(corpus_tuples(n)), "total": len(corpus_tuples(n)) + 3}
+    assert len(corpus_tuples(n)) == min(16**n, 10_000)
+
+
+def test_streamed_corpus_counts_a_run_stopped_inside_it():
+    fma, _, align = CANONICAL_PAIR
+    checker = EquivChecker(FSUB_ORIGINAL, fma, align)
+    sampler = SamplerConfig(samples=50, seed=2)
+    report = validate(checker, sampler, {})
+    assert report.stopped_early
+    total = report.counterexamples[-1]["index"] + 1
+    assert report.samples_run == {"random": 0, "corpus": total, "total": total} == reference_report(
+        checker, sampler, {}).samples_run
+    assert total < len(corpus_tuples(3))
+
+
+def test_validate_holds_no_corpus_list():
+    # the 10^4 16-tuples of the dot8 corpus as a list take about 1.6 MB; the
+    # peak here, the exact-path memo included, is about 0.4 MB
+    opt, orig, align = CORPUS_CASES[16]
+    checker = EquivChecker(orig, opt, align)
+    tracemalloc.start()
+    try:
+        validate(checker, SamplerConfig(samples=1, seed=2), {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+# each distinct exact-path magnitude tuple of the corpus is computed once per bound
+
+
+@pytest.mark.parametrize("case, per_bound", [("canonical", [169, 169]), ("dot8", [229])])
+def test_validate_computes_each_exact_path_tuple_once(case, per_bound):
+    opt, orig, align = CANONICAL_PAIR if case == "canonical" else CORPUS_CASES[16]
+    checker = EquivChecker(orig, opt, align)
+    bounds = [b for b in (checker._derived_eval, checker._paper_eval) if b is not None]
+    for bound in bounds:
+        bound._exact.cache_clear()  # the published bound is compiled once per process
+    validate(checker, SamplerConfig(samples=1, seed=0), {})
+    infos = [bound._exact.cache_info() for bound in bounds]
+    assert [info.misses for info in infos] == per_bound
+    if case == "canonical":
+        # every corpus tuple with a MAX_FINITE magnitude takes the exact path, and reaches the memo
+        assert [info.hits + info.misses for info in infos] == [16**3 - 14**3] * 2
 
 
 @pytest.mark.parametrize("report", ["", "missing/report.json"], ids=["directory", "missing-parent"])

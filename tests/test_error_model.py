@@ -28,6 +28,7 @@ from fma_tv.error_model import (
     expr_variables,
     fma_roles,
     _EVAL_ABS_SLACK,
+    _EXACT_MEMO,
     _Poly,
     _derived_polys,
     _paper_formula,
@@ -471,6 +472,57 @@ def test_generated_exact_path_is_inf_for_non_finite_magnitudes(bound, n):
                 assert bound._eval_exact(mags) == math.inf, mags
                 # every magnitude routes, read or not
                 assert bound(mags) == math.inf, mags
+
+
+# the exact path's memo: bounded, and a repeated key gives what a fresh evaluator computes
+
+
+def test_exact_memo_is_bounded():
+    bound = compile_derived_bound(ORIG, OPT, ("a", "b", "c"))
+    rng = random.Random(20)
+    for _ in range(5000):
+        bound._eval_exact(tuple(math.ldexp(rng.getrandbits(53) | 1 << 52, rng.randint(-1126, 971)) for _ in range(3)))
+    info = bound._exact.cache_info()
+    assert info.misses == 5000
+    assert info.currsize <= _EXACT_MEMO == 512
+
+
+MEMO_CASES = {  # name: (polynomials, magnitude count)
+    "canonical-derived": (_derived_polys(ORIG, OPT, ("a", "b", "c"), DEFAULT_PARAMS), 3),
+    "canonical-derived-unread": (_derived_polys(ORIG, OPT, ("a", "b", "c", "unread"), DEFAULT_PARAMS), 4),
+    "paper": (paper_polys(), 3),
+    "dot16": (_derived_polys(*DOT16, DEFAULT_PARAMS), 16),
+}
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_exact_memo_repeats_the_fresh_bits(case):
+    polys, n = MEMO_CASES[case]
+    rng = random.Random(21)
+    keys = [(MAX_FINITE,) * n, (0.0,) * (n - 1) + (MAX_FINITE,), (MIN_SUBNORMAL,) * (n - 1) + (MAX_FINITE,)]
+    keys += [tuple(math.ldexp(rng.getrandbits(53) | 1 << 52, rng.randint(-1126, 971)) for _ in range(n))
+             for _ in range(4)]
+    # inf and nan in every position, the unread fourth magnitude of the unread case included
+    bad = [(1.0,) * i + (x,) + (MAX_FINITE,) * (n - 1 - i) for x in (math.inf, math.nan) for i in range(n)]
+    memo = CompiledBound(polys, n)
+    for ms in keys + bad:
+        want = fraction_bound(polys, ms) if all(map(math.isfinite, ms)) else math.inf
+        for _ in range(2):
+            assert bits_of(memo._eval_exact(ms)) == bits_of(want), ms
+        assert bits_of(CompiledBound(polys, n)._eval_exact(ms)) == bits_of(want), ms
+    info = memo._exact.cache_info()
+    assert (info.misses, info.hits) == (len(keys + bad), len(keys + bad))
+    # an equal key, not the same tuple, hits as well, and a repeat of a new nan object still gives inf
+    assert bits_of(memo._eval_exact(tuple(list(keys[0])))) == bits_of(fraction_bound(polys, keys[0]))
+    assert memo._eval_exact((float("nan"),) + (1.0,) * (n - 1)) == math.inf
+    assert memo._exact.cache_info().hits == len(keys + bad) + 1
+
+
+def test_exact_memo_paper_bound_repeats_round_rational_up():
+    bound = compile_paper_bound()
+    for ms in ((MAX_FINITE, 1.0, 3.0), (2.0**1023, 2.0**1023, 2.0**1023), (MIN_SUBNORMAL, MAX_FINITE, 0.0)):
+        want = round_rational_up(epsilon_fma_paper(*ms))
+        assert bits_of(bound._eval_exact(ms)) == bits_of(bound._eval_exact(ms)) == bits_of(want)
 
 
 def test_fma_roles_modulo_commutativity():
