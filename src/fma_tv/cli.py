@@ -340,12 +340,11 @@ def cmd_validate(
             out.write(report.render())
             return report.exit_code
         report_file.write(report.render())
-    summary = (
-        f"{report.verdict.upper()}: {report.samples_run['total']} checks, "
-        f"{report.counts['fail']} failures, {report.counts['unsupported']} unsupported; "
-        f"report written to {report_path}"
+    summary = report.unsupported_reason or (
+        f"{report.samples_run['total']} checks, "
+        f"{report.counts['fail']} failures, {report.counts['unsupported']} unsupported"
     )
-    print(summary, file=out)
+    print(f"{report.verdict.upper()}: {summary}; report written to {report_path}", file=out)
     return report.exit_code
 
 
@@ -369,11 +368,10 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
     counterexamples: list[dict] = []
     paper_examples: list[dict] = []
     paper_discrepancies = 0
-    n_pass = n_vacuous = n_poison = n_nonzero = 0
-    # the largest finite difference and where it was first seen: (index, args, verdict)
+    n_vacuous = n_nonzero = 0
+    # the largest finite difference and where it was first seen: (index, verdict)
     worst_diff, worst = -1.0, None
     index = -1
-    stopped_early = False
     n_params = len(checker.params)
     corpus, n_corpus = (), 0
     if sampler.include_special_corpus:
@@ -386,19 +384,15 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
     PASS, INF = Status.PASS, math.inf
     for index, raw in enumerate(stream):
         v = check(raw)
-        status, _, _, _, _, diff, _, _, _, _, poison, vacuous, _, disagrees = v
-        if status is PASS:
-            n_pass += 1
-            if vacuous:
-                n_vacuous += 1
-            if poison:
-                n_poison += 1
+        status, _, _, _, _, diff, _, _, _, _, vacuous, _, disagrees = v
+        if vacuous and status is PASS:
+            n_vacuous += 1
         # a difference is never negative, so under INF means finite
         if diff is not None and diff < INF:
             if diff > 0.0:
                 n_nonzero += 1
             if diff > worst_diff:
-                worst_diff, worst = diff, (index, raw, v)
+                worst_diff, worst = diff, (index, v)
         if disagrees:
             paper_discrepancies += 1
             if len(paper_examples) < _MAX_COUNTEREXAMPLES:
@@ -406,17 +400,18 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
         if status is not PASS:  # every failing check is a counterexample
             counterexamples.append({"index": index, **v.to_json()})
             if len(counterexamples) == _MAX_COUNTEREXAMPLES:
-                stopped_early = True
                 break
 
+    # past a static unsupported reason every check passes or fails, and a
+    # float-only stream cannot make a block return poison
     total = index + 1
     n_corpus = min(total, n_corpus)
     worst_sample = None
     if worst is not None:
-        worst_index, worst_args, worst_v = worst
+        worst_index, worst_v = worst
         worst_sample = {
             "index": worst_index,
-            "args": [dual_of(x) for x in worst_args],
+            "args": [dual_of(x) for x in worst_v.args],
             "observed_diff": dual_of(worst_diff),
             "bound_derived": dual_of(worst_v.bound_derived),
             "bound_paper": dual_of(worst_v.bound_paper),
@@ -425,14 +420,14 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
         config,
         verdict="fail" if counterexamples else "pass",
         samples_run={"random": total - n_corpus, "corpus": n_corpus, "total": total},
-        counts={"pass": n_pass, "fail": len(counterexamples), "unsupported": 0,
-                "vacuous_pass": n_vacuous, "poison_pass": n_poison, "nonzero_diff": n_nonzero},
+        counts={"pass": total - len(counterexamples), "fail": len(counterexamples), "unsupported": 0,
+                "vacuous_pass": n_vacuous, "poison_pass": 0, "nonzero_diff": n_nonzero},
         max_observed_diff=None if worst is None else worst_diff,
         worst_sample=worst_sample,
         paper_formula_discrepancies=paper_discrepancies,
         paper_formula_examples=paper_examples,
         counterexamples=counterexamples,
-        stopped_early=stopped_early,
+        stopped_early=len(counterexamples) == _MAX_COUNTEREXAMPLES,
     )
 
 

@@ -177,7 +177,6 @@ class _Propagation:
         self.prefix = prefix
         self.zero = lift(Fraction(0))
         self.lift = lift
-        self.counter = 0
         # (label, error after the operation, error of its operands)
         self.terms: list[tuple[str, object, object]] = []
 
@@ -185,8 +184,7 @@ class _Propagation:
         # One rounding on a value of magnitude <= mag + pre, where pre bounds
         # the accumulated distance from the exact result.
         err = pre + self.delta * (mag + pre) + self.eta
-        self.terms.append((f"{self.prefix}:{opname}[{self.counter}]", err, child_err))
-        self.counter += 1
+        self.terms.append((f"{self.prefix}:{opname}[{len(self.terms)}]", err, child_err))
         return err
 
     def walk(self, e: FpExpr):
@@ -395,9 +393,10 @@ class CompiledBound:
     `_EXACT_MEMO` magnitude tuples.
     """
 
-    __slots__ = ("_parts", "_rel_slack", "_mag_limit", "_eval", "_exact")
+    __slots__ = ("_nvars", "_parts", "_rel_slack", "_mag_limit", "_eval", "_exact")
 
     def __init__(self, polys: tuple[_Poly, ...], nvars: int):
+        self._nvars = nvars
         parts = []
         exact_parts = []
         n_ops = 0
@@ -442,7 +441,7 @@ class CompiledBound:
             # absolute slack
             self._mag_limit = min(self._mag_limit, 2.0 ** ((20 - count_exp) // tiny_degree))
         ns: dict = {}
-        body = [*(f"m{i} = mags[{i}]" for i in range(nvars)), *self.source("b", "c", nvars, ns), "return b"]
+        body = [*(f"m{i} = mags[{i}]" for i in range(nvars)), *self.source("b", "c", ns), "return b"]
         self._eval = compile_function("bound", "mags", body, ns)
         self._exact = functools.lru_cache(maxsize=_EXACT_MEMO)(_compile_exact(exact_parts, nvars))
 
@@ -450,8 +449,8 @@ class CompiledBound:
         """The bound at these magnitudes in exact arithmetic, rounded up once (see `_compile_exact`), memoised."""
         return self._exact(*mags)
 
-    def source(self, out: str, tag: str, nvars: int, ns: dict) -> list[str]:
-        """Statements setting `out` to this bound at magnitudes `m0` ... `m{nvars-1}`.
+    def source(self, out: str, tag: str, ns: dict) -> list[str]:
+        """Statements setting `out` to this bound at magnitudes `m0` ... `m{nvars-1}`, `nvars` as built.
 
         The one definition of the bound's routing, which `__call__` runs and
         the refinement checker inlines: any magnitude not at most the limit,
@@ -474,6 +473,7 @@ class CompiledBound:
                 lines += _fold(f"u{j}", "*", [*(f"g{i}" for i in idxs), f"{tag}{k}_{j}", *(f"s{i}" for i in idxs)])
             lines += [*_fold("t", "+", ["0.0", *(f"u{j}" for j in range(len(mons)))]), f"if t > {out}: {out} = t"]
         lines.append(f"{out} = {out} * {tag}rel + {tag}abs")
+        nvars = self._nvars
         within = " and ".join(f"m{i} <= {tag}lim" for i in range(nvars)) or "True"
         mags = "".join(f"m{i}, " for i in range(nvars))
         return [f"if {within}:", *(f"    {line}" for line in lines), "else:", f"    {out} = {tag}exact(({mags}))"]

@@ -97,11 +97,6 @@ class LocalRef:
 Expr = DoubleLit | LocalRef
 
 
-def expr_refs(e: Expr) -> tuple[LocalId, ...]:
-    """Local identifiers read by an operand expression."""
-    return (e.id,) if isinstance(e, LocalRef) else ()
-
-
 class FBinopKind(enum.Enum):
     FMUL = "fmul"
     FADD = "fadd"
@@ -496,14 +491,13 @@ def check_wellformed(f: FunctionDef) -> None:
         else:
             operands = instr.args
         for op in operands:
-            for ref in expr_refs(op):
-                if ref not in defined:
-                    raise WellformednessError(WfKind.UNDEFINED_LOCAL, str(ref))
+            if isinstance(op, LocalRef) and op.id not in defined:
+                raise WellformednessError(WfKind.UNDEFINED_LOCAL, str(op.id))
         if instr.dest in defined:
             raise WellformednessError(WfKind.DUPLICATE_DEST, str(instr.dest))
         defined.add(instr.dest)
-    for ref in expr_refs(f.body.blk_term.value):
-        if ref not in defined:
-            raise WellformednessError(WfKind.UNDEFINED_LOCAL, str(ref))
+    ret = f.body.blk_term.value
+    if isinstance(ret, LocalRef) and ret.id not in defined:
+        raise WellformednessError(WfKind.UNDEFINED_LOCAL, str(ret.id))
     if flagged is not None:
         raise WellformednessError(WfKind.UNSUPPORTED_FLAGS, str(flagged))

@@ -178,7 +178,8 @@ class Verdict(NamedTuple):
     """The outcome of one check, with everything a report needs to reproduce or explain it.
 
     `args` is the input tuple as the caller passed it: a bare float there is
-    the defined double of the same bits, and renders like one.
+    the defined double of the same bits, and renders like one.  `bound_used`
+    is the bound that gated the verdict, computed from `bound_source_used`.
     """
 
     status: Status
@@ -187,7 +188,6 @@ class Verdict(NamedTuple):
     failed_clause: str | None = None
     failed_ids: tuple[str, ...] = ()
     observed_diff: float | None = None
-    bound_used: float | None = None
     bound_source_used: str | None = None
     bound_paper: float | None = None
     bound_derived: float | None = None
@@ -195,6 +195,10 @@ class Verdict(NamedTuple):
     vacuous: bool = False
     audited: bool = False
     paper_disagrees: bool = False
+
+    @property
+    def bound_used(self) -> float | None:
+        return self.bound_derived if self.bound_source_used == "derived" else self.bound_paper
 
     def to_json(self) -> dict:
         return {
@@ -525,7 +529,7 @@ class EquivChecker:
         body += [f"{d} = abs({i} - {j})" for (i, j), d in diffs.items()]
         body += [f"m{i} = abs(x{i})" for i in range(n)]
         for out, tag, bound in (("bd", "D_", self._derived_eval), ("bp", "P_", self._paper_eval)):
-            body += [f"{out} = None"] if bound is None else bound.source(out, tag, n, ns)
+            body += [f"{out} = None"] if bound is None else bound.source(out, tag, ns)
 
         def all_hold(b: str) -> str:
             holds = _HOLDS_SOURCE[self._strict]
@@ -545,7 +549,7 @@ class EquivChecker:
         disagrees = f"not ({all_hold('bp')})" if self._audited else "False"
         body += [
             f"if {leftover} and {all_hold(used)}:",
-            f"    return new(Verdict, (PASS, args, None, None, (), {ret}, {used}, SOURCE, bp, bd, "
+            f"    return new(Verdict, (PASS, args, None, None, (), {ret}, SOURCE, bp, bd, "
             f"False, {vacuous}, AUDITED, {disagrees}))",
             "return reference(args)",
         ]
@@ -611,7 +615,6 @@ class EquivChecker:
             failed_clause=clause,
             failed_ids=ids,
             observed_diff=observed_diff,
-            bound_used=bound_used,
             bound_source_used=self._gate,
             bound_paper=bound_paper,
             bound_derived=bound_derived,

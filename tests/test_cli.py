@@ -243,7 +243,7 @@ def test_run_poison_input():
 
 def test_run_input_aliases():
     base = run_cmd_run(NON_FMA, "a=2.0,b=3.0,c=4.0")
-    for spelling in ("%0=2.0,%1=3.0,%2=4.0", "0=2.0,1=3.0,2=4.0"):
+    for spelling in ("%0=2.0,%1=3.0,%2=4.0", "0=2.0,1=3.0,2=4.0", ",a=2.0,,b=3.0, ,c=4.0,"):
         assert run_cmd_run(NON_FMA, spelling) == base
 
 
@@ -375,6 +375,7 @@ def run_cmd_bound(original, optimized, mags):
 def test_bound_canonical_pair():
     code, out, _ = run_cmd_bound(NON_FMA, FMA, "a=1.0,b=1.0,c=1.0")
     assert code == 0
+    assert run_cmd_bound(NON_FMA, FMA, ",a=1.0,,b=1.0, ,c=1.0,") == (0, out, "")  # empty entries are skipped
     lines = out.splitlines()
     derived_expected = round_rational_up(7 * D + D * D + 4 * H + D * H)
     paper_expected = round_rational_up(
@@ -467,6 +468,7 @@ def test_bound_errors(tmp_path):
     assert run_cmd_bound(NON_FMA, FMA, "a=-1.0,b=1.0,c=1.0")[0] == 2
     assert run_cmd_bound(NON_FMA, FMA, "a=inf,b=1.0,c=1.0")[0] == 2
     assert run_cmd_bound(NON_FMA, FMA, "a=1.0,b=1.0")[0] == 2
+    assert run_cmd_bound(NON_FMA, FMA, "a=x,b=1,c=1") == (2, "", "error: cannot read magnitude 'x' as a number\n")
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +535,12 @@ def test_validate_fsub_mutant(tmp_path):
 def test_validate_renamed_intrinsic(tmp_path):
     mutant = tmp_path / "renamed.ll"
     mutant.write_text(Path(FMA).read_text().replace("fmuladd.f64", "fmuladd.f32"))
-    code, doc, _ = run_validate(tmp_path, optimized=str(mutant), samples=100)
+    code, doc, summary = run_validate(tmp_path, optimized=str(mutant), samples=100)
     assert code == 1
     assert doc["verdict"] == "unsupported"
     assert doc["unsupported_reason"] == "optimized: unsupported call to @llvm.fmuladd.f32"
+    assert summary == (f"UNSUPPORTED: {doc['unsupported_reason']}; "
+                       f"report written to {tmp_path / 'report.json'}\n")
     assert doc["samples_run"]["total"] == 0
     assert doc["counterexamples"][0]["index"] is None
 
@@ -629,6 +633,10 @@ def test_validate_bad_alignment_json(tmp_path):
     out, err = io.StringIO(), io.StringIO()
     code = cmd_validate(NON_FMA, FMA, str(bad), SamplerConfig(samples=5), out=out, err=err)
     assert code == 2
+    bad.write_text('{"fresh_optimized": "%4"}')
+    out, err = io.StringIO(), io.StringIO()
+    code = cmd_validate(NON_FMA, FMA, str(bad), SamplerConfig(samples=5), out=out, err=err)
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: fresh_optimized must be a list\n")
 
 
 def test_validate_deeply_nested_alignment(tmp_path):

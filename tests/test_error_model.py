@@ -162,6 +162,7 @@ def test_identity_pair_bound():
     assert br.magnitude_bound == 2 * D + H
     br2 = derive_bound(ORIG, ORIG, {"a": 3, "b": 5, "c": 7})
     assert br2.magnitude_bound == 22 * D + H
+    assert derive_bound(ORIG, ORIG, {"a": 3, "b": Fraction(5), "c": 7}) == br2
 
 
 def test_zero_params_zero_bound():

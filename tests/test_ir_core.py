@@ -177,6 +177,7 @@ PARSE_ERRORS = {
         "define double @f(", (1, 18, "expected 'double' (found end of input)")),
     "end of input after '='": (_HEAD + "  %1 =", (2, 7, "expected opcode (found end of input)")),
     "end of input in a declare": ("declare double @g(double", (1, 25, "unexpected end of input")),
+    "brace in a declare": ("declare double @g(double, {", (1, 27, "expected ')' (found '{')")),
     "end of input in an attributes group": (
         "attributes #0 = { nounwind", (1, 27, "unexpected end of input")),
     "end of input in the block": (
