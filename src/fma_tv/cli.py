@@ -352,6 +352,10 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
     """Check the corpus, then the seeded random stream; the run's report, `config` echoed.
 
     Stops after the 16th counterexample.  The report's timing is left at 0.
+    Each sample is one `checker.check(args, True)`: a `None` is a pass
+    with every compared difference 0.0 whose bounds were never evaluated.
+    If the worst sample is one, its verdict is rebuilt after the loop by
+    `check_reference`.
     """
     if checker.static_unsupported is not None:
         verdict = checker.check(())
@@ -369,7 +373,7 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
     paper_examples: list[dict] = []
     paper_discrepancies = 0
     n_vacuous = n_nonzero = 0
-    # the largest finite difference and where it was first seen: (index, verdict)
+    # the largest finite difference and where it was first seen: (index, args, verdict or None)
     worst_diff, worst = -1.0, None
     index = -1
     n_params = len(checker.params)
@@ -383,7 +387,11 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
     check = checker.check
     PASS, INF = Status.PASS, math.inf
     for index, raw in enumerate(stream):
-        v = check(raw)
+        v = check(raw, True)
+        if v is None:  # a pass with every compared difference 0.0, its bounds unevaluated
+            if worst is None:
+                worst_diff, worst = 0.0, (index, raw, None)
+            continue
         status, _, _, _, _, diff, _, _, _, _, vacuous, _, disagrees = v
         if vacuous and status is PASS:
             n_vacuous += 1
@@ -392,7 +400,7 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
             if diff > 0.0:
                 n_nonzero += 1
             if diff > worst_diff:
-                worst_diff, worst = diff, (index, v)
+                worst_diff, worst = diff, (index, raw, v)
         if disagrees:
             paper_discrepancies += 1
             if len(paper_examples) < _MAX_COUNTEREXAMPLES:
@@ -408,10 +416,12 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
     n_corpus = min(total, n_corpus)
     worst_sample = None
     if worst is not None:
-        worst_index, worst_v = worst
+        worst_index, worst_args, worst_v = worst
+        if worst_v is None:  # its bounds, through the reference, so `check` runs once per sample
+            worst_v = checker.check_reference(worst_args)
         worst_sample = {
             "index": worst_index,
-            "args": [dual_of(x) for x in worst_v.args],
+            "args": [dual_of(x) for x in worst_args],
             "observed_diff": dual_of(worst_diff),
             "bound_derived": dual_of(worst_v.bound_derived),
             "bound_paper": dual_of(worst_v.bound_paper),

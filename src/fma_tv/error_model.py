@@ -361,9 +361,11 @@ _CHUNK = 32
 # A bound reads magnitudes only, and the special corpus's 16 values are 8
 # magnitudes of both signs: while only MAX_FINITE is over the limit, the
 # capped corpus reaches at most 229 distinct exact-path tuples per bound
-# (169 at three parameters), so 512 keeps them all with room to spare,
-# while capping what random traffic that never repeats can fill (a 3-tuple
-# entry is about 250 bytes)
+# through `check_reference` (169 at three parameters); `validate` skips the
+# bounds of a sample whose differences are all 0.0 and reaches 32 on the
+# canonical pair, 36 on the 8-term dot product.  512 keeps them all with
+# room to spare, while capping what random traffic that never repeats can
+# fill (a 3-tuple entry is about 250 bytes)
 _EXACT_MEMO = 512
 
 

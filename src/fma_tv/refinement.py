@@ -381,7 +381,9 @@ class EquivChecker:
     sample's verdict is PASS or FAIL.  It also fixes
     the bound plan: the compiled derived and published bounds (None where
     unavailable), which of them gates the verdict, and whether the
-    published one audits the derived one.  A sample only evaluates them.
+    published one audits the derived one.  A sample only evaluates them,
+    and under `check(args, True)` only if a compared difference is nonzero
+    or non-finite.
 
     From both blocks, the alignment and the bound plan, construction also
     generates `compiled`: one straight-line function that `check` runs on
@@ -458,16 +460,22 @@ class EquivChecker:
 
     # -- per-sample work
 
-    def check(self, args: tuple[Value | float, ...]) -> Verdict:
+    def check(self, args: tuple[Value | float, ...], lazy: bool = False) -> Verdict | None:
         """The verdict for one input tuple, of bare floats or of values.
 
         Runs the generated function, which takes a tuple of floats of the
         right arity and hands everything else, `Double`s included, to
         `check_reference`; an unsupported pair goes there directly.  The
         verdict is the same either way, and its `args` is `args` as passed.
+        With `lazy`, a tuple of floats whose compared differences are all
+        exactly 0.0 and whose leftover clause holds returns None instead,
+        before any bound is evaluated: such a sample passes under any
+        bound, is not vacuous and does not disagree, and
+        `check_reference(args)` rebuilds its verdict.  Without `lazy` the
+        result is never None.
         """
         compiled = self.compiled
-        return compiled(args) if compiled is not None else self.check_reference(args)
+        return compiled(args, lazy) if compiled is not None else self.check_reference(args)
 
     def _generate(self):
         """`check` as one function specialised to this checker.
@@ -479,7 +487,9 @@ class EquivChecker:
         operation as its Python float operator (exactly its `b64_*`) and
         each fmuladd as `fma_source` routes it, calling the `b64_fma` that
         `denotation` holds at construction only off its inline routes; the
-        differences; both bounds as `CompiledBound.source` routes them; and
+        differences; under the second parameter `lazy`, an early `None`
+        when every compared difference is exactly 0.0 and the leftover
+        clause holds; both bounds as `CompiledBound.source` routes them; and
         a passing verdict built in place.  Any other outcome is left to
         `check_reference`.  Wellformedness binds every local once, so each
         block's names in binding order are its final environment.  Names
@@ -527,9 +537,6 @@ class EquivChecker:
         compared = dict.fromkeys([*pairs, (opt_ret, orig_ret)])
         diffs = {ij: f"d{k}" for k, ij in enumerate(compared) if None not in ij}
         body += [f"{d} = abs({i} - {j})" for (i, j), d in diffs.items()]
-        body += [f"m{i} = abs(x{i})" for i in range(n)]
-        for out, tag, bound in (("bd", "D_", self._derived_eval), ("bp", "P_", self._paper_eval)):
-            body += [f"{out} = None"] if bound is None else bound.source(out, tag, ns)
 
         def all_hold(b: str) -> str:
             holds = _HOLDS_SOURCE[self._strict]
@@ -544,6 +551,13 @@ class EquivChecker:
             # a parameter always agrees with itself
             same = [f"same_bits({i}, {j})" for (_, i), (_, j) in zip(rest_opt, rest_orig) if i != j]
             leftover = " and ".join(same) or "True"
+        # every bound is in [0, inf] (test_compiled_bounds_are_never_negative_or_nan), so all-zero differences pass
+        zero = " and ".join(f"{diffs[ij]} == 0.0" if ij in diffs else "False" for ij in compared)
+        body.append(f"if lazy and {zero} and {leftover}: return None")
+        body += [f"m{i} = abs(x{i})" for i in range(n)]
+        for out, tag, bound in (("bd", "D_", self._derived_eval), ("bp", "P_", self._paper_eval)):
+            body += [f"{out} = None"] if bound is None else bound.source(out, tag, ns)
+
         used, ret = "bd" if self._gate == "derived" else "bp", diffs[opt_ret, orig_ret]
         vacuous = "False" if self._strict else f"not {ret} < INF"
         disagrees = f"not ({all_hold('bp')})" if self._audited else "False"
@@ -553,7 +567,7 @@ class EquivChecker:
             f"False, {vacuous}, AUDITED, {disagrees}))",
             "return reference(args)",
         ]
-        return compile_function("check", "args", body, ns)
+        return compile_function("check", "args, lazy=False", body, ns)
 
     def check_reference(
         self, args: tuple[Value | float, ...], g: GlobalEnv = GlobalEnv.empty(), l: LocalEnv = LocalEnv.empty()

@@ -667,12 +667,38 @@ def test_validate_calls_check_once_per_sample(monkeypatch):
     # the traced benchmark run reconciles its count of `check` calls with the report
     calls = []
     check = EquivChecker.check
-    monkeypatch.setattr(EquivChecker, "check", lambda self, args: calls.append(args) or check(self, args))
+    monkeypatch.setattr(EquivChecker, "check", lambda self, args, *rest: calls.append(args) or check(self, args, *rest))
     (original,) = parse_module(Path(NON_FMA).read_text())
     (optimized,) = parse_module(Path(FMA).read_text())
     checker = EquivChecker(original, optimized, load_alignment(Path(ALIGNMENT).read_text()))
     report = validate(checker, SamplerConfig(samples=100, seed=3), {})
     assert len(calls) == report.samples_run["total"] == 100 + 16**3
+
+
+def test_validate_rebuilds_a_worst_sample_that_exited_early(monkeypatch):
+    # a block against itself differs by 0.0 wherever it differs finitely, so the worst sample is the
+    # first, which exits before its bounds; validate rebuilds them without another `check` call
+    (original,) = parse_module(Path(NON_FMA).read_text())
+    checker = EquivChecker(original, original, AlignmentSpec())
+    calls = []
+    check = EquivChecker.check
+    monkeypatch.setattr(EquivChecker, "check", lambda self, args, *rest: calls.append(args) or check(self, args, *rest))
+    sampler = SamplerConfig(samples=50, seed=5)
+    report = validate(checker, sampler, {})
+    assert len(calls) == report.samples_run["total"] == 50 + 16**3
+    first = corpus_tuples(3)[0]
+    assert check(checker, first, True) is None
+    want = checker.check_reference(first)
+    assert None not in (want.bound_derived, want.bound_paper)
+    assert report.max_observed_diff == 0.0
+    assert report.worst_sample == {
+        "index": 0,
+        "args": [dual_of(x) for x in first],
+        "observed_diff": dual_of(0.0),
+        "bound_derived": dual_of(want.bound_derived),
+        "bound_paper": dual_of(want.bound_paper),
+    }
+    assert report == reference_report(checker, sampler, {})
 
 
 def reference_report(checker, sampler, config):
@@ -816,22 +842,35 @@ def test_validate_holds_no_corpus_list():
     assert peak < 1_000_000
 
 
-# each distinct exact-path magnitude tuple of the corpus is computed once per bound
+# each distinct exact-path magnitude tuple that reaches a bound is computed once per bound
 
 
-@pytest.mark.parametrize("case, per_bound", [("canonical", [169, 169]), ("dot8", [229])])
+# per_bound names the compiled bounds of the pair
+@pytest.mark.parametrize("case, per_bound", [
+    ("canonical", ["_derived_eval", "_paper_eval"]),
+    ("dot8", ["_derived_eval"]),
+])
 def test_validate_computes_each_exact_path_tuple_once(case, per_bound):
     opt, orig, align = CANONICAL_PAIR if case == "canonical" else CORPUS_CASES[16]
     checker = EquivChecker(orig, opt, align)
-    bounds = [b for b in (checker._derived_eval, checker._paper_eval) if b is not None]
+    bounds = [getattr(checker, name) for name in per_bound]
+    assert bounds == [b for b in (checker._derived_eval, checker._paper_eval) if b is not None]
+    sampler = SamplerConfig(samples=1, seed=0)
+    n = len(checker.params)
+    rng = random.Random(sampler.seed)
+    # a sample reaches the bounds only if a compared difference is not 0.0; both pairs align only
+    # their returns and leave every other local fresh, so the return's difference decides
+    reached = [tuple(map(abs, xs))
+               for xs in itertools.chain(corpus_tuples(n), (sample_tuple(rng, n, sampler),))
+               if checker.check_reference(xs).observed_diff != 0.0]
     for bound in bounds:
         bound._exact.cache_clear()  # the published bound is compiled once per process
-    validate(checker, SamplerConfig(samples=1, seed=0), {})
-    infos = [bound._exact.cache_info() for bound in bounds]
-    assert [info.misses for info in infos] == per_bound
-    if case == "canonical":
-        # every corpus tuple with a MAX_FINITE magnitude takes the exact path, and reaches the memo
-        assert [info.hits + info.misses for info in infos] == [16**3 - 14**3] * 2
+    validate(checker, sampler, {})
+    for bound in bounds:
+        exact = [mags for mags in reached if not all(m <= bound._mag_limit for m in mags)]
+        info = bound._exact.cache_info()
+        assert 0 < info.misses == len(set(exact))
+        assert info.hits + info.misses == len(exact)
 
 
 @pytest.mark.parametrize("report", ["", "missing/report.json"], ids=["directory", "missing-parent"])

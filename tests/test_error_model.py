@@ -42,6 +42,7 @@ from fma_tv.fp_semantics import (
     round_rational_up,
 )
 from fma_tv._bits import bits_of
+from fma_tv.cli import special_values
 from oracles import oracle_add, oracle_fma, oracle_mul, oracle_sub
 from strategies import contract, expr_trees, moderate_double
 
@@ -615,6 +616,43 @@ def test_compiled_bound_is_inf_for_non_finite_magnitudes(bound, n):
                 mags = tuple(bad if j == i else fill for j in range(n))
                 assert bound(mags) == math.inf, mags
     assert is_finite(bound((1.0,) * n))
+
+
+# every bound lies in [0, inf], never nan, so a sample whose differences are all 0.0 passes under
+# any of them: the generated check returns early on such a sample without evaluating its bounds.
+# Magnitudes: the special corpus's 8, then inf and nan, whose float products could be nan (0 * inf)
+CORPUS_MAGS = (*sorted({abs(v) for v in special_values()}), math.inf, math.nan)
+
+
+def corpus_mag_tuples(n):
+    """Every n-tuple of CORPUS_MAGS for n <= 3; else each value in each position over each fill,
+    a 0.0 against an inf in each adjacent pair, and 500 seeded draws."""
+    if n <= 3:
+        return list(itertools.product(CORPUS_MAGS, repeat=n))
+    out = [tuple(v if j == i else fill for j in range(n))
+           for fill in CORPUS_MAGS for v in CORPUS_MAGS for i in range(n)]
+    out += [tuple(pair[j - i] if j - i in (0, 1) else fill for j in range(n))
+            for fill in CORPUS_MAGS for pair in ((0.0, math.inf), (math.inf, 0.0)) for i in range(0, n, 2)]
+    rng = random.Random(22)
+    return out + [tuple(rng.choice(CORPUS_MAGS) for _ in range(n)) for _ in range(500)]
+
+
+@pytest.mark.parametrize("bound", [
+    compile_derived_bound(ORIG, OPT, ("a", "b", "c")),
+    compile_derived_bound(*DOT16),
+    compile_paper_bound(),
+], ids=["canonical", "dot8", "paper"])
+def test_compiled_bounds_are_never_negative_or_nan(bound):
+    for ms in corpus_mag_tuples(bound._nvars):
+        assert 0.0 <= bound(ms), ms
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(pairs, st.tuples(expr_trees(), expr_trees())))
+def test_compiled_bounds_are_never_negative_or_nan_on_random_pairs(pair):
+    bound = compile_derived_bound(*pair, ("a", "b", "c"))
+    for ms in corpus_mag_tuples(3):
+        assert 0.0 <= bound(ms), ms
 
 
 # ---------------------------------------------------------------------------

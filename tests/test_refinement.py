@@ -541,6 +541,42 @@ def test_supported_means_generated(pair):
         assert (checker.compiled is None) == (checker.static_unsupported is not None), cfg
 
 
+# the early exit: `check(xs, True)` returns None exactly on a pass whose compared differences are all 0.0
+
+
+def compared_diffs(checker, xs):
+    """By the interpreter: |optimized - original| of each aligned pair, then of the returns; None if one is missing."""
+    values = dbls(*xs)
+    ms_orig, _ = interp_cfg2(checker.original, G0, L0, values)
+    ms_opt, _ = interp_cfg2(checker.optimized, G0, L0, values)
+    pairs = [(ms_opt.locals.lookup(o), ms_orig.locals.lookup(g)) for o, g in checker.alignment.pairs]
+    return [None if x is None or y is None else abs(x.v - y.v) for x, y in (*pairs, (ms_opt.result, ms_orig.result))]
+
+
+# random pairs mostly fail; a block against itself and the canonical pair mostly pass, often all-zero;
+# under the empty alignment the canonical pair fails the leftover clause even where its returns agree
+EARLY_EXIT_PAIRS = st.one_of(
+    block_pairs(),
+    function_defs().map(lambda f: (f, f, AlignmentSpec())),
+    st.sampled_from([(FMA_FN, NON_FMA_FN, ALIGN), (FMA_FN, NON_FMA_FN, AlignmentSpec())]),
+)
+
+
+@settings(max_examples=300)
+@given(EARLY_EXIT_PAIRS, st.sampled_from(CONFIGS), st.data())
+def test_early_exit_fires_exactly_on_an_all_zero_pass(pair, cfg, data):
+    opt, orig, align = pair
+    checker = EquivChecker(orig, opt, align, cfg)
+    xs = tuple(data.draw(st.one_of(st.sampled_from(special_values()), any_double)) for _ in opt.params)
+    full = checker.check(xs)
+    assert full is not None
+    lazy = checker.check(xs, True)
+    all_zero = full.status is Status.PASS and all(d == 0.0 for d in compared_diffs(checker, xs))
+    assert (lazy is None) == all_zero
+    if lazy is not None:
+        assert lazy.to_json() == full.to_json()
+
+
 def ir_block(body: str, n_params: int = 3):
     params = ", ".join(f"double %{i}" for i in range(n_params))
     (f,) = parse_module(f"define double @f({params}) {{\n{body}}}\n")
