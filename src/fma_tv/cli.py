@@ -333,13 +333,18 @@ def cmd_validate(
         "eta": str(DEFAULT_ETA),
         "threads": 1,
     }
-    with report_file if report_file is not None else contextlib.nullcontext():
-        report = validate(checker, sampler, config_echo)
-        report.timing_seconds = round(time.perf_counter() - started, 6)
-        if report_file is None:
-            out.write(report.render())
-            return report.exit_code
-        report_file.write(report.render())
+    try:
+        with report_file if report_file is not None else contextlib.nullcontext():
+            report = validate(checker, sampler, config_echo)
+            report.timing_seconds = round(time.perf_counter() - started, 6)
+            if report_file is None:
+                out.write(report.render())
+                return report.exit_code
+            report_file.write(report.render())
+    except OSError as e:
+        # a report that cannot be written or closed is no verdict
+        print(f"error: {e}", file=err)
+        return 2
     summary = report.unsupported_reason or (
         f"{report.samples_run['total']} checks, "
         f"{report.counts['fail']} failures, {report.counts['unsupported']} unsupported"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .fp_semantics import MAX_FINITE, MIN_NORMAL, Binary64, compile_function, is_finite, round_rational_up, round_source
+from .fp_semantics import MAX_FINITE, MIN_NORMAL, Binary64, _round_dyadic, compile_function, is_finite, round_rational_up
 from ._bits import bits_of
 
 DEFAULT_DELTA = Fraction(1, 2**53)
@@ -494,9 +494,9 @@ def _compile_exact(parts, nvars: int) -> Callable:
     of part k is `N{k}_{j} * 2**E{k}_{j}` (the integers multiplied, the
     exponents added; coefficients are literals), and each part sums its
     monomials as integers shifted to the least exponent `low`; the largest
-    part is rounded up once, by `round_source` inlined.
+    part is rounded up once, by `_round_dyadic`.
     """
-    ns = {"INF": math.inf, "frexp": math.frexp}
+    ns = {"INF": math.inf, "frexp": math.frexp, "round_dyadic": _round_dyadic}
     # nan < INF is false, so nan gives inf too
     lines = [f"if not ({' and '.join(f'm{i} < INF' for i in range(nvars))}):", "    return INF"] if nvars else []
     # m * 2**53 is an integer for the frexp significand m of a double, as in `_fma_exact`
@@ -521,7 +521,7 @@ def _compile_exact(parts, nvars: int) -> Callable:
     lines += _fold("best", "+", sums[0])
     for terms in sums[1:]:
         lines += [*_fold("t", "+", terms), "if t > best: best = t"]
-    lines += [*round_source("r", "best", "low", False, ns, signed=False), "return r"]
+    lines.append("return round_dyadic(best, low, False)")
     return compile_function("exact", "".join(f"m{i}, " for i in range(nvars)), lines, ns)
 
 

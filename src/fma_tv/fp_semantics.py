@@ -11,13 +11,13 @@ hold, and otherwise `_fma_exact`, exact shifted-integer arithmetic.  Every
 NaN it returns is the canonical quiet NaN 0x7FF8000000000000, whatever the
 operands' payloads.
 
-`round_source` is the one rounding routine: statements that round an
-integer times a power of two to binary64 by shift and mask, to nearest or
-toward +infinity, with gradual underflow and IEEE overflow semantics.
-`_round_dyadic` is compiled from it, and the exact path of a compiled error
-bound inlines it.  `round_rational_up` serves `_round_dyadic` a dyadic
-rational, for a computed value that must never under-approximate a real one.  The independent reference for both roundings
-is the oracle in `tests/oracles.py`, which imports nothing from here.
+`_round_dyadic` is the one rounding routine: it rounds an integer times a
+power of two to binary64 by shift and mask, to nearest or toward +infinity,
+with gradual underflow and IEEE overflow semantics.  `_fma_exact` and the
+exact path of a compiled error bound call it.  `round_rational_up` serves
+it a dyadic rational, for a computed value that must never under-approximate
+a real one.  The independent reference for both roundings is the oracle in
+`tests/oracles.py`, which imports nothing from here.
 """
 
 from __future__ import annotations
@@ -59,61 +59,36 @@ def compile_function(name: str, params: str, body: list[str], ns: dict) -> Calla
 # Rounding
 
 
-def round_source(out: str, n: str, e: str, to_nearest: bool, ns: dict, signed: bool = True) -> list[str]:
-    """Statements setting `out` to the integer `n` times 2 to the integer `e`, rounded to binary64.
+def _round_dyadic(n: int, e: int, to_nearest: bool) -> Binary64:
+    """Round n * 2**e to binary64, to nearest, ties to even, if `to_nearest`, else toward +infinity.
 
-    The one definition of the rounding, which `_round_dyadic` runs and the
-    compiled exact bound inlines: to nearest, ties to even, if `to_nearest`,
-    else toward +infinity.  Shift and mask only: the significand keeps 53
-    bits, or fewer where that would take its last bit below the least
-    subnormal.  Unless `signed`, `n` must be non-negative and the sign
-    tests are left out.  `n` and `e` are only read; temporaries are named
-    `r_*` and the constants are bound in `ns`.
+    The one definition of the rounding.  Shift and mask only: the
+    significand keeps 53 bits, or fewer where that would take its last bit
+    below the least subnormal.
     """
-    ns.update({"ldexp": math.ldexp, "INF": POS_INF, "NEG_INF": NEG_INF, "MAX_FINITE": MAX_FINITE})
-    if to_nearest:
-        round_off = [
-            "        r_q = r_m >> r_s",
-            "        r_h = 1 << (r_s - 1)",
-            "        if r_m & r_h and (r_q & 1 or r_m & (r_h - 1)):",
-            "            r_q += 1",
-        ]
-    else:
-        # a ceiling on the magnitude of a positive n, a floor on that of a negative one
-        round_off = [f"        r_q = -(-r_m >> r_s){f' if {n} > 0 else r_m >> r_s' if signed else ''}"]
-    if signed:
-        overflow = f"INF if {n} > 0 else {'NEG_INF' if to_nearest else '-MAX_FINITE'}"
-        finite = [f"    elif {n} > 0:", f"        {out} = ldexp(r_m, r_e)", "    else:", f"        {out} = -ldexp(r_m, r_e)"]
-    else:
-        overflow, finite = "INF", ["    else:", f"        {out} = ldexp(r_m, r_e)"]
-    return [
-        f"if {n} == 0:",
-        f"    {out} = 0.0",
-        "else:",
-        f"    r_m, r_e = {f'-{n} if {n} < 0 else {n}' if signed else n}, {e}",
-        f"    r_s = r_m.bit_length() - {_SIG_BITS}",
-        f"    if r_s < {_EMIN} - r_e:",
-        f"        r_s = {_EMIN} - r_e",
-        "    if r_s > 0:",
-        *round_off,
-        "        r_m, r_e = r_q, r_e + r_s",
-        # r_m <= 2**53 and r_e >= _EMIN, so r_m * 2**r_e is a binary64 unless
-        # it reaches 2**1024; zero keeps the sign
-        f"    if r_m.bit_length() + r_e > {_EMAX + _SIG_BITS}:",
-        f"        {out} = {overflow}",
-        *finite,
-    ]
-
-
-_ROUND_NS: dict = {}
-_round_dyadic = compile_function("_round_dyadic", "n, e, to_nearest", [
-    "if to_nearest:",
-    *(f"    {line}" for line in round_source("x", "n", "e", True, _ROUND_NS)),
-    "else:",
-    *(f"    {line}" for line in round_source("x", "n", "e", False, _ROUND_NS)),
-    "return x",
-], _ROUND_NS)
-_round_dyadic.__doc__ = "Round n * 2**e to binary64, to nearest even or toward +infinity (see `round_source`)."
+    if n == 0:
+        return 0.0
+    m = -n if n < 0 else n
+    s = m.bit_length() - _SIG_BITS
+    if s < _EMIN - e:
+        s = _EMIN - e
+    if s > 0:
+        q = m >> s
+        if to_nearest:
+            half = 1 << (s - 1)
+            if m & half and (q & 1 or m & (half - 1)):
+                q += 1
+        elif n > 0 and q << s != m:
+            q += 1
+        m, e = q, e + s
+    # m <= 2**53 and e >= _EMIN, so m * 2**e is a binary64 unless it reaches
+    # 2**1024; zero keeps the sign
+    if m.bit_length() + e > _EMAX + _SIG_BITS:
+        if to_nearest or n > 0:
+            return POS_INF if n > 0 else NEG_INF
+        return -MAX_FINITE
+    x = math.ldexp(m, e)
+    return x if n > 0 else -x
 
 
 def round_rational_up(q: Fraction | int) -> Binary64:
@@ -187,7 +162,7 @@ _FMA_CONSTS = {"SPLIT": 2.0**27 + 1.0, "FMA_AB": 2.0**995, "FMA_LO": 2.0**-968, 
                "ulp": math.ulp, "nextafter": math.nextafter, "INF": POS_INF}
 
 
-def fma_source(out: str, a: str, b: str, c: str, exact: str, ns: dict) -> list[str]:
+def fma_source(out: str, a: str, b: str, c: str, ns: dict) -> list[str]:
     """Statements setting `out` to the fma of the floats named `a`, `b` and `c`.
 
     The one definition of `b64_fma`, which the refinement checker inlines
@@ -196,9 +171,9 @@ def fma_source(out: str, a: str, b: str, c: str, exact: str, ns: dict) -> list[s
     error-free transform gives the rounded sum of Boldo and Melquiond's fma
     emulation (IEEE TC 57(4), 2008): Dekker's product with Veltkamp's split,
     Knuth's TwoSum, the two low parts summed rounding to odd, and one final
-    rounding to nearest.  Everything else calls the function named `exact`
-    (`_fma_exact` or a wrapper of it).  Temporaries are named `f_*`; the
-    constants are bound in `ns`.
+    rounding to nearest.  Everything else calls `fma_exact`, which the
+    caller binds in `ns` (to `_fma_exact` or a wrapper of it).  Temporaries
+    are named `f_*`; the constants are bound in `ns`.
     """
     ns.update(_FMA_CONSTS)
     return [
@@ -229,13 +204,13 @@ def fma_source(out: str, a: str, b: str, c: str, exact: str, ns: dict) -> list[s
         "        f_v = nextafter(f_v, f_z * INF)",
         f"    {out} = f_s + f_v",
         "else:",
-        f"    {out} = {exact}({a}, {b}, {c})",
+        f"    {out} = fma_exact({a}, {b}, {c})",
     ]
 
 
 _FMA_NS: dict = {"fma_exact": _fma_exact}
 b64_fma = compile_function(
-    "b64_fma", "a, b, c", [*fma_source("r", "a", "b", "c", "fma_exact", _FMA_NS), "return r"], _FMA_NS
+    "b64_fma", "a, b, c", [*fma_source("r", "a", "b", "c", _FMA_NS), "return r"], _FMA_NS
 )
 b64_fma.__doc__ = "Fused multiply-add: round(a*b + c) with a single rounding (see `fma_source`)."
 

@@ -122,14 +122,25 @@ def identity_alignment() -> AlignmentSpec:
     return AlignmentSpec()
 
 
+def _unique_keys(items: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key raises AlignmentError rather than keep its last value."""
+    doc = {}
+    for key, value in items:
+        if key in doc:
+            raise AlignmentError(f"duplicate alignment key: {key}")
+        doc[key] = value
+    return doc
+
+
 def load_alignment(text: str) -> AlignmentSpec:
     """Parse the JSON alignment form.
 
     Schema: {"pairs": [["%4", "%5"], ...], "fresh_optimized": ["%4", ...],
-    "fresh_original": ["%4", ...]}; all keys optional, ids with % prefix.
+    "fresh_original": ["%4", ...]}; all keys optional and none repeated,
+    ids with % prefix.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as e:
         raise AlignmentError(f"alignment is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
@@ -525,7 +536,7 @@ class EquivChecker:
                     body.append(f"{dest} = {lhs} {_FBINOP[instr.kind][0]} {rhs}")
                 else:
                     args = (operand(e, k, j) for j, e in enumerate(instr.args))
-                    body.extend(fma_source(dest, *args, "fma_exact", ns))
+                    body.extend(fma_source(dest, *args, ns))
                 env[instr.dest] = dest
             return env, operand(block.body.blk_term.value, len(code), 0)
 

@@ -1,5 +1,6 @@
 """Command-line driver: sampling, reports, single runs, bound queries."""
 
+import errno
 import hashlib
 import importlib.util
 import io
@@ -637,6 +638,10 @@ def test_validate_bad_alignment_json(tmp_path):
     out, err = io.StringIO(), io.StringIO()
     code = cmd_validate(NON_FMA, FMA, str(bad), SamplerConfig(samples=5), out=out, err=err)
     assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: fresh_optimized must be a list\n")
+    bad.write_text('{"pairs": [["%4", "%5"]], "pairs": []}')
+    out, err = io.StringIO(), io.StringIO()
+    code = cmd_validate(NON_FMA, FMA, str(bad), SamplerConfig(samples=5), out=out, err=err)
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: duplicate alignment key: pairs\n")
 
 
 def test_validate_deeply_nested_alignment(tmp_path):
@@ -885,6 +890,36 @@ def test_validate_unwritable_report_fails_before_checking(tmp_path, monkeypatch,
     assert calls == []
     assert out.getvalue() == ""
     assert not (tmp_path / "missing").exists()
+
+
+class _FullDisk(io.StringIO):
+    """A report file on a full disk: `write` or `close` raises ENOSPC."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def close(self):
+        if self.failing == "close":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        super().close()
+
+
+@pytest.mark.parametrize("failing", ["write", "close"])
+def test_validate_report_that_cannot_be_written_exits_2(monkeypatch, failing):
+    real_open = open
+    monkeypatch.setattr(fma_tv.cli, "open", lambda path, *a, **k: (
+        _FullDisk(failing) if path == "report.json" else real_open(path, *a, **k)), raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    code = cmd_validate(NON_FMA, FMA, ALIGNMENT, SamplerConfig(samples=5),
+                        report_path="report.json", out=out, err=err)
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 # ---------------------------------------------------------------------------

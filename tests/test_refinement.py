@@ -192,6 +192,8 @@ def test_load_alignment_defaults_and_errors():
         '{"fresh_optimized": [4]}',
         '{"fresh_optimized": ["4"]}',
         '{"pairs": ' + "[" * 1000 + "]" * 1000 + "}",  # nested past the decoder's recursion limit
+        '{"pairs": [["%4", "%5"]], "pairs": []}',  # a repeated key is refused, not merged
+        '{"fresh_original": [], "fresh_original": []}',
     ):
         with pytest.raises(AlignmentError):
             load_alignment(bad)
