@@ -397,8 +397,8 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
             if worst is None:
                 worst_diff, worst = 0.0, (index, raw, None)
             continue
-        status, _, _, _, _, diff, _, _, _, _, vacuous, _, disagrees = v
-        if vacuous and status is PASS:
+        status, diff = v.status, v.observed_diff
+        if v.vacuous and status is PASS:
             n_vacuous += 1
         # a difference is never negative, so under INF means finite
         if diff is not None and diff < INF:
@@ -406,7 +406,7 @@ def validate(checker: EquivChecker, sampler: SamplerConfig, config: dict) -> Rep
                 n_nonzero += 1
             if diff > worst_diff:
                 worst_diff, worst = diff, (index, raw, v)
-        if disagrees:
+        if v.paper_disagrees:
             paper_discrepancies += 1
             if len(paper_examples) < _MAX_COUNTEREXAMPLES:
                 paper_examples.append({"index": index, **v.to_json()})

@@ -390,9 +390,10 @@ class CompiledBound:
     or could amplify the rounding of a subnormal coefficient past the
     absolute slack, are routed to an exact rational evaluation instead, as
     are inf and nan.
-    The routing and the float path are generated once, by `source`, and
-    the exact path by `_compile_exact`, behind a memo of the last
-    `_EXACT_MEMO` magnitude tuples.
+    The routing and the float path are defined and compiled once, in
+    `__init__`, and the exact path by `_compile_exact`, behind a memo of the
+    last `_EXACT_MEMO` magnitude tuples; every caller, the refinement
+    checker's generated check included, evaluates the bound by calling it.
     """
 
     __slots__ = ("_nvars", "_parts", "_rel_slack", "_mag_limit", "_eval", "_exact")
@@ -442,43 +443,35 @@ class CompiledBound:
             # 2**20 over the monomial count, so the sum stays below the
             # absolute slack
             self._mag_limit = min(self._mag_limit, 2.0 ** ((20 - count_exp) // tiny_degree))
-        ns: dict = {}
-        body = [*(f"m{i} = mags[{i}]" for i in range(nvars)), *self.source("b", "c", ns), "return b"]
+        # variable i splits into `g{i}`, its magnitude if at least 1 and else
+        # 1.0, and `s{i}`, the converse: a monomial g...*coeff*s... keeps the
+        # order above, as a factor of 1.0 is exact.  Each part sums from 0.0
+        # left to right, the largest wins (by `>`), then the slack applies
+        ns: dict = {"owner": self, "lim": self._mag_limit, "rel": self._rel_slack, "slack": _EVAL_ABS_SLACK}
+        used = sorted({i for mons in parts for _, idxs in mons for i in idxs})
+        lines = [line for i in used for line in (
+            f"g{i} = m{i} if m{i} >= 1.0 else 1.0", f"s{i} = 1.0 if m{i} >= 1.0 else m{i}")]
+        lines.append("b = 0.0")
+        for k, mons in enumerate(parts):
+            for j, (coeff, idxs) in enumerate(mons):
+                ns[f"c{k}_{j}"] = coeff
+                lines += _fold(f"u{j}", "*", [*(f"g{i}" for i in idxs), f"c{k}_{j}", *(f"s{i}" for i in idxs)])
+            lines += [*_fold("t", "+", ["0.0", *(f"u{j}" for j in range(len(mons)))]), "if t > b: b = t"]
+        lines.append("return b * rel + slack")
+        # any magnitude not at most the limit, read or not (an unread inf or nan gives inf too), goes exact
+        within = " and ".join(f"m{i} <= lim" for i in range(nvars)) or "True"
+        body = [*(f"m{i} = mags[{i}]" for i in range(nvars)), f"if {within}:", *(f"    {line}" for line in lines),
+                "return owner._eval_exact(mags)"]
         self._eval = compile_function("bound", "mags", body, ns)
         self._exact = functools.lru_cache(maxsize=_EXACT_MEMO)(_compile_exact(exact_parts, nvars))
 
     def _eval_exact(self, mags: tuple[float, ...]) -> float:
-        """The bound at these magnitudes in exact arithmetic, rounded up once (see `_compile_exact`), memoised."""
-        return self._exact(*mags)
+        """The bound at these magnitudes in exact arithmetic, rounded up once (see `_compile_exact`), memoised.
 
-    def source(self, out: str, tag: str, ns: dict) -> list[str]:
-        """Statements setting `out` to this bound at magnitudes `m0` ... `m{nvars-1}`, `nvars` as built.
-
-        The one definition of the bound's routing, which `__call__` runs and
-        the refinement checker inlines: any magnitude not at most the limit,
-        read or not (an unread inf or nan gives inf too), takes the exact
-        path instead.  Variable i splits into `g{i}`, its magnitude
-        if at least 1 and else 1.0, and `s{i}`, the converse: a monomial
-        g...*coeff*s... keeps the order above, as a factor of 1.0 is exact.
-        Each part sums from 0.0 left to right, the largest wins (by `>`),
-        then the slack applies.  Values are bound in `ns`, named from `tag`.
+        Past the limit the float path looks it up on the instance at each call, since the published
+        bound is compiled once per process, maybe before `bench/tracing.py` wraps this method.
         """
-        ns.update({f"{tag}lim": self._mag_limit, f"{tag}exact": self._eval_exact,
-                   f"{tag}rel": self._rel_slack, f"{tag}abs": _EVAL_ABS_SLACK})
-        used = sorted({i for mons in self._parts for _, idxs in mons for i in idxs})
-        lines = [line for i in used for line in (
-            f"g{i} = m{i} if m{i} >= 1.0 else 1.0", f"s{i} = 1.0 if m{i} >= 1.0 else m{i}")]
-        lines.append(f"{out} = 0.0")
-        for k, mons in enumerate(self._parts):
-            for j, (coeff, idxs) in enumerate(mons):
-                ns[f"{tag}{k}_{j}"] = coeff
-                lines += _fold(f"u{j}", "*", [*(f"g{i}" for i in idxs), f"{tag}{k}_{j}", *(f"s{i}" for i in idxs)])
-            lines += [*_fold("t", "+", ["0.0", *(f"u{j}" for j in range(len(mons)))]), f"if t > {out}: {out} = t"]
-        lines.append(f"{out} = {out} * {tag}rel + {tag}abs")
-        nvars = self._nvars
-        within = " and ".join(f"m{i} <= {tag}lim" for i in range(nvars)) or "True"
-        mags = "".join(f"m{i}, " for i in range(nvars))
-        return [f"if {within}:", *(f"    {line}" for line in lines), "else:", f"    {out} = {tag}exact(({mags}))"]
+        return self._exact(*mags)
 
     def __call__(self, mags: tuple[float, ...]) -> float:
         return self._eval(mags)

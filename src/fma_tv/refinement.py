@@ -392,7 +392,7 @@ class EquivChecker:
     sample's verdict is PASS or FAIL.  It also fixes
     the bound plan: the compiled derived and published bounds (None where
     unavailable), which of them gates the verdict, and whether the
-    published one audits the derived one.  A sample only evaluates them,
+    published one audits the derived one.  A sample only calls them,
     and under `check(args, True)` only if a compared difference is nonzero
     or non-finite.
 
@@ -493,26 +493,25 @@ class EquivChecker:
 
         A guard first hands every tuple but one of exactly `float`s of the
         right arity (an `int`, a `bool`, a `float` subclass, a `Double` or
-        poison included) to `check_reference`.  Then straight-line source
-        over `args`: both blocks, each binary
-        operation as its Python float operator (exactly its `b64_*`) and
-        each fmuladd as `fma_source` routes it, calling the `b64_fma` that
-        `denotation` holds at construction only off its inline routes; the
-        differences; under the second parameter `lazy`, an early `None`
-        when every compared difference is exactly 0.0 and the leftover
-        clause holds; both bounds as `CompiledBound.source` routes them; and
-        a passing verdict built in place.  Any other outcome is left to
-        `check_reference`.  Wellformedness binds every local once, so each
-        block's names in binding order are its final environment.  Names
-        come from indices only: `x{i}` for parameter i, `o{k}` and `p{k}`
-        for instruction k of the original and the optimized block, and
-        `o{k}_{j}`, `p{k}_{j}` for operand j's literal (k past the last
-        instruction for the return); every value is bound in `ns`.
+        poison included) to `check_reference`.  Then straight-line source over
+        `args`: both blocks, each binary operation as its Python float operator
+        (exactly its `b64_*`) and each fmuladd as `fma_source` routes it,
+        calling the `b64_fma` that `denotation` holds at construction only off
+        its inline routes; the differences; under the second parameter `lazy`,
+        an early `None` when every compared difference is exactly 0.0 and the
+        leftover clause holds; both bounds, calls of the `CompiledBound`s `D`
+        and `P` on the magnitudes `ms`; and a passing verdict built in place.
+        Any other outcome is left to `check_reference`.  Wellformedness binds
+        every local once, so each block's names in binding order are its final
+        environment.  Names come from indices only: `x{i}` for parameter i,
+        `o{k}` and `p{k}` for instruction k of the original and the optimized
+        block, and `o{k}_{j}`, `p{k}_{j}` for operand j's literal (k past the
+        last instruction for the return); every value is bound in `ns`.
         """
         n = len(self.params)
         ns = {"same_bits": same_bits, "reference": self.check_reference, "INF": inf, "new": tuple.__new__,
-              "Verdict": Verdict, "PASS": Status.PASS, "SOURCE": self._gate,
-              "AUDITED": self._audited, "fma_exact": denotation.b64_fma}
+              "Verdict": Verdict, "PASS": Status.PASS, "SOURCE": self._gate, "AUDITED": self._audited,
+              "fma_exact": denotation.b64_fma, "D": self._derived_eval, "P": self._paper_eval}
         body = [f"if len(args) != {n}: return reference(args)"]
         if n:
             body += [f"{''.join(f'x{i}, ' for i in range(n))}= args",
@@ -565,9 +564,9 @@ class EquivChecker:
         # every bound is in [0, inf] (test_compiled_bounds_are_never_negative_or_nan), so all-zero differences pass
         zero = " and ".join(f"{diffs[ij]} == 0.0" if ij in diffs else "False" for ij in compared)
         body.append(f"if lazy and {zero} and {leftover}: return None")
-        body += [f"m{i} = abs(x{i})" for i in range(n)]
-        for out, tag, bound in (("bd", "D_", self._derived_eval), ("bp", "P_", self._paper_eval)):
-            body += [f"{out} = None"] if bound is None else bound.source(out, tag, ns)
+        body += [f"ms = ({''.join(f'abs(x{i}), ' for i in range(n))})",
+                 "bd = None" if self._derived_eval is None else "bd = D(ms)",
+                 "bp = None" if self._paper_eval is None else "bp = P(ms)"]
 
         used, ret = "bd" if self._gate == "derived" else "bp", diffs[opt_ret, orig_ret]
         vacuous = "False" if self._strict else f"not {ret} < INF"

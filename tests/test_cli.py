@@ -39,6 +39,7 @@ from fma_tv.cli import (
     _parse_value,
 )
 from fma_tv.denotation import INTRINSIC_INPUT_ERROR
+from fma_tv.error_model import compile_paper_bound
 from fma_tv.fp_semantics import (
     MAX_FINITE,
     MIN_SUBNORMAL,
@@ -666,6 +667,33 @@ def test_bench_tracer_finds_every_hook():
     spec.loader.exec_module(tracing)
     with tracing.Tracer().install() as tracer:
         assert tracer.missing == []
+
+
+def test_bench_tracer_sees_every_bound_evaluation():
+    # the generated check calls each compiled bound, so the traced benchmark books every evaluation,
+    # including the exact path of a published bound compiled, and cached, before the tracer was installed
+    compile_paper_bound()
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    (original,) = parse_module(Path(NON_FMA).read_text())
+    (optimized,) = parse_module(Path(FMA).read_text())
+    sampler = SamplerConfig(samples=200, seed=3)
+    with tracing.Tracer().install() as tracer:
+        checker = EquivChecker(original, optimized, load_alignment(Path(ALIGNMENT).read_text()))
+        report = validate(checker, sampler, {})
+    names = ("error_model.derived_bound", "error_model.paper_bound", "error_model.exact_eval")
+    derived_calls, paper_calls, exact_calls = (tracer.stat(name).calls for name in names)
+    rng = random.Random(sampler.seed)
+    inputs = [*corpus_tuples(3), *(sample_tuple(rng, 3, sampler) for _ in range(sampler.samples))]
+    # the samples that reach the bounds, then the worst sample if its bounds are rebuilt after the loop
+    reached = [tuple(map(abs, xs)) for xs in inputs if checker.check(xs, True) is not None]
+    worst = inputs[report.worst_sample["index"]]
+    if checker.check(worst, True) is None:
+        reached.append(tuple(map(abs, worst)))
+    assert derived_calls == paper_calls == len(reached)
+    bounds = (checker._derived_eval, checker._paper_eval)
+    assert 0 < sum(not all(m <= b._mag_limit for m in mags) for b in bounds for mags in reached) == exact_calls
 
 
 def test_validate_calls_check_once_per_sample(monkeypatch):
