@@ -6,10 +6,10 @@ guarantees to be IEEE binary64.  `b64_fma` is a single-rounding fused
 multiply-add that needs no libm.  It is generated from `fma_source`, the
 source the refinement checker also inlines, and takes one of four routes:
 `a*b + c` for a zero factor, `a*b` for a zero `c`, an error-free transform
-(Dekker's product, Knuth's TwoSum and a sum rounded to odd) where its guards
-hold, and otherwise `_fma_exact`, exact shifted-integer arithmetic.  Every
-NaN it returns is the canonical quiet NaN 0x7FF8000000000000, whatever the
-operands' payloads.
+(Dekker's product, then `math.fsum`) where its guards hold, and otherwise
+`_fma_exact`, exact shifted-integer arithmetic.  Every NaN it returns is
+the canonical quiet NaN 0x7FF8000000000000, whatever the operands'
+payloads.
 
 `_round_dyadic` is the one rounding routine: it rounds an integer times a
 power of two to binary64 by shift and mask, to nearest or toward +infinity,
@@ -157,9 +157,10 @@ def _fma_exact(a: Binary64, b: Binary64, c: Binary64) -> Binary64:
 # Guards of the error-free transform: Veltkamp's split of a factor under
 # 2**995 cannot overflow; the factors of a product of at least 2**-968 have
 # last bits whose product is at least 2**-1074, so every step of Dekker's
-# product is exact; a product and an addend under 2**1021 keep every sum finite.
+# product is exact; a product and an addend under 2**1021 keep every sum, and
+# every partial of `fsum`, finite.
 _FMA_CONSTS = {"SPLIT": 2.0**27 + 1.0, "FMA_AB": 2.0**995, "FMA_LO": 2.0**-968, "FMA_HI": 2.0**1021,
-               "ulp": math.ulp, "nextafter": math.nextafter, "INF": POS_INF}
+               "fsum": math.fsum}
 
 
 def fma_source(out: str, a: str, b: str, c: str, ns: dict) -> list[str]:
@@ -167,13 +168,14 @@ def fma_source(out: str, a: str, b: str, c: str, ns: dict) -> list[str]:
 
     The one definition of `b64_fma`, which the refinement checker inlines
     per fmuladd.  Three routes run inline, on finite operands only: a zero
-    factor gives `a*b + c`; a zero `c` gives `a*b`; inside the guards, an
-    error-free transform gives the rounded sum of Boldo and Melquiond's fma
-    emulation (IEEE TC 57(4), 2008): Dekker's product with Veltkamp's split,
-    Knuth's TwoSum, the two low parts summed rounding to odd, and one final
-    rounding to nearest.  Everything else calls `fma_exact`, which the
-    caller binds in `ns` (to `_fma_exact` or a wrapper of it).  Temporaries
-    are named `f_*`; the constants are bound in `ns`.
+    factor gives `a*b + c`; a zero `c` gives `a*b`; inside the guards,
+    Dekker's product with Veltkamp's split writes `a*b` exactly as a double
+    and its error term, and `math.fsum` (Shewchuk's exact partials, DCG
+    18(3), 1997) rounds their sum with `c` once.  Like the `*` and `+` it
+    uses, this assumes IEEE binary64 operations without x87 extended
+    precision.  Everything else calls `fma_exact`, which the caller binds
+    in `ns` (to `_fma_exact` or a wrapper of it).  Temporaries are named
+    `f_*`; the constants are bound in `ns`.
     """
     ns.update(_FMA_CONSTS)
     return [
@@ -184,25 +186,14 @@ def fma_source(out: str, a: str, b: str, c: str, ns: dict) -> list[str]:
         f"    {out} = f_p",
         f"elif -FMA_HI < {c} < FMA_HI and FMA_LO <= abs(f_p) < FMA_HI and -FMA_AB < {a} < FMA_AB "
         f"and -FMA_AB < {b} < FMA_AB:",
-        # f_p + f_e == a*b exactly
+        # f_p plus the error term == a*b exactly
         f"    f_t = {a} * SPLIT",
         f"    f_ah = f_t - (f_t - {a})",
         f"    f_al = {a} - f_ah",
         f"    f_t = {b} * SPLIT",
         f"    f_bh = f_t - (f_t - {b})",
         f"    f_bl = {b} - f_bh",
-        "    f_e = ((f_ah * f_bh - f_p) + f_ah * f_bl + f_al * f_bh) + f_al * f_bl",
-        # f_s + f_t == f_p + c exactly
-        f"    f_s = f_p + {c}",
-        "    f_z = f_s - f_p",
-        f"    f_t = (f_p - (f_s - f_z)) + ({c} - f_z)",
-        # f_v + f_z == f_t + f_e exactly; an inexact f_v is normal, and goes to odd
-        "    f_v = f_t + f_e",
-        "    f_z = f_v - f_t",
-        "    f_z = (f_t - (f_v - f_z)) + (f_e - f_z)",
-        "    if f_z and not f_v / ulp(f_v) % 2.0:",
-        "        f_v = nextafter(f_v, f_z * INF)",
-        f"    {out} = f_s + f_v",
+        f"    {out} = fsum((f_p, ((f_ah * f_bh - f_p) + f_ah * f_bl + f_al * f_bh) + f_al * f_bl, {c}))",
         "else:",
         f"    {out} = fma_exact({a}, {b}, {c})",
     ]

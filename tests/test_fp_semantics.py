@@ -516,6 +516,35 @@ def test_fma_matches_exact_at_zero_subnormal_and_overflow_results():
             assert_fma_exact(a, b, c)
 
 
+def test_fma_subnormal_results_stay_inline(monkeypatch):
+    """Products in [LO, 2**-960) cancelled by c = -(a*b) down to a subnormal result.
+
+    The inline route's final rounding then lands below MIN_NORMAL, where the
+    spacing of doubles stops shrinking; every such triple must stay inline
+    and round exactly as the exact route and the oracle do.  The result is
+    the product's rounding error.  Any other double c is at least 2**-1021
+    from -RN(a*b), more than that error can cancel, so it leaves a normal
+    result."""
+    calls = []
+    monkeypatch.setitem(fp_semantics._FMA_NS, "fma_exact", lambda a, b, c: calls.append((a, b, c)))
+    rng = random.Random(6)
+    seen = set()
+    for _ in range(6000):
+        a = rng.choice((-1.0, 1.0)) * math.ldexp(1.0 + rng.getrandbits(52) * 2.0**-52, rng.randint(-600, -360))
+        e = rng.randint(-968, -966) - math.frexp(a)[1]
+        b = rng.choice((-1.0, 1.0)) * math.ldexp(1.0 + rng.getrandbits(52) * 2.0**-52, e)
+        p = a * b
+        want = _fma_exact(a, b, -p)
+        if not LO <= abs(p) < 2.0**-960 or abs(want) >= MIN_NORMAL:
+            continue
+        seen.add((a, b))
+        got = b64_fma(a, b, -p)
+        assert same_bits(got, want), (a, b)
+        assert same_float(got, oracle_fma(a, b, -p)), (a, b)
+    assert calls == []
+    assert len(seen) >= 1000
+
+
 def test_fma_matches_exact_on_the_corpus():
     for a, b, c in itertools.product(special_values(), repeat=3):
         assert_fma_exact(a, b, c)
