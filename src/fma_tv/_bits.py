@@ -1,12 +1,15 @@
-"""Bit-level codecs for IEEE-754 binary64 values.
+"""Bit-level codecs for IEEE-754 binary64 values, and `Double`.
 
 Kept separate so both the IR layer (hex literals) and the numeric layer
 (bit-pattern equality) can use them without importing each other.
+`Double` is the one bit-exact double: an IR literal, an error-model
+constant and a defined runtime value are all a `Double`.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 
 _PACK_D = struct.Struct("<d")
 _PACK_Q = struct.Struct("<Q")
@@ -47,3 +50,24 @@ def float_from_hex(s: str) -> float:
 def same_bits(x: float, y: float) -> bool:
     """Bit-pattern equality: distinguishes +0.0 from -0.0, equates identical NaNs."""
     return bits_of(x) == bits_of(y)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Double:
+    """A defined double value; equality is by bit pattern, so NaN == NaN and -0.0 != 0.0."""
+
+    v: float
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Double):
+            return NotImplemented
+        return bits_of(self.v) == bits_of(other.v)
+
+    def __hash__(self) -> int:
+        return hash(bits_of(self.v))
+
+    def __repr__(self) -> str:
+        return f"Double({self.v!r})"
+
+    def __str__(self) -> str:
+        return hex_of(self.v)

@@ -128,10 +128,11 @@ def _corpus(n_params: int) -> Iterator[tuple[float, ...]]:
 
 
 def sample_tuple(rng: random.Random, n_params: int, cfg: SamplerConfig) -> tuple[float, ...]:
-    """One pseudo-random input tuple: `compile_draw`'s draw, built once per parameter count and exponent range."""
+    """One pseudo-random input tuple: `compile_draw`'s draw, built once per parameter count and sampler config."""
     return compile_draw(n_params, cfg)(rng)
 
 
+@functools.lru_cache(maxsize=32)
 def compile_draw(n_params: int, cfg: SamplerConfig) -> Callable[[random.Random], tuple[float, ...]]:
     """The sampler for `n_params` and `cfg`'s exponent range: one generated function of `rng`.
 
@@ -139,12 +140,7 @@ def compile_draw(n_params: int, cfg: SamplerConfig) -> Callable[[random.Random],
     (`getrandbits(k)` with rejection) and `getrandbits(52)` for the mantissa.  The
     53-bit significand `2**52 + mantissa` is scaled by one `ldexp`, its only rounding
     (in the subnormal range), and the sign applied after, as rounding to nearest is symmetric."""
-    return _draw(n_params, cfg.exp_min, cfg.exp_max)
-
-
-@functools.lru_cache(maxsize=32)
-def _draw(n_params: int, exp_min: int, exp_max: int) -> Callable[[random.Random], tuple[float, ...]]:
-    width = exp_max - exp_min + 1
+    width = cfg.exp_max - cfg.exp_min + 1
     k = width.bit_length()
     body = ["bits = rng.getrandbits"]
     for i in range(n_params):
@@ -153,7 +149,7 @@ def _draw(n_params: int, exp_min: int, exp_max: int) -> Callable[[random.Random]
             f"e = bits({k})",
             f"while e >= {width}:",
             f"    e = bits({k})",
-            f"x{i} = ldexp(bits(52) + TWO52, e + {exp_min - 52})",
+            f"x{i} = ldexp(bits(52) + TWO52, e + {cfg.exp_min - 52})",
             f"if s{i}: x{i} = -x{i}",
         ]
     body.append(f"return ({''.join(f'x{i}, ' for i in range(n_params))})")

@@ -180,7 +180,7 @@ def eval_expr(e: Expr, locals_: LocalEnv) -> Value:
         if v is None:
             raise UndefinedLocalError(e.id)
         return v
-    return Double(e.value)
+    return e
 
 
 def llvm_fmuladd_f64(args: tuple[Value, ...]) -> Value:

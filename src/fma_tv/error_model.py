@@ -6,8 +6,10 @@ and an absolute underflow term `eta`: computing `x op y` yields
 propagates interval-style error estimates through an original and an
 optimized expression over shared inputs and returns a sound upper bound on
 how far apart the two computed results can be, assuming only input
-magnitudes.  `epsilon_fma_paper` is a closed-form bound for the canonical
-three-input case, kept verbatim for auditing against the derived one.
+magnitudes.  An expression's leaves are variables and `Double` constants,
+the very literals the IR parser builds.  `epsilon_fma_paper` is a
+closed-form bound for the canonical three-input case, kept verbatim for
+auditing against the derived one.
 
 All internal arithmetic is exact: values are dyadic rationals, as every
 binary64 and every parameter is (`Fraction`s, or integers times powers of
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Union
 
 from .fp_semantics import MAX_FINITE, MIN_NORMAL, Binary64, _round_dyadic, compile_function, is_finite, round_rational_up
-from ._bits import bits_of
+from ._bits import Double
 
 DEFAULT_DELTA = Fraction(1, 2**53)
 DEFAULT_ETA = Fraction(1, 2**1075)
@@ -75,19 +77,6 @@ class Var:
     name: str
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Const:
-    value: Binary64
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Const):
-            return NotImplemented
-        return bits_of(self.value) == bits_of(other.value)
-
-    def __hash__(self) -> int:
-        return hash(bits_of(self.value))
-
-
 @dataclass(frozen=True, slots=True)
 class Add:
     lhs: FpExpr
@@ -107,13 +96,13 @@ class Fma:
     c: FpExpr
 
 
-FpExpr = Union[Var, Const, Add, Mul, Fma]
+FpExpr = Union[Var, Double, Add, Mul, Fma]
 
 
 def expr_variables(e: FpExpr) -> frozenset[str]:
     if isinstance(e, Var):
         return frozenset((e.name,))
-    if isinstance(e, Const):
+    if isinstance(e, Double):
         return frozenset()
     if isinstance(e, Fma):
         return expr_variables(e.a) | expr_variables(e.b) | expr_variables(e.c)
@@ -190,8 +179,8 @@ class _Propagation:
     def walk(self, e: FpExpr):
         if isinstance(e, Var):
             return self.mags[e.name], self.zero
-        if isinstance(e, Const):
-            return self.lift(Fraction(abs(e.value))), self.zero
+        if isinstance(e, Double):
+            return self.lift(Fraction(abs(e.v))), self.zero
         if isinstance(e, Add):
             ml, el = self.walk(e.lhs)
             mr, er = self.walk(e.rhs)

@@ -27,7 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._bits import bits_of, float_of_bits, hex_of
+from ._bits import Double, float_of_bits, hex_of
 
 Binary64 = float
 
@@ -39,8 +39,6 @@ MIN_SUBNORMAL = float_of_bits(0x0000000000000001)
 MAX_SUBNORMAL = float_of_bits(0x000FFFFFFFFFFFFF)
 MIN_NORMAL = float_of_bits(0x0010000000000000)
 MAX_FINITE = float_of_bits(0x7FEFFFFFFFFFFFFF)
-POS_INF = math.inf
-NEG_INF = -math.inf
 
 
 def is_finite(x: Binary64) -> bool:
@@ -85,7 +83,7 @@ def _round_dyadic(n: int, e: int, to_nearest: bool) -> Binary64:
     # 2**1024; zero keeps the sign
     if m.bit_length() + e > _EMAX + _SIG_BITS:
         if to_nearest or n > 0:
-            return POS_INF if n > 0 else NEG_INF
+            return math.inf if n > 0 else -math.inf
         return -MAX_FINITE
     x = math.ldexp(m, e)
     return x if n > 0 else -x
@@ -208,24 +206,6 @@ b64_fma.__doc__ = "Fused multiply-add: round(a*b + c) with a single rounding (se
 
 # ---------------------------------------------------------------------------
 # Value domain
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Double:
-    """A defined double value; equality is by bit pattern."""
-
-    v: Binary64
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Double):
-            return NotImplemented
-        return bits_of(self.v) == bits_of(other.v)
-
-    def __hash__(self) -> int:
-        return hash(bits_of(self.v))
-
-    def __repr__(self) -> str:
-        return f"Double({self.v!r})"
 
 
 @dataclass(frozen=True, slots=True)

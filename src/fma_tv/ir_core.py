@@ -7,7 +7,8 @@ wellformedness check; attributes and attribute groups, string attributes
 included, are parsed and discarded, as are the `source_filename`,
 `target datalayout` and `target triple` header lines.  A quoted string
 anywhere else is a parse error.  Control flow is out of scope and is
-reported as such at parse time.
+reported as such at parse time.  A literal operand is a `Double` (defined
+in `_bits`), equal to another only if their bit patterns are.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
-from ._bits import bits_of, float_of_bits, hex_of
+from ._bits import Double, float_of_bits
 
 FMULADD_F64 = "llvm.fmuladd.f64"
 
@@ -68,24 +69,6 @@ class GlobalId:
 # Expressions, instructions, blocks
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class DoubleLit:
-    """A `double` literal; equality is by bit pattern, not float comparison."""
-
-    value: float
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DoubleLit):
-            return NotImplemented
-        return bits_of(self.value) == bits_of(other.value)
-
-    def __hash__(self) -> int:
-        return hash(bits_of(self.value))
-
-    def __str__(self) -> str:
-        return hex_of(self.value)
-
-
 @dataclass(frozen=True, slots=True)
 class LocalRef:
     id: LocalId
@@ -94,7 +77,7 @@ class LocalRef:
         return str(self.id)
 
 
-Expr = DoubleLit | LocalRef
+Expr = Double | LocalRef
 
 
 class FBinopKind(enum.Enum):
@@ -432,9 +415,9 @@ class _Parser:
                 raise ParseError(
                     tok.line, tok.col, f"hex double literal needs 16 digits, got {len(digits)}"
                 )
-            return DoubleLit(float_of_bits(int(digits, 16)))
+            return Double(float_of_bits(int(digits, 16)))
         if tok.kind == "floatnum":
-            return DoubleLit(float(tok.text))
+            return Double(float(tok.text))
         if tok.kind == "intnum":
             raise ParseError(
                 tok.line, tok.col, f"integer literal {tok.text!r} is not a valid double literal"

@@ -35,7 +35,6 @@ from . import denotation
 from .denotation import GlobalEnv, LocalEnv, interp_cfg2
 from .error_model import (
     Add,
-    Const,
     Fma,
     FpExpr,
     MismatchedExpressionsError,
@@ -346,9 +345,9 @@ def recover_expr(f: FunctionDef) -> FpExpr:
             if e.id not in env:
                 raise UnsupportedExprError(f"undefined local {e.id}")
             return env[e.id]
-        if not isfinite(e.value):
+        if not isfinite(e.v):
             raise UnsupportedExprError(f"non-finite literal {e} has no magnitude")
-        return Const(e.value), 1, 0
+        return e, 1, 0
 
     for instr in f.body.blk_code:
         if isinstance(instr, FBinop):
@@ -524,7 +523,7 @@ class EquivChecker:
             def operand(e, k: int, j: int) -> str:
                 if isinstance(e, LocalRef):
                     return env[e.id]
-                ns[f"{tag}{k}_{j}"] = e.value
+                ns[f"{tag}{k}_{j}"] = e.v
                 return f"{tag}{k}_{j}"
 
             code = block.body.blk_code

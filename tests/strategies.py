@@ -6,10 +6,10 @@ import math
 
 from hypothesis import strategies as st
 
-from fma_tv.error_model import Add, Const, Fma, Mul, Var
+from fma_tv.error_model import Add, Fma, Mul, Var
+from fma_tv.fp_semantics import Double
 from fma_tv.ir_core import (
     BasicBlock,
-    DoubleLit,
     FBinop,
     FBinopKind,
     FunctionDef,
@@ -42,7 +42,7 @@ def expr_trees(var_names=("a", "b", "c"), max_leaves=6, leaf_consts=True):
     """Expression trees whose leaves cover every name in `var_names`."""
     leaf = st.sampled_from([Var(v) for v in var_names])
     if leaf_consts:
-        leaf = st.one_of(leaf, moderate_double.map(Const))
+        leaf = st.one_of(leaf, moderate_double.map(Double))
 
     def extend(children):
         return st.one_of(
@@ -56,7 +56,7 @@ def expr_trees(var_names=("a", "b", "c"), max_leaves=6, leaf_consts=True):
     def cover_all(e):
         # wrap so the tree reads every variable exactly as required
         for v in var_names:
-            e = Add(e, Mul(Const(0.0), Var(v)))
+            e = Add(e, Mul(Double(0.0), Var(v)))
         return e
 
     return tree.map(cover_all)
@@ -69,7 +69,7 @@ def contract(e, picks):
     contraction) pair is a valid derive_bound test subject.  `picks` is an
     infinite-ish iterator of booleans deciding each eligible site.
     """
-    if isinstance(e, (Var, Const)):
+    if isinstance(e, (Var, Double)):
         return e
     if isinstance(e, Fma):
         return Fma(contract(e.a, picks), contract(e.b, picks), contract(e.c, picks))
@@ -101,7 +101,7 @@ def function_defs(draw, n_params=None, allow_fsub=False):
     def operand():
         if defined and draw(st.booleans()):
             return LocalRef(draw(st.sampled_from(defined)))
-        return DoubleLit(draw(moderate_double))
+        return Double(draw(moderate_double))
 
     for _ in range(n_instr):
         dest = LocalId.anon(next_id)
@@ -120,7 +120,7 @@ def function_defs(draw, n_params=None, allow_fsub=False):
     if defined and draw(st.booleans()):
         ret = Ret(LocalRef(draw(st.sampled_from(defined))))
     else:
-        ret = Ret(DoubleLit(draw(moderate_double)))
+        ret = Ret(Double(draw(moderate_double)))
     body = BasicBlock(LocalId.anon(n_params), (), tuple(code), ret)
     return FunctionDef(GlobalId("f"), params, body)
 

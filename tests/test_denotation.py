@@ -31,7 +31,6 @@ from fma_tv.denotation import (
 )
 from fma_tv.fp_semantics import Double, Poison
 from fma_tv.ir_core import (
-    DoubleLit,
     FBinop,
     FBinopKind,
     GlobalId,
@@ -183,14 +182,14 @@ def test_global_env_defaults():
 def test_eval_expr():
     env = LocalEnv.empty().bind(anon(1), Double(3.5))
     assert eval_expr(LocalRef(anon(1)), env) == Double(3.5)
-    assert eval_expr(DoubleLit(2.0), env) == Double(2.0)
+    assert eval_expr(Double(2.0), env) == Double(2.0)
     with pytest.raises(UndefinedLocalError) as exc:
         eval_expr(LocalRef(anon(9)), env)
     assert exc.value.ident == anon(9)
 
 
 def test_denote_instr_literal_mul():
-    instr = FBinop(anon(4), FBinopKind.FMUL, (), DoubleLit(2.0), DoubleLit(3.0))
+    instr = FBinop(anon(4), FBinopKind.FMUL, (), Double(2.0), Double(3.0))
     env, events = denote_instr(instr, LocalEnv.empty())
     assert env.entries == ((anon(4), Double(6.0)),)
     # literal operands emit no reads
@@ -198,14 +197,14 @@ def test_denote_instr_literal_mul():
 
 
 def test_denote_instr_unknown_intrinsic():
-    instr = IntrinsicCall(anon(4), GlobalId("llvm.sqrt.f64"), (DoubleLit(4.0),), False)
+    instr = IntrinsicCall(anon(4), GlobalId("llvm.sqrt.f64"), (Double(4.0),), False)
     with pytest.raises(UnknownIntrinsicError) as exc:
         denote_instr(instr, LocalEnv.empty())
     assert exc.value.callee == GlobalId("llvm.sqrt.f64")
 
 
 def test_denote_instr_flags_rejected():
-    instr = FBinop(anon(4), FBinopKind.FADD, ("fast",), DoubleLit(1.0), DoubleLit(2.0))
+    instr = FBinop(anon(4), FBinopKind.FADD, ("fast",), Double(1.0), Double(2.0))
     with pytest.raises(Exception):
         denote_instr(instr, LocalEnv.empty())
 

@@ -13,7 +13,6 @@ from fma_tv.error_model import (
     Add,
     BoundResult,
     CompiledBound,
-    Const,
     ErrorModelParams,
     Fma,
     MismatchedExpressionsError,
@@ -38,6 +37,7 @@ from fma_tv.fp_semantics import (
     MAX_SUBNORMAL,
     MIN_NORMAL,
     MIN_SUBNORMAL,
+    Double,
     is_finite,
     round_rational_up,
 )
@@ -89,16 +89,16 @@ def test_params_validation():
 
 def test_expr_variables():
     assert expr_variables(ORIG) == frozenset({"a", "b", "c"})
-    assert expr_variables(Const(3.0)) == frozenset()
-    assert expr_variables(Fma(Var("x"), Const(1.0), Var("x"))) == frozenset({"x"})
+    assert expr_variables(Double(3.0)) == frozenset()
+    assert expr_variables(Fma(Var("x"), Double(1.0), Var("x"))) == frozenset({"x"})
 
 
 def eval_oracle(e, env):
     """Evaluate with the reference arithmetic of `oracles` (Fma as a single rounding)."""
     if isinstance(e, Var):
         return env[e.name]
-    if isinstance(e, Const):
-        return e.value
+    if isinstance(e, Double):
+        return e.v
     if isinstance(e, Add):
         return oracle_add(eval_oracle(e.lhs, env), eval_oracle(e.rhs, env))
     if isinstance(e, Mul):
@@ -535,7 +535,7 @@ def test_fma_roles_modulo_commutativity():
     assert fma_roles(ORIG, OPT) == ("a", "b", "c")
     assert fma_roles(OPT, ORIG) is None
     assert fma_roles(Add(Mul(x, z), y), opt) is None  # other roles
-    assert fma_roles(Add(Mul(Var("a"), Var("b")), Const(1.0)), Fma(Var("a"), Var("b"), Const(1.0))) is None
+    assert fma_roles(Add(Mul(Var("a"), Var("b")), Double(1.0)), Fma(Var("a"), Var("b"), Double(1.0))) is None
     assert fma_roles(Add(Add(x, y), z), Add(x, Add(y, z))) is None
 
 
@@ -604,7 +604,7 @@ def test_compiled_bound_rejects_bad_coefficients():
         (compile_derived_bound(Mul(Var("a"), Var("b")), Add(Var("a"), Var("b")), ("a", "b")), 2),
         (compile_paper_bound(), 3),
         # a constant polynomial reads no magnitude, yet a non-finite one still gives inf
-        (compile_derived_bound(Const(1.0), Const(1.0), ("%0",)), 1),
+        (compile_derived_bound(Double(1.0), Double(1.0), ("%0",)), 1),
         (compile_derived_bound(Var("a"), Var("a"), ("a", "unread")), 2),
     ],
     ids=["canonical", "identity", "two-part", "paper", "constant", "unread-variable"],

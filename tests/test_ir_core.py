@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fma_tv.fp_semantics import Double
 from fma_tv.ir_core import (
     BasicBlock,
-    DoubleLit,
     FBinop,
     FAST_MATH_FLAGS,
     FBinopKind,
@@ -77,7 +77,7 @@ def test_parse_minimal_block():
     assert f.params == ()
     assert f.body.blk_code == ()
     assert f.body.blk_id == LocalId.anon(0)
-    assert f.body.blk_term == Ret(DoubleLit(0.0))
+    assert f.body.blk_term == Ret(Double(0.0))
 
 
 def test_parse_declares_recorded():
@@ -95,8 +95,8 @@ def test_parse_literal_forms():
         "}"
     )
     instr = f.body.blk_code[0]
-    assert instr.lhs == DoubleLit(1.5)
-    assert instr.rhs == DoubleLit(1.0)
+    assert instr.lhs == Double(1.5)
+    assert instr.rhs == Double(1.0)
 
 
 def test_parse_comments_and_named_locals():
@@ -277,13 +277,13 @@ def test_print_uses_hex_literals():
     f = FunctionDef(
         GlobalId("f"),
         (),
-        BasicBlock(LocalId.anon(0), (), (), Ret(DoubleLit(0.0))),
+        BasicBlock(LocalId.anon(0), (), (), Ret(Double(0.0))),
     )
     assert "0x0000000000000000" in print_block(f)
     g = FunctionDef(
         GlobalId("f"),
         (),
-        BasicBlock(LocalId.anon(0), (), (), Ret(DoubleLit(1.0))),
+        BasicBlock(LocalId.anon(0), (), (), Ret(Double(1.0))),
     )
     assert "0x3FF0000000000000" in print_block(g)
 
@@ -367,11 +367,11 @@ def test_roundtrip_preserves_nan_literal_bits():
             LocalId.anon(0),
             (),
             (),
-            Ret(DoubleLit(math.nan)),
+            Ret(Double(math.nan)),
         ),
     )
     (g,) = parse_module(print_block(f))
-    assert g.body.blk_term.value == DoubleLit(math.nan)
+    assert g.body.blk_term.value == Double(math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +447,7 @@ def test_non_empty_phis_detected():
     f = FunctionDef(
         GlobalId("f"),
         (),
-        BasicBlock(LocalId.anon(0), ("phi",), (), Ret(DoubleLit(0.0))),
+        BasicBlock(LocalId.anon(0), ("phi",), (), Ret(Double(0.0))),
     )
     expect_wf_error(f, WfKind.NON_EMPTY_PHIS, "%0")
 

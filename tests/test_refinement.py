@@ -14,7 +14,7 @@ from fma_tv import denotation, refinement
 from fma_tv._bits import bits_of, float_from_hex
 from fma_tv.cli import SamplerConfig, corpus_tuples, sample_tuple, special_values
 from fma_tv.denotation import EvalError, GlobalEnv, IntrinsicError, LocalEnv, interp_cfg2
-from fma_tv.error_model import Add, Const, Fma, Mul, Var, derive_bound
+from fma_tv.error_model import Add, Fma, Mul, Var, derive_bound
 from fma_tv.fp_semantics import MAX_FINITE, MAX_SUBNORMAL, MIN_SUBNORMAL, Double, Poison, b64_fma
 from fma_tv.ir_core import GlobalId, LocalId, WellformednessError, parse_module
 from fma_tv.refinement import (
@@ -215,7 +215,27 @@ def test_recover_expr_identity_and_consts():
     (g,) = parse_module(
         "define double @g(double %0) {\n  %2 = fmul double %0, 2.0\n  ret double %2\n}"
     )
-    assert recover_expr(g) == Mul(Var("%0"), Const(2.0))
+    assert recover_expr(g) == Mul(Var("%0"), Double(2.0))
+
+
+def test_one_literal_object_from_parse_to_bound():
+    exprs = []
+    for lit in ("-0.0", "0.0"):
+        (f,) = parse_module(
+            f"define double @f(double %0) {{\n  %2 = fadd double %0, {lit}\n  ret double %2\n}}"
+        )
+        rhs = f.body.blk_code[0].rhs
+        assert isinstance(rhs, Double)
+        assert recover_expr(f) == Add(Var("%0"), rhs)
+        # a literal denotes itself: the parsed object, not a fresh box
+        assert denotation.eval_expr(rhs, L0) is rhs
+        exprs.append(recover_expr(f))
+    # the twins differ only in the sign of a zero, and stay distinct
+    assert exprs[0] != exprs[1]
+    mags = {"%0": 1.0}
+    labels = [label for label, _ in derive_bound(*exprs, mags).terms]
+    assert labels == ["original:add[0]", "optimized:add[0]", "comparison"]
+    assert [label for label, _ in derive_bound(exprs[0], exprs[0], mags).terms] == ["comparison"]
 
 
 def test_recover_expr_shared_subexpression():
