@@ -4,12 +4,12 @@ The model charges every floating-point operation a relative error `delta`
 and an absolute underflow term `eta`: computing `x op y` yields
 `(x op y)(1 + d) + e` with `|d| <= delta`, `|e| <= eta`.  `derive_bound`
 propagates interval-style error estimates through an original and an
-optimized expression over shared inputs and returns a sound upper bound on
-how far apart the two computed results can be, assuming only input
-magnitudes.  An expression's leaves are variables and `Double` constants,
-the very literals the IR parser builds.  `epsilon_fma_paper` is a
-closed-form bound for the canonical three-input case, kept verbatim for
-auditing against the derived one.
+optimized expression over shared inputs to a sound upper bound on how far
+apart the two computed results can be, given only input magnitudes; it and
+`compile_derived_bound` build from one `_propagate`, as both forms of the
+published bound for the canonical pair, `epsilon_fma_paper` (kept verbatim
+for auditing), come from `_paper_formula`.  An expression's leaves are
+variables and `Double` constants, the very literals the IR parser builds.
 
 All internal arithmetic is exact: values are dyadic rationals, as every
 binary64 and every parameter is (`Fraction`s, or integers times powers of
@@ -159,7 +159,7 @@ class _Propagation:
     (`Fraction` itself) and the compiled polynomial form.
     """
 
-    def __init__(self, mags, params: ErrorModelParams, prefix: str, lift: Callable = Fraction):
+    def __init__(self, mags, params: ErrorModelParams, prefix: str, lift: Callable):
         self.mags = mags
         self.delta = lift(params.delta)
         self.eta = lift(params.eta)
@@ -201,6 +201,24 @@ class _Propagation:
         return mag, self._rounded("fma", mag, pre, ea + eb + ec)
 
 
+def _propagate(original: FpExpr, optimized: FpExpr, mags, params: ErrorModelParams, lift: Callable):
+    """Both sides' exact magnitude bounds, their summed error and their per-site terms.
+
+    Over `lift`'s coefficient type, as `_Propagation` is: one magnitude
+    bound when both sides' agree and two otherwise, and each term as (label,
+    error after the operation, error of its operands).
+    """
+    p_orig = _Propagation(mags, params, "original", lift)
+    m1, e1 = p_orig.walk(original)
+    if original == optimized:
+        # Structurally identical computations round identically, so only the
+        # comparison subtraction can contribute.
+        return (m1,), p_orig.zero, []
+    p_opt = _Propagation(mags, params, "optimized", lift)
+    m2, e2 = p_opt.walk(optimized)
+    return ((m1,) if m1 == m2 else (m1, m2)), e1 + e2, p_orig.terms + p_opt.terms
+
+
 def derive_bound(
     original: FpExpr,
     optimized: FpExpr,
@@ -220,27 +238,13 @@ def derive_bound(
     if missing:
         raise UnknownVariableError(f"no magnitude for {', '.join(missing)}")
     qmags = {v: _coerce_mag(v, mags[v]) for v in vs}
-    delta, eta = params.delta, params.eta
-
-    if original == optimized:
-        # Structurally identical computations round identically, so only the
-        # comparison subtraction can contribute.
-        m1, _ = _Propagation(qmags, params, "original").walk(original)
-        cmp_term = delta * m1 + eta
-        return BoundResult(magnitude_bound=cmp_term, terms=(("comparison", cmp_term),))
-
-    p_orig = _Propagation(qmags, params, "original")
-    m1, e1 = p_orig.walk(original)
-    p_opt = _Propagation(qmags, params, "optimized")
-    m2, e2 = p_opt.walk(optimized)
-
+    ms, err, terms = _propagate(original, optimized, qmags, params, Fraction)
     # The verdict compares the two computed doubles with one more binary64
     # subtraction; both share the exact magnitude bound max(m1, m2).
-    cmp_term = delta * max(m1, m2) + eta
+    cmp_term = params.delta * max(ms) + params.eta
     return BoundResult(
-        magnitude_bound=e1 + e2 + cmp_term,
-        terms=tuple((label, err - pre) for label, err, pre in p_orig.terms + p_opt.terms)
-        + (("comparison", cmp_term),),
+        magnitude_bound=err + cmp_term,
+        terms=(*((label, after - before) for label, after, before in terms), ("comparison", cmp_term)),
     )
 
 
@@ -474,9 +478,9 @@ def _compile_exact(parts, nvars: int) -> Callable:
     power-of-two exponent, variable indices).  Every value is an integer
     times a power of two: magnitude i is `n{i} * 2**(e{i} - 53)`, monomial j
     of part k is `N{k}_{j} * 2**E{k}_{j}` (the integers multiplied, the
-    exponents added; coefficients are literals), and each part sums its
-    monomials as integers shifted to the least exponent `low`; the largest
-    part is rounded up once, by `_round_dyadic`.
+    exponents added; coefficients are hex literals, free of the decimal
+    digit limit), each part sums its monomials as integers shifted to the
+    least exponent `low`, and the largest is rounded up once (`_round_dyadic`).
     """
     ns = {"INF": math.inf, "frexp": math.frexp, "round_dyadic": _round_dyadic}
     # nan < INF is false, so nan gives inf too
@@ -493,9 +497,9 @@ def _compile_exact(parts, nvars: int) -> Callable:
         terms = []
         for j, (num, exp, idxs) in enumerate(mons):
             if not idxs:
-                terms.append(f"({num} << {exp} - low)")
+                terms.append(f"({num:#x} << {exp} - low)")
                 continue
-            lines += _fold(f"N{k}_{j}", "*", [str(num), *(f"n{i}" for i in idxs)])
+            lines += _fold(f"N{k}_{j}", "*", [f"{num:#x}", *(f"n{i}" for i in idxs)])
             lines += _fold(f"E{k}_{j}", "+", [str(exp - 53 * len(idxs)), *(f"e{i}" for i in idxs)])
             lines.append(f"if E{k}_{j} < low: low = E{k}_{j}")
             terms.append(f"(N{k}_{j} << E{k}_{j} - low)")
@@ -507,27 +511,13 @@ def _compile_exact(parts, nvars: int) -> Callable:
     return compile_function("exact", "".join(f"m{i}, " for i in range(nvars)), lines, ns)
 
 
-def _poly_propagation(nvars: int, var_index: Mapping[str, int], params: ErrorModelParams, prefix: str) -> _Propagation:
-    return _Propagation(
-        {v: _Poly.variable(i, nvars) for v, i in var_index.items()},
-        params,
-        prefix,
-        lambda q: _Poly.const(q, nvars),
-    )
-
-
-def compile_derived_bound(
-    original: FpExpr,
-    optimized: FpExpr,
-    var_order: tuple[str, ...],
-    params: ErrorModelParams = ErrorModelParams(),
-) -> CompiledBound:
-    """Compile derive_bound for this pair into a fast per-sample evaluator.
+def compile_derived_bound(original: FpExpr, optimized: FpExpr, var_order: tuple[str, ...]) -> CompiledBound:
+    """Compile derive_bound for this pair, under the default model, into a fast per-sample evaluator.
 
     `var_order` fixes the positional meaning of the magnitude tuple the
     evaluator takes; it must cover every variable the expressions read.
     """
-    return CompiledBound(_derived_polys(original, optimized, var_order, params), len(var_order))
+    return CompiledBound(_derived_polys(original, optimized, var_order, ErrorModelParams()), len(var_order))
 
 
 def _derived_polys(
@@ -538,22 +528,11 @@ def _derived_polys(
     missing = sorted(v for v in vs if v not in var_order)
     if missing:
         raise UnknownVariableError(f"no position for {', '.join(missing)}")
-    nvars = len(var_order)
-    var_index = {v: i for i, v in enumerate(var_order)}
-    delta = _Poly.const(params.delta, nvars)
-    eta = _Poly.const(params.eta, nvars)
-
-    if original == optimized:
-        m1, _ = _poly_propagation(nvars, var_index, params, "original").walk(original)
-        return (delta * m1 + eta,)
-
-    m1, e1 = _poly_propagation(nvars, var_index, params, "original").walk(original)
-    m2, e2 = _poly_propagation(nvars, var_index, params, "optimized").walk(optimized)
-    base = e1 + e2 + eta
-    first = base + delta * m1
-    if m1 == m2:
-        return (first,)
-    return (first, base + delta * m2)
+    n = len(var_order)
+    mags = {v: _Poly.variable(i, n) for i, v in enumerate(var_order)}
+    ms, err, _ = _propagate(original, optimized, mags, params, lambda q: _Poly.const(q, n))
+    delta, eta = _Poly.const(params.delta, n), _Poly.const(params.eta, n)
+    return tuple(err + delta * m + eta for m in ms)
 
 
 @functools.cache

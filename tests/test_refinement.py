@@ -14,8 +14,8 @@ from fma_tv import denotation, refinement
 from fma_tv._bits import bits_of, float_from_hex
 from fma_tv.cli import SamplerConfig, corpus_tuples, sample_tuple, special_values
 from fma_tv.denotation import EvalError, GlobalEnv, IntrinsicError, LocalEnv, interp_cfg2
-from fma_tv.error_model import Add, Fma, Mul, Var, derive_bound
-from fma_tv.fp_semantics import MAX_FINITE, MAX_SUBNORMAL, MIN_SUBNORMAL, Double, Poison, b64_fma
+from fma_tv.error_model import Add, Fma, Mul, Var, compile_derived_bound, derive_bound
+from fma_tv.fp_semantics import MAX_FINITE, MAX_SUBNORMAL, MIN_SUBNORMAL, Double, Poison, b64_fma, round_rational_up
 from fma_tv.ir_core import GlobalId, LocalId, WellformednessError, parse_module
 from fma_tv.refinement import (
     AlignmentError,
@@ -271,6 +271,23 @@ def test_recover_expr_unsupported():
         )
         with pytest.raises(UnsupportedExprError, match="non-finite literal"):
             recover_expr(h)
+
+
+def test_squaring_chain_bound_compiles_past_the_decimal_digit_limit():
+    """Five squarings give exact-path coefficients of over 4,300 decimal digits, more than `int` will print."""
+    squares = [f"  %s{i} = fmul double {x}, {x}\n" for i, x in enumerate(("%0", "%s0", "%s1", "%s2", "%s3"))]
+    head, ret = "define double @f(double %0, double %1) {\n", "  ret double %r\n}"
+    (orig,) = parse_module(head + "".join(squares) + "  %r = fadd double %s4, %1\n" + ret)
+    fma = "  %r = call double @llvm.fmuladd.f64(double %s3, double %s3, double %1)\n"
+    (opt,) = parse_module(head + "".join(squares[:4]) + fma + ret)
+    align = load_alignment('{"pairs": [["%r", "%r"]], "fresh_optimized": ["%r"], "fresh_original": ["%s4", "%r"]}')
+    v = EquivChecker(orig, opt, align).check((1.5, -3.0))
+    assert v.status is Status.PASS and v.bound_derived is not None
+    exprs = recover_expr(orig), recover_expr(opt)
+    bound = compile_derived_bound(*exprs, ("%0", "%1"))
+    for ms in ((1.5, 3.0), (0.0, MIN_SUBNORMAL), (2.0**30, 1.0), (MAX_FINITE, 0.0)):
+        exact = derive_bound(*exprs, {"%0": ms[0], "%1": ms[1]}).magnitude_bound
+        assert bits_of(bound._eval_exact(ms)) == bits_of(round_rational_up(exact))
 
 
 # ---------------------------------------------------------------------------
