@@ -7,9 +7,11 @@ multiply-add that needs no libm.  It is generated from `fma_source`, the
 source the refinement checker also inlines, and takes one of four routes:
 `a*b + c` for a zero factor, `a*b` for a zero `c`, an error-free transform
 (Dekker's product, then `math.fsum`) where its guards hold, and otherwise
-`_fma_exact`, exact shifted-integer arithmetic.  Every NaN it returns is
-the canonical quiet NaN 0x7FF8000000000000, whatever the operands'
-payloads.
+`_fma_exact`, exact shifted-integer arithmetic.  `_fma_exact` hands a
+non-finite operand, and an exact zero result, to float arithmetic, whose
+IEEE rules for infinities, NaN and signed zeros then decide it.  Every NaN
+it returns is the canonical quiet NaN 0x7FF8000000000000, whatever the
+operands' payloads.
 
 `_round_dyadic` is the one rounding routine: it rounds an integer times a
 power of two to binary64 by shift and mask, to nearest or toward +infinity,
@@ -114,23 +116,14 @@ def b64_mul(x: Binary64, y: Binary64) -> Binary64:
     return x * y
 
 
-def _signbit(x: Binary64) -> bool:
-    return math.copysign(1.0, x) < 0
-
-
 def _fma_exact(a: Binary64, b: Binary64, c: Binary64) -> Binary64:
     """Fused multiply-add in exact shifted-integer arithmetic, one final rounding."""
-    if math.isnan(a) or math.isnan(b) or math.isnan(c):
-        return math.nan
-    if math.isinf(a) or math.isinf(b):
-        p = a * b  # +-inf, or nan for 0 * inf
-        if math.isnan(p):
-            return math.nan
-        if math.isinf(c) and _signbit(c) != _signbit(p):
-            return math.nan
-        return c if math.isinf(c) else p
-    if math.isinf(c):
-        return c
+    finite_ab = math.isfinite(a) and math.isfinite(b)
+    if not (finite_ab and math.isfinite(c)):
+        # nothing rounds, so float arithmetic gives IEEE's result; a*b is left
+        # out when only c is non-finite, as it could overflow to the other infinity
+        r = c if finite_ab else a * b + c
+        return r if r == r else math.nan
     # a product under a quarter ulp of a normal c cannot move it (an
     # underflowed one is under 2**-1074 off)
     if abs(a * b) * 2.0**56 <= abs(c) and abs(c) >= 2.0**-1019:
@@ -143,12 +136,9 @@ def _fma_exact(a: Binary64, b: Binary64, c: Binary64) -> Binary64:
     low = min(ep, ec)
     n = (int(ma * 2.0**53) * int(mb * 2.0**53) << ep - low) + (int(mc * 2.0**53) << ec - low)
     if n == 0:
-        # IEEE zero-sign rules: an exact cancellation of nonzero terms gives
-        # +0; a zero product keeps -0 only if both addends are -0.
-        if a == 0.0 or b == 0.0:
-            psign = _signbit(a) != _signbit(b)
-            return -0.0 if psign and _signbit(c) else 0.0
-        return 0.0
+        # a zero factor makes a*b an exact signed zero, whose float sum with the
+        # zero c has IEEE's sign; cancelling nonzero terms give +0
+        return a * b + c if a == 0.0 or b == 0.0 else 0.0
     return _round_dyadic(n, low, True)
 
 

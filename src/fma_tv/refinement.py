@@ -244,7 +244,8 @@ def _classify(v_opt: Value | None, v_orig: Value | None):
 
     None: holds for any bound.  False: fails for any bound (a missing
     value, or poison against anything but poison).
-    Otherwise the (|difference|, all-finite) pair of two defined doubles.
+    Otherwise the |difference| of two defined doubles, which is finite
+    only if both doubles are.
     """
     if v_opt is None or v_orig is None:
         return False
@@ -252,8 +253,7 @@ def _classify(v_opt: Value | None, v_orig: Value | None):
         return None
     if isinstance(v_opt, Poison) or isinstance(v_orig, Poison):
         return False
-    diff = b64_sub(v_opt.v, v_orig.v)
-    return abs(diff), isfinite(v_opt.v) and isfinite(v_orig.v) and isfinite(diff)
+    return abs(b64_sub(v_opt.v, v_orig.v))
 
 
 def _all_hold(checks, bound: float, strict: bool) -> bool:
@@ -264,19 +264,12 @@ def _all_hold(checks, bound: float, strict: bool) -> bool:
     for c in checks:
         if c is None:
             continue
-        if c is False:
-            return False
-        absdiff, finite = c
-        if finite:
-            if not absdiff <= bound:
-                return False
-        elif strict:
+        if c is False or not (c <= bound if c < inf else not strict):
             return False
     return True
 
 
-# `_all_hold` of one `_classify` pair as source, over its |difference| `d` and the
-# bound `b`: a finite difference has finite endpoints, so all-finite is `d < INF`
+# `_all_hold` of one `_classify` |difference| `d` as source, against the bound `b`
 _HOLDS_SOURCE = {False: "({d} <= {b} or not {d} < INF)", True: "({d} <= {b} and {d} < INF)"}
 
 
@@ -609,12 +602,9 @@ class EquivChecker:
         pairs_ok = _all_hold(pair_checks, bound_used, strict)
         ret_ok = _all_hold((ret_check,), bound_used, strict)
 
-        # a (|difference|, all-finite) return check means both returns are doubles
-        observed_diff = None
-        vacuous = False
-        if isinstance(ret_check, tuple):
-            observed_diff, finite = ret_check
-            vacuous = not (strict or finite)
+        # a float return check is the |difference| of two returned doubles
+        observed_diff = ret_check if isinstance(ret_check, float) else None
+        vacuous = observed_diff is not None and not (strict or observed_diff < inf)
 
         # audited means bound_used is the derived bound: only the checks can
         # make the two verdicts differ, and only if the leftover clause holds

@@ -581,6 +581,20 @@ def test_fma_nan_is_canonical(a, b, c):
     assert hex_of(b64_fma(a, b, c)) == hex_of(_fma_exact(a, b, c)) == "0x7FF8000000000000"
 
 
+# signed zeros, both subnormal and normal edges, overflow-prone magnitudes,
+# infinities, a signaling NaN and a negative quiet NaN with a payload
+SPECIAL_OPERANDS = [
+    s * x for x in (0.0, MIN_SUBNORMAL, MIN_NORMAL, 1.0, 1e308, MAX_FINITE, math.inf) for s in (1.0, -1.0)
+] + [float_of_bits(0x7FF0000000000001), float_of_bits(0xFFF8000000000123)]
+
+
+def test_fma_special_operand_cube_matches_oracle():
+    # e.g. (1e308, 1e308, -inf) is -inf, where a*b + c overflows to inf - inf
+    for a, b, c in itertools.product(SPECIAL_OPERANDS, repeat=3):
+        want = bits_of(oracle_fma(a, b, c))
+        assert bits_of(_fma_exact(a, b, c)) == want and bits_of(b64_fma(a, b, c)) == want, (a, b, c)
+
+
 # ---------------------------------------------------------------------------
 # value domain
 

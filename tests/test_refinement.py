@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from fma_tv.cli import SamplerConfig, corpus_tuples, sample_tuple, special_value
 from fma_tv.denotation import EvalError, GlobalEnv, IntrinsicError, LocalEnv, interp_cfg2
 from fma_tv.error_model import Add, Fma, Mul, Var, compile_derived_bound, derive_bound
 from fma_tv.fp_semantics import MAX_FINITE, MAX_SUBNORMAL, MIN_SUBNORMAL, Double, Poison, b64_fma, round_rational_up
-from fma_tv.ir_core import GlobalId, LocalId, WellformednessError, parse_module
+from fma_tv.ir_core import GlobalId, LocalId, LocalRef, Ret, WellformednessError, parse_module
 from fma_tv.refinement import (
     AlignmentError,
     AlignmentSpec,
@@ -271,6 +272,14 @@ def test_recover_expr_unsupported():
         )
         with pytest.raises(UnsupportedExprError, match="non-finite literal"):
             recover_expr(h)
+
+
+def test_recover_expr_refuses_an_undefined_local():
+    # `check_wellformed` rejects such a block before recovery, so it is built by hand
+    (f,) = parse_module("define double @f(double %0) { ret double %0 }")
+    f = replace(f, body=replace(f.body, blk_term=Ret(LocalRef(LocalId.parse("%9")))))
+    with pytest.raises(UnsupportedExprError, match="^undefined local %9$"):
+        recover_expr(f)
 
 
 def test_squaring_chain_bound_compiles_past_the_decimal_digit_limit():
