@@ -1,15 +1,16 @@
-"""Bit-level codecs for IEEE-754 binary64 values, and `Double`.
+"""Bit-level codecs for IEEE-754 binary64 values, `Record` and `Double`.
 
 Kept separate so both the IR layer (hex literals) and the numeric layer
 (bit-pattern equality) can use them without importing each other.
 `Double` is the one bit-exact double: an IR literal, an error-model
-constant and a defined runtime value are all a `Double`.
+constant and a defined runtime value are all a `Double`.  `Record` is the
+base of every value record in the package, `Double` included.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from operator import attrgetter
 
 _PACK_D = struct.Struct("<d")
 _PACK_Q = struct.Struct("<Q")
@@ -52,11 +53,59 @@ def same_bits(x: float, y: float) -> bool:
     return bits_of(x) == bits_of(y)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Double:
+# sets a field past a record's frozen `__setattr__`: each record's `__init__` writes its fields with it
+set_field = object.__setattr__
+
+
+class Record:
+    """A frozen value record: compared, hashed and printed by its fields, in `__slots__` order.
+
+    A record declares its fields as `__slots__` and sets them in its own
+    `__init__` through `set_field`.  Equality holds between records of the
+    same class with equal fields, so `Add(x, y) != Mul(x, y)` and a record
+    never equals a tuple; the hash agrees with it, `repr` reads
+    `Cls(field=value, ...)`, and assigning or deleting a field raises
+    AttributeError.  Every record shares these methods rather than having
+    them generated per class: `dataclasses` builds each of its classes by
+    executing generated source, which, with the modules it imports, would
+    make up much of the package's start-up time.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # a record's field values: the value of its one field, a tuple of
+        # several, or, for a record without fields, its class
+        cls._values = attrgetter(*(cls.__dict__["__slots__"] or ("__class__",)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Double(Record):
     """A defined double value; equality is by bit pattern, so NaN == NaN and -0.0 != 0.0."""
 
-    v: float
+    __slots__ = ("v",)
+
+    def __init__(self, v: float):
+        set_field(self, "v", v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Double):

@@ -24,10 +24,9 @@ import random
 import sys
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 
 from . import __version__
-from ._bits import dual_of, float_from_hex, hex_of
+from ._bits import Record, dual_of, float_from_hex, hex_of, set_field
 from .denotation import EvalError, GlobalEnv, LocalEnv, interp_cfg2, strip_taus, value_to_str
 from .error_model import (
     DEFAULT_DELTA,
@@ -69,27 +68,28 @@ _MAX_CORPUS_COMBINATIONS = 10_000
 # Sampling
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(Record):
     """Deterministic input generation for `validate`."""
 
-    samples: int = 1_000_000
-    seed: int = 0
-    exp_min: int = -50
-    exp_max: int = 50
-    include_special_corpus: bool = True
+    __slots__ = ("samples", "seed", "exp_min", "exp_max", "include_special_corpus")
 
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.seed < 0:
+    def __init__(self, samples: int = 1_000_000, seed: int = 0, exp_min: int = -50, exp_max: int = 50,
+                 include_special_corpus: bool = True):
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
+        if seed < 0:
             # random.Random seeds from |seed|, so -7 would replay the stream of 7
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not -1074 <= self.exp_min <= self.exp_max <= 1023:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if not -1074 <= exp_min <= exp_max <= 1023:
             raise ValueError(
                 f"exponent range must satisfy -1074 <= min <= max <= 1023, "
-                f"got [{self.exp_min}, {self.exp_max}]"
+                f"got [{exp_min}, {exp_max}]"
             )
+        set_field(self, "samples", samples)
+        set_field(self, "seed", seed)
+        set_field(self, "exp_min", exp_min)
+        set_field(self, "exp_max", exp_max)
+        set_field(self, "include_special_corpus", include_special_corpus)
 
 
 def special_values() -> tuple[float, ...]:
@@ -160,22 +160,40 @@ def compile_draw(n_params: int, cfg: SamplerConfig) -> Callable[[random.Random],
 # Reporting
 
 
-@dataclass
-class Report:
-    """Outcome of one `validate` run; serialized as JSON."""
+class Report(Record):
+    """Outcome of one `validate` run; serialized as JSON.
 
-    config: dict
-    verdict: str = "pass"
-    samples_run: dict = field(default_factory=lambda: {"random": 0, "corpus": 0, "total": 0})
-    counts: dict = field(default_factory=dict)
-    max_observed_diff: float | None = None
-    worst_sample: dict | None = None
-    paper_formula_discrepancies: int = 0
-    paper_formula_examples: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
-    unsupported_reason: str | None = None
-    stopped_early: bool = False
-    timing_seconds: float = 0.0
+    The one mutable record, filled in as a run goes: it may be assigned to,
+    and so is not hashable.  A `samples_run`, `counts` or list left out
+    starts empty (`samples_run` at zero counts).
+    """
+
+    __slots__ = (
+        "config", "verdict", "samples_run", "counts", "max_observed_diff", "worst_sample",
+        "paper_formula_discrepancies", "paper_formula_examples", "counterexamples",
+        "unsupported_reason", "stopped_early", "timing_seconds",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, config: dict, verdict: str = "pass", samples_run: dict | None = None, counts: dict | None = None,
+                 max_observed_diff: float | None = None, worst_sample: dict | None = None,
+                 paper_formula_discrepancies: int = 0, paper_formula_examples: list | None = None,
+                 counterexamples: list | None = None, unsupported_reason: str | None = None,
+                 stopped_early: bool = False, timing_seconds: float = 0.0):
+        self.config = config
+        self.verdict = verdict
+        self.samples_run = {"random": 0, "corpus": 0, "total": 0} if samples_run is None else samples_run
+        self.counts = {} if counts is None else counts
+        self.max_observed_diff = max_observed_diff
+        self.worst_sample = worst_sample
+        self.paper_formula_discrepancies = paper_formula_discrepancies
+        self.paper_formula_examples = [] if paper_formula_examples is None else paper_formula_examples
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.unsupported_reason = unsupported_reason
+        self.stopped_early = stopped_early
+        self.timing_seconds = timing_seconds
 
     @property
     def exit_code(self) -> int:
@@ -520,14 +538,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--original", required=True)
     p_val.add_argument("--optimized", required=True)
     p_val.add_argument("--alignment", required=True)
-    p_val.add_argument("--samples", type=int, default=SamplerConfig.samples)
-    p_val.add_argument("--seed", type=int, default=SamplerConfig.seed)
-    p_val.add_argument("--exp-min", type=int, default=SamplerConfig.exp_min)
-    p_val.add_argument("--exp-max", type=int, default=SamplerConfig.exp_max)
+    sampler, cfg = SamplerConfig(), RefinementConfig()
+    p_val.add_argument("--samples", type=int, default=sampler.samples)
+    p_val.add_argument("--seed", type=int, default=sampler.seed)
+    p_val.add_argument("--exp-min", type=int, default=sampler.exp_min)
+    p_val.add_argument("--exp-max", type=int, default=sampler.exp_max)
     p_val.add_argument("--no-special-corpus", action="store_true")
-    p_val.add_argument("--mode", choices=[m.value for m in Mode], default=RefinementConfig.mode.value)
-    p_val.add_argument("--bound", choices=[b.value for b in BoundSource],
-                       default=RefinementConfig.bound_source.value)
+    p_val.add_argument("--mode", choices=[m.value for m in Mode], default=cfg.mode.value)
+    p_val.add_argument("--bound", choices=[b.value for b in BoundSource], default=cfg.bound_source.value)
     p_val.add_argument("--report")
 
     p_run = sub.add_parser("run", help="denote one block and print its trace")

@@ -14,8 +14,7 @@ as the `b64_*` operations do, and tests hold the two bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._bits import Record, set_field
 from .fp_semantics import Double, Poison, Value, b64_add, b64_fma, b64_mul, b64_sub, value_to_str
 from .ir_core import (
     Expr,
@@ -58,37 +57,44 @@ class UnknownIntrinsicError(EvalError):
 # Events and traces
 
 
-@dataclass(frozen=True, slots=True)
-class LocalWrite:
-    id: LocalId
-    value: Value
+class LocalWrite(Record):
+    __slots__ = ("id", "value")
+
+    def __init__(self, id: LocalId, value: Value):
+        set_field(self, "id", id)
+        set_field(self, "value", value)
 
     def __str__(self) -> str:
         return f"LocalWrite {self.id} <- {value_to_str(self.value)}"
 
 
-@dataclass(frozen=True, slots=True)
-class LocalRead:
-    id: LocalId
-    value: Value
+class LocalRead(Record):
+    __slots__ = ("id", "value")
+
+    def __init__(self, id: LocalId, value: Value):
+        set_field(self, "id", id)
+        set_field(self, "value", value)
 
     def __str__(self) -> str:
         return f"LocalRead {self.id} -> {value_to_str(self.value)}"
 
 
-@dataclass(frozen=True, slots=True)
-class IntrinsicCallEvent:
-    callee: GlobalId
-    args: tuple[Value, ...]
-    result: Value
+class IntrinsicCallEvent(Record):
+    __slots__ = ("callee", "args", "result")
+
+    def __init__(self, callee: GlobalId, args: tuple[Value, ...], result: Value):
+        set_field(self, "callee", callee)
+        set_field(self, "args", args)
+        set_field(self, "result", result)
 
     def __str__(self) -> str:
         args = ", ".join(value_to_str(a) for a in self.args)
         return f"IntrinsicCall {self.callee}({args}) -> {value_to_str(self.result)}"
 
 
-@dataclass(frozen=True, slots=True)
-class Tau:
+class Tau(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "Tau"
 
@@ -96,9 +102,11 @@ class Tau:
 TAU = Tau()
 
 
-@dataclass(frozen=True, slots=True)
-class Ret:
-    value: Value
+class Ret(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value):
+        set_field(self, "value", value)
 
     def __str__(self) -> str:
         return f"Ret {value_to_str(self.value)}"
@@ -107,9 +115,11 @@ class Ret:
 Event = LocalWrite | LocalRead | IntrinsicCallEvent | Tau | Ret
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
-    events: tuple[Event, ...]
+class Trace(Record):
+    __slots__ = ("events",)
+
+    def __init__(self, events: tuple[Event, ...]):
+        set_field(self, "events", events)
 
     def __iter__(self):
         return iter(self.events)
@@ -127,11 +137,13 @@ def strip_taus(t: Trace) -> Trace:
 # Environments and machine states
 
 
-@dataclass(frozen=True, slots=True)
-class LocalEnv:
+class LocalEnv(Record):
     """Association list of local bindings, most recent first."""
 
-    entries: tuple[tuple[LocalId, Value], ...] = ()
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[LocalId, Value], ...] = ()):
+        set_field(self, "entries", entries)
 
     @classmethod
     def empty(cls) -> LocalEnv:
@@ -151,22 +163,26 @@ class LocalEnv:
         return LocalEnv(tuple((k, v) for k, v in self.entries if k not in drop))
 
 
-@dataclass(frozen=True, slots=True)
-class GlobalEnv:
+class GlobalEnv(Record):
     """Global bindings."""
 
-    entries: tuple[tuple[GlobalId, Value], ...] = ()
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[GlobalId, Value], ...] = ()):
+        set_field(self, "entries", entries)
 
     @classmethod
     def empty(cls) -> GlobalEnv:
         return cls()
 
 
-@dataclass(frozen=True, slots=True)
-class MachineState:
-    globals: GlobalEnv
-    locals: LocalEnv
-    result: Value
+class MachineState(Record):
+    __slots__ = ("globals", "locals", "result")
+
+    def __init__(self, globals: GlobalEnv, locals: LocalEnv, result: Value):
+        set_field(self, "globals", globals)
+        set_field(self, "locals", locals)
+        set_field(self, "result", result)
 
 
 # ---------------------------------------------------------------------------

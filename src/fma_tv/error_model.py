@@ -14,19 +14,20 @@ variables and `Double` constants, the very literals the IR parser builds.
 All internal arithmetic is exact: values are dyadic rationals, as every
 binary64 and every parameter is (`Fraction`s, or integers times powers of
 two in the compiled exact fallback), so no rounding happens until the final
-bound is converted to a binary64, rounding upward.
+bound is converted to a binary64, rounding upward.  Exact coefficients grow
+without bound, so compiling caps their size (`MAX_COEFF_BITS`), raising
+`CoefficientLimitError` before computing a product that would pass it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
 from .fp_semantics import MAX_FINITE, MIN_NORMAL, Binary64, _round_dyadic, compile_function, is_finite, round_rational_up
-from ._bits import Double
+from ._bits import Double, Record, set_field
 
 DEFAULT_DELTA = Fraction(1, 2**53)
 DEFAULT_ETA = Fraction(1, 2**1075)
@@ -38,6 +39,10 @@ class MismatchedExpressionsError(ValueError):
 
 class UnknownVariableError(ValueError):
     """A magnitude is missing for a variable the expressions read."""
+
+
+class CoefficientLimitError(ValueError):
+    """The compiled bound's polynomial needs coefficients past `MAX_COEFF_BITS`."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +57,7 @@ def _nonneg_dyadic(what: str, q: Fraction) -> Fraction:
     return q
 
 
-@dataclass(frozen=True)
-class ErrorModelParams:
+class ErrorModelParams(Record):
     """Per-operation error constants.
 
     `delta` is the relative rounding bound (unit roundoff for binary64),
@@ -62,38 +66,45 @@ class ErrorModelParams:
     subnormal, which is why bounds are kept exact rather than in binary64.
     """
 
-    delta: Fraction = DEFAULT_DELTA
-    eta: Fraction = DEFAULT_ETA
+    __slots__ = ("delta", "eta")
 
-    def __post_init__(self):
-        for name in ("delta", "eta"):
-            object.__setattr__(self, name, _nonneg_dyadic(name, Fraction(getattr(self, name))))
+    def __init__(self, delta: Fraction = DEFAULT_DELTA, eta: Fraction = DEFAULT_ETA):
+        set_field(self, "delta", _nonneg_dyadic("delta", Fraction(delta)))
+        set_field(self, "eta", _nonneg_dyadic("eta", Fraction(eta)))
         if self.delta >= 1:
             raise ValueError(f"delta must be below 1, got {self.delta}")
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class Add:
-    lhs: FpExpr
-    rhs: FpExpr
+class Add(Record):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: FpExpr, rhs: FpExpr):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, slots=True)
-class Mul:
-    lhs: FpExpr
-    rhs: FpExpr
+class Mul(Record):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: FpExpr, rhs: FpExpr):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, slots=True)
-class Fma:
-    a: FpExpr
-    b: FpExpr
-    c: FpExpr
+class Fma(Record):
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: FpExpr, b: FpExpr, c: FpExpr):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
 
 
 FpExpr = Union[Var, Double, Add, Mul, Fma]
@@ -121,8 +132,7 @@ def _shared_variables(original: FpExpr, optimized: FpExpr) -> frozenset[str]:
 # Bounds
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(Record):
     """A sound upper bound plus its per-operation breakdown.
 
     `magnitude_bound` is exact; `terms` pairs a per-operation label with the
@@ -130,8 +140,11 @@ class BoundResult:
     entry is the comparison rounding term).  Terms sum to the bound.
     """
 
-    magnitude_bound: Fraction
-    terms: tuple[tuple[str, Fraction], ...]
+    __slots__ = ("magnitude_bound", "terms")
+
+    def __init__(self, magnitude_bound: Fraction, terms: tuple[tuple[str, Fraction], ...]):
+        set_field(self, "magnitude_bound", magnitude_bound)
+        set_field(self, "terms", terms)
 
 
 def eval_bound(b: BoundResult) -> Binary64:
@@ -311,6 +324,14 @@ def epsilon_fma_paper(
 # exact bound and slack times it; `derive_bound` remains the exact reference.
 
 
+# the most bits, numerator and denominator together, that the largest
+# coefficients of a product's two factors may take up between them.  Sizes
+# add under multiplication, so each squaring in a chain doubles them, and the
+# time to build the polynomial grows faster still: five squarings of `%0`
+# plus `%1` against their fma reach 35,025 bits, six would reach 71,121
+MAX_COEFF_BITS = 1 << 16
+
+
 class _Poly:
     """Polynomial over named variables with exact Fraction coefficients."""
 
@@ -334,7 +355,17 @@ class _Poly:
             out[k] = out.get(k, Fraction(0)) + v
         return _Poly(out)
 
+    def _bits(self) -> int:
+        """The size of the largest coefficient: numerator bits plus denominator bits."""
+        return max((q.numerator.bit_length() + q.denominator.bit_length() for q in self.coeffs.values()), default=0)
+
     def __mul__(self, other: _Poly) -> _Poly:
+        bits = self._bits() + other._bits()
+        if bits > MAX_COEFF_BITS:
+            # refused before multiplying, since the product is what takes the time
+            raise CoefficientLimitError(
+                f"bound polynomial needs {bits}-bit coefficients, over the error model's limit of {MAX_COEFF_BITS}"
+            )
         out: dict[tuple[int, ...], Fraction] = {}
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():

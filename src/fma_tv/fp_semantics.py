@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ._bits import Double, float_of_bits, hex_of
+from ._bits import Double, Record, float_of_bits, hex_of
 
 Binary64 = float
 
@@ -198,9 +197,10 @@ b64_fma.__doc__ = "Fused multiply-add: round(a*b + c) with a single rounding (se
 # Value domain
 
 
-@dataclass(frozen=True, slots=True)
-class Poison:
+class Poison(Record):
     """The poison `double`."""
+
+    __slots__ = ()
 
 
 Value = Double | Poison

@@ -16,9 +16,7 @@ from __future__ import annotations
 import enum
 import re
 from collections.abc import Callable, Collection
-from dataclasses import dataclass
-
-from ._bits import Double, float_of_bits
+from ._bits import Double, Record, float_of_bits, set_field
 
 FMULADD_F64 = "llvm.fmuladd.f64"
 
@@ -35,11 +33,13 @@ _CONTROL_FLOW_OPS = frozenset({"br", "switch", "indirectbr", "invoke", "resume"}
 # Identifiers
 
 
-@dataclass(frozen=True, slots=True)
-class LocalId:
+class LocalId(Record):
     """A local identifier: anonymous (`%4`) or named (`%x`)."""
 
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        set_field(self, "text", text)
 
     @classmethod
     def anon(cls, n: int) -> LocalId:
@@ -55,11 +55,13 @@ class LocalId:
         return "%" + self.text
 
 
-@dataclass(frozen=True, slots=True)
-class GlobalId:
+class GlobalId(Record):
     """A global identifier such as `@f1` or `@llvm.fmuladd.f64`."""
 
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        set_field(self, "text", text)
 
     def __str__(self) -> str:
         return "@" + self.text
@@ -69,9 +71,11 @@ class GlobalId:
 # Expressions, instructions, blocks
 
 
-@dataclass(frozen=True, slots=True)
-class LocalRef:
-    id: LocalId
+class LocalRef(Record):
+    __slots__ = ("id",)
+
+    def __init__(self, id: LocalId):
+        set_field(self, "id", id)
 
     def __str__(self) -> str:
         return str(self.id)
@@ -92,29 +96,33 @@ class FBinopKind(enum.Enum):
 _BINOP_SPELLINGS = frozenset(k.value for k in FBinopKind)
 
 
-@dataclass(frozen=True, slots=True)
-class FBinop:
+class FBinop(Record):
     """`dest = <kind> [flags] double lhs, rhs`."""
 
-    dest: LocalId
-    kind: FBinopKind
-    fm_flags: tuple[str, ...]
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("dest", "kind", "fm_flags", "lhs", "rhs")
+
+    def __init__(self, dest: LocalId, kind: FBinopKind, fm_flags: tuple[str, ...], lhs: Expr, rhs: Expr):
+        set_field(self, "dest", dest)
+        set_field(self, "kind", kind)
+        set_field(self, "fm_flags", fm_flags)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
     def __str__(self) -> str:
         flags = "".join(f + " " for f in self.fm_flags)
         return f"{self.dest} = {self.kind} {flags}double {self.lhs}, {self.rhs}"
 
 
-@dataclass(frozen=True, slots=True)
-class IntrinsicCall:
+class IntrinsicCall(Record):
     """`dest = [tail] call double @callee(double a, double b, double c)`."""
 
-    dest: LocalId
-    callee: GlobalId
-    args: tuple[Expr, ...]
-    tail: bool
+    __slots__ = ("dest", "callee", "args", "tail")
+
+    def __init__(self, dest: LocalId, callee: GlobalId, args: tuple[Expr, ...], tail: bool):
+        set_field(self, "dest", dest)
+        set_field(self, "callee", callee)
+        set_field(self, "args", args)
+        set_field(self, "tail", tail)
 
     def __str__(self) -> str:
         args = ", ".join(f"double {a}" for a in self.args)
@@ -125,29 +133,35 @@ class IntrinsicCall:
 Instruction = FBinop | IntrinsicCall
 
 
-@dataclass(frozen=True, slots=True)
-class Ret:
+class Ret(Record):
     """`ret double <value>` terminator."""
 
-    value: Expr
+    __slots__ = ("value",)
+
+    def __init__(self, value: Expr):
+        set_field(self, "value", value)
 
     def __str__(self) -> str:
         return f"ret double {self.value}"
 
 
-@dataclass(frozen=True, slots=True)
-class BasicBlock:
-    blk_id: LocalId
-    blk_phis: tuple[()]
-    blk_code: tuple[Instruction, ...]
-    blk_term: Ret
+class BasicBlock(Record):
+    __slots__ = ("blk_id", "blk_phis", "blk_code", "blk_term")
+
+    def __init__(self, blk_id: LocalId, blk_phis: tuple[()], blk_code: tuple[Instruction, ...], blk_term: Ret):
+        set_field(self, "blk_id", blk_id)
+        set_field(self, "blk_phis", blk_phis)
+        set_field(self, "blk_code", blk_code)
+        set_field(self, "blk_term", blk_term)
 
 
-@dataclass(frozen=True, slots=True)
-class FunctionDef:
-    name: GlobalId
-    params: tuple[LocalId, ...]
-    body: BasicBlock
+class FunctionDef(Record):
+    __slots__ = ("name", "params", "body")
+
+    def __init__(self, name: GlobalId, params: tuple[LocalId, ...], body: BasicBlock):
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "body", body)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +216,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class _Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        set_field(self, "kind", kind)
+        set_field(self, "text", text)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
 
 def _lex(text: str) -> list[_Token]:

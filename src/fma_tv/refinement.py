@@ -26,15 +26,15 @@ from __future__ import annotations
 import enum
 import functools
 import json
-from dataclasses import dataclass
 from math import inf, isfinite
 from typing import NamedTuple
 
-from ._bits import dual_of, same_bits
+from ._bits import Record, dual_of, same_bits, set_field
 from . import denotation
 from .denotation import GlobalEnv, LocalEnv, interp_cfg2
 from .error_model import (
     Add,
+    CoefficientLimitError,
     Fma,
     FpExpr,
     MismatchedExpressionsError,
@@ -87,8 +87,7 @@ class UnsupportedExprError(ValueError):
 # Alignment
 
 
-@dataclass(frozen=True)
-class AlignmentSpec:
+class AlignmentSpec(Record):
     """Which locals correspond across the rewrite.
 
     `pairs` lists (optimized id, original id) whose values must be within
@@ -98,16 +97,18 @@ class AlignmentSpec:
     side: a paired local is by definition not shared state.
     """
 
-    pairs: tuple[tuple[LocalId, LocalId], ...] = ()
-    fresh_optimized: frozenset[LocalId] = frozenset()
-    fresh_original: frozenset[LocalId] = frozenset()
+    __slots__ = ("pairs", "fresh_optimized", "fresh_original")
 
-    def __post_init__(self):
-        for opt_id, orig_id in self.pairs:
-            if opt_id not in self.fresh_optimized:
+    def __init__(self, pairs: tuple[tuple[LocalId, LocalId], ...] = (),
+                 fresh_optimized: frozenset[LocalId] = frozenset(), fresh_original: frozenset[LocalId] = frozenset()):
+        for opt_id, orig_id in pairs:
+            if opt_id not in fresh_optimized:
                 raise AlignmentError(f"paired id {opt_id} missing from fresh_optimized")
-            if orig_id not in self.fresh_original:
+            if orig_id not in fresh_original:
                 raise AlignmentError(f"paired id {orig_id} missing from fresh_original")
+        set_field(self, "pairs", pairs)
+        set_field(self, "fresh_optimized", fresh_optimized)
+        set_field(self, "fresh_original", fresh_original)
 
     def validate_against(self, params: tuple[LocalId, ...]) -> None:
         """Fresh sets may not claim shared inputs."""
@@ -178,10 +179,12 @@ def load_alignment(text: str) -> AlignmentSpec:
 # Configuration and verdicts
 
 
-@dataclass(frozen=True)
-class RefinementConfig:
-    mode: Mode = Mode.LENIENT
-    bound_source: BoundSource = BoundSource.BOTH
+class RefinementConfig(Record):
+    __slots__ = ("mode", "bound_source")
+
+    def __init__(self, mode: Mode = Mode.LENIENT, bound_source: BoundSource = BoundSource.BOTH):
+        set_field(self, "mode", mode)
+        set_field(self, "bound_source", bound_source)
 
 
 class Verdict(NamedTuple):
@@ -442,7 +445,7 @@ class EquivChecker:
             try:
                 expr_orig, expr_opt = recover_expr(original), recover_expr(optimized)
                 derived_eval = compile_derived_bound(expr_orig, expr_opt, tuple(str(p) for p in self.params))
-            except (UnsupportedExprError, MismatchedExpressionsError) as e:
+            except (UnsupportedExprError, MismatchedExpressionsError, CoefficientLimitError) as e:
                 why_no_derived = str(e)
             if len(self.params) == 3:
                 paper_eval = compile_paper_bound()

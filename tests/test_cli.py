@@ -39,7 +39,7 @@ from fma_tv.cli import (
     _parse_value,
 )
 from fma_tv.denotation import INTRINSIC_INPUT_ERROR
-from fma_tv.error_model import compile_paper_bound
+from fma_tv.error_model import MAX_COEFF_BITS, compile_paper_bound
 from fma_tv.fp_semantics import (
     MAX_FINITE,
     MIN_SUBNORMAL,
@@ -58,6 +58,7 @@ from fma_tv.refinement import (
     load_alignment,
 )
 from fma_tv._bits import dual_of, hex_of
+from records import fields
 from strategies import block_pairs, function_defs
 from test_refinement import dot_blocks
 
@@ -76,7 +77,7 @@ def run_validate(tmp_path, *, original=NON_FMA, optimized=FMA, alignment=ALIGNME
     """cmd_validate against temp report; returns (exit_code, report dict, summary)."""
     report = tmp_path / report_name
     out, err = io.StringIO(), io.StringIO()
-    sampler = SamplerConfig(**{k: v for k, v in kw.items() if k in SamplerConfig.__dataclass_fields__})
+    sampler = SamplerConfig(**{k: v for k, v in kw.items() if k in fields(SamplerConfig)})
     code = cmd_validate(original, optimized, alignment, sampler,
                         report_path=str(report), out=out, err=err)
     doc = json.loads(report.read_text()) if report.exists() else None
@@ -1067,6 +1068,28 @@ def test_expression_within_limits_gets_its_bound(tmp_path, capsys):
     assert doc["counts"]["pass"] == 10
 
 
+def test_squaring_chain_past_the_coefficient_limit_is_refused_with_a_reason(tmp_path, capsys):
+    # eight squarings of %0 plus %1 against the fma of the seventh square: 256
+    # nodes, well inside the expression limits, but the bound polynomial's
+    # coefficients double in size at every squaring
+    head, ret = "define double @f(double %0, double %1) {\n", "  ret double %r\n}\n"
+    squares = [f"  %s{i} = fmul double {x}, {x}\n" for i, x in enumerate(["%0", *(f"%s{i}" for i in range(7))])]
+    paths = [tmp_path / name for name in ("orig.ll", "opt.ll", "align.json", "report.json")]
+    paths[0].write_text(head + "".join(squares) + "  %r = fadd double %s7, %1\n" + ret)
+    paths[1].write_text(head + "".join(squares[:7]) + "  %r = call double @llvm.fmuladd.f64(double %s6, double %s6, double %1)\n" + ret)
+    paths[2].write_text('{"pairs": [["%r", "%r"]], "fresh_optimized": ["%r"], "fresh_original": ["%s7", "%r"]}')
+    started = time.perf_counter()
+    code = main(["validate", "--original", str(paths[0]), "--optimized", str(paths[1]), "--alignment", str(paths[2]),
+                 "--samples", "10", "--report", str(paths[3])])
+    elapsed = time.perf_counter() - started
+    doc = json.loads(paths[3].read_text())
+    assert code == 1
+    assert doc["verdict"] == "unsupported"
+    assert doc["unsupported_reason"].startswith("no bound available: bound polynomial needs ")
+    assert doc["unsupported_reason"].endswith(f"-bit coefficients, over the error model's limit of {MAX_COEFF_BITS}")
+    assert elapsed < 5.0
+
+
 # ---------------------------------------------------------------------------
 # argparse wiring
 
@@ -1159,6 +1182,25 @@ def test_cli_import_does_not_load_ctypes():
     )
     assert proc.returncode == 0
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("entry", ["import", "validate"])
+def test_start_up_loads_no_dataclass_machinery(tmp_path, entry):
+    # the package's records share one base instead of `dataclasses`, whose
+    # import brings in the other three; runpy runs `-m fma_tv` as `python -m` does
+    src = str(Path(fma_tv.__file__).resolve().parent.parent)
+    argv = ["fma_tv", "validate", "--original", NON_FMA, "--optimized", FMA, "--alignment", ALIGNMENT,
+            "--samples", "100", "--report", str(tmp_path / "report.json")]
+    run = ("import fma_tv.cli" if entry == "import" else
+           f"import runpy\nsys.argv = {argv!r}\ntry:\n    runpy.run_module('fma_tv', run_name='__main__')\n"
+           "except SystemExit as e:\n    assert e.code == 0, e.code")
+    script = f"import sys\n{run}\nprint([m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert entry == "import" or json.loads((tmp_path / "report.json").read_text())["verdict"] == "pass"
 
 
 def test_report_default_shape():

@@ -42,6 +42,7 @@ from fma_tv.ir_core import (
     WellformednessError,
 )
 from oracles import oracle_fma
+from records import replace
 from strategies import any_double, function_defs
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
@@ -304,10 +305,7 @@ def test_wellformedness_predicts_undefined_locals(f, data):
     if mutate and f.body.blk_code:
         idx = data.draw(st.integers(0, len(f.body.blk_code) - 1))
         instr = f.body.blk_code[idx]
-        bad = type(instr)(
-            **{**{fld: getattr(instr, fld) for fld in instr.__dataclass_fields__},
-               "dest": LocalId("rogue")},
-        )
+        bad = replace(instr, dest=LocalId("rogue"))
         body = type(f.body)(
             f.body.blk_id,
             f.body.blk_phis,

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from fma_tv.error_model import (
     Add,
+    MAX_COEFF_BITS,
     BoundResult,
+    CoefficientLimitError,
     CompiledBound,
     ErrorModelParams,
     Fma,
@@ -674,6 +676,25 @@ def test_compiled_bound_refuses_mismatched_variable_sets():
         assert str(exc.value) == "variable sets differ: ['%0'] vs ['%1']"
 
 
+def squaring_chain(k):
+    """`k` squarings of x plus y, and the same with the last squaring and the add fused."""
+    s = Var("x")
+    for _ in range(k - 1):
+        s = Mul(s, s)
+    return Add(Mul(s, s), Var("y")), Fma(s, s, Var("y"))
+
+
+def test_compiled_bound_refuses_coefficients_past_the_limit():
+    # five squarings reach 35,025-bit coefficients; the sixth would double that,
+    # and is refused before its product is computed
+    compile_derived_bound(*squaring_chain(5), ("x", "y"))
+    with pytest.raises(CoefficientLimitError) as exc:
+        compile_derived_bound(*squaring_chain(6), ("x", "y"))
+    assert str(exc.value).endswith(f"-bit coefficients, over the error model's limit of {MAX_COEFF_BITS}")
+    # the exact bound, a sum over the few operations, is not capped
+    assert derive_bound(*squaring_chain(6), {"x": 1.5, "y": 1.0}).magnitude_bound > 0
+
+
 def test_missing_magnitude():
     with pytest.raises(UnknownVariableError):
         derive_bound(ORIG, OPT, {"a": 1, "b": 1})
@@ -693,3 +714,4 @@ def test_bad_magnitudes():
 def test_error_types_are_value_errors():
     assert issubclass(MismatchedExpressionsError, ValueError)
     assert issubclass(UnknownVariableError, ValueError)
+    assert issubclass(CoefficientLimitError, ValueError)

@@ -1,6 +1,5 @@
 """Parser, printer, and wellformedness checks for the IR fragment."""
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from fma_tv.ir_core import (
     parse_module,
     print_block,
 )
+from records import replace
 from strategies import function_defs
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
@@ -326,11 +326,11 @@ def decorated_function_defs(draw):
     for instr in f.body.blk_code:
         if isinstance(instr, FBinop):
             flags = tuple(draw(st.lists(st.sampled_from(sorted(FAST_MATH_FLAGS)), unique=True)))
-            instr = dataclasses.replace(instr, fm_flags=flags, lhs=ref(instr.lhs), rhs=ref(instr.rhs))
+            instr = replace(instr, fm_flags=flags, lhs=ref(instr.lhs), rhs=ref(instr.rhs))
         else:
-            instr = dataclasses.replace(instr, args=tuple(map(ref, instr.args)))
-        code.append(dataclasses.replace(instr, dest=rename[instr.dest]))
-    body = dataclasses.replace(f.body, blk_code=tuple(code), blk_term=Ret(ref(f.body.blk_term.value)))
+            instr = replace(instr, args=tuple(map(ref, instr.args)))
+        code.append(replace(instr, dest=rename[instr.dest]))
+    body = replace(f.body, blk_code=tuple(code), blk_term=Ret(ref(f.body.blk_term.value)))
     return FunctionDef(f.name, tuple(rename[p] for p in f.params), body)
 
 

@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from fma_tv.refinement import (
     local_refine,
     recover_expr,
 )
+from records import replace
 from strategies import any_double, block_pairs, finite_double, function_defs
 from test_error_model import loop_float_path
 
