@@ -29,8 +29,8 @@ from . import __version__
 from ._bits import Record, dual_of, float_from_hex, hex_of, set_field
 from .denotation import EvalError, GlobalEnv, LocalEnv, interp_cfg2, strip_taus, value_to_str
 from .error_model import (
-    DEFAULT_DELTA,
-    DEFAULT_ETA,
+    DELTA_EXP,
+    ETA_EXP,
     derive_bound,
     epsilon_fma_paper,
     eval_bound,
@@ -344,8 +344,8 @@ def cmd_validate(
         "special_corpus": sampler.include_special_corpus,
         "mode": cfg.mode.value,
         "bound": cfg.bound_source.value,
-        "delta": str(DEFAULT_DELTA),
-        "eta": str(DEFAULT_ETA),
+        "delta": f"1/{2**-DELTA_EXP}",
+        "eta": f"1/{2**-ETA_EXP}",
         "threads": 1,
     }
     try:

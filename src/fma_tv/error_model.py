@@ -11,26 +11,26 @@ published bound for the canonical pair, `epsilon_fma_paper` (kept verbatim
 for auditing), come from `_paper_formula`.  An expression's leaves are
 variables and `Double` constants, the very literals the IR parser builds.
 
-All internal arithmetic is exact: values are dyadic rationals, as every
-binary64 and every parameter is (`Fraction`s, or integers times powers of
-two in the compiled exact fallback), so no rounding happens until the final
-bound is converted to a binary64, rounding upward.  Exact coefficients grow
-without bound, so compiling caps their size (`MAX_COEFF_BITS`), raising
-`CoefficientLimitError` before computing a product that would pass it.
+All arithmetic is exact, over dyadic rationals as every binary64 is, until
+the bound is rounded up to a binary64: `derive_bound` works in `Fraction`s,
+the compiled tier in integers times powers of two (as Flocq represents
+binary floats), so only what takes or returns a `Fraction` imports
+`fractions`.  Compiling caps the polynomials' coefficient size and product
+size (`MAX_COEFF_BITS`, `MAX_MONOMIALS`) before computing a product.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
+from operator import add, or_
 from typing import Callable, Mapping, Union
 
 from .fp_semantics import MAX_FINITE, MIN_NORMAL, Binary64, _round_dyadic, compile_function, is_finite, round_rational_up
 from ._bits import Double, Record, set_field
 
-DEFAULT_DELTA = Fraction(1, 2**53)
-DEFAULT_ETA = Fraction(1, 2**1075)
+# the default model: delta = 2**DELTA_EXP, the binary64 unit roundoff, and eta = 2**ETA_EXP
+DELTA_EXP, ETA_EXP = -53, -1075
 
 
 class MismatchedExpressionsError(ValueError):
@@ -42,7 +42,7 @@ class UnknownVariableError(ValueError):
 
 
 class CoefficientLimitError(ValueError):
-    """The compiled bound's polynomial needs coefficients past `MAX_COEFF_BITS`."""
+    """The compiled bound's polynomial needs a product past `MAX_COEFF_BITS` or `MAX_MONOMIALS`."""
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def _nonneg_dyadic(what: str, q: Fraction) -> Fraction:
 
 
 class ErrorModelParams(Record):
-    """Per-operation error constants.
+    """Per-operation error constants, as `Fraction`s; the default model's when omitted.
 
     `delta` is the relative rounding bound (unit roundoff for binary64),
     `eta` the absolute underflow addend.  Both must be non-negative dyadic
@@ -68,9 +68,11 @@ class ErrorModelParams(Record):
 
     __slots__ = ("delta", "eta")
 
-    def __init__(self, delta: Fraction = DEFAULT_DELTA, eta: Fraction = DEFAULT_ETA):
-        set_field(self, "delta", _nonneg_dyadic("delta", Fraction(delta)))
-        set_field(self, "eta", _nonneg_dyadic("eta", Fraction(eta)))
+    def __init__(self, delta: Fraction | None = None, eta: Fraction | None = None):
+        from fractions import Fraction
+
+        for name, q, exp in (("delta", delta, DELTA_EXP), ("eta", eta, ETA_EXP)):
+            set_field(self, name, _nonneg_dyadic(name, Fraction(2) ** exp if q is None else Fraction(q)))
         if self.delta >= 1:
             raise ValueError(f"delta must be below 1, got {self.delta}")
 
@@ -153,6 +155,8 @@ def eval_bound(b: BoundResult) -> Binary64:
 
 
 def _coerce_mag(name: str, value) -> Fraction:
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         q = value
     elif isinstance(value, (int, float)):
@@ -167,18 +171,15 @@ def _coerce_mag(name: str, value) -> Fraction:
 class _Propagation:
     """Walks an expression accumulating (magnitude, error) pairs.
 
-    Generic over the coefficient arithmetic: `lift` maps an exact rational
-    into any type with + and *, so the same walk yields exact bounds
-    (`Fraction` itself) and the compiled polynomial form.
+    Generic over the coefficient arithmetic: `delta` and `eta` come in any
+    type with + and *, and `lift` maps a constant's magnitude (a float) into
+    it, so the same walk yields exact bounds (over `Fraction`) and the
+    compiled polynomial form.
     """
 
-    def __init__(self, mags, params: ErrorModelParams, prefix: str, lift: Callable):
-        self.mags = mags
-        self.delta = lift(params.delta)
-        self.eta = lift(params.eta)
-        self.prefix = prefix
-        self.zero = lift(Fraction(0))
-        self.lift = lift
+    def __init__(self, mags, delta, eta, prefix: str, lift: Callable):
+        self.mags, self.delta, self.eta, self.prefix, self.lift = mags, delta, eta, prefix, lift
+        self.zero = lift(0.0)
         # (label, error after the operation, error of its operands)
         self.terms: list[tuple[str, object, object]] = []
 
@@ -193,42 +194,42 @@ class _Propagation:
         if isinstance(e, Var):
             return self.mags[e.name], self.zero
         if isinstance(e, Double):
-            return self.lift(Fraction(abs(e.v))), self.zero
+            return self.lift(abs(e.v)), self.zero
+        if isinstance(e, Fma):
+            (ma, ea), (mb, eb), (mc, ec) = self.walk(e.a), self.walk(e.b), self.walk(e.c)
+            mag = ma * mb + mc
+            return mag, self._rounded("fma", mag, ea * mb + ma * eb + ea * eb + ec, ea + eb + ec)
+        (ml, el), (mr, er) = self.walk(e.lhs), self.walk(e.rhs)
         if isinstance(e, Add):
-            ml, el = self.walk(e.lhs)
-            mr, er = self.walk(e.rhs)
-            mag = ml + mr
-            pre = el + er
+            mag, pre = ml + mr, el + er
             return mag, self._rounded("add", mag, pre, pre)
-        if isinstance(e, Mul):
-            ml, el = self.walk(e.lhs)
-            mr, er = self.walk(e.rhs)
-            mag = ml * mr
-            pre = el * mr + ml * er + el * er
-            return mag, self._rounded("mul", mag, pre, el + er)
-        ma, ea = self.walk(e.a)
-        mb, eb = self.walk(e.b)
-        mc, ec = self.walk(e.c)
-        mag = ma * mb + mc
-        pre = ea * mb + ma * eb + ea * eb + ec
-        return mag, self._rounded("fma", mag, pre, ea + eb + ec)
+        mag = ml * mr
+        return mag, self._rounded("mul", mag, el * mr + ml * er + el * er, el + er)
 
 
-def _propagate(original: FpExpr, optimized: FpExpr, mags, params: ErrorModelParams, lift: Callable):
-    """Both sides' exact magnitude bounds, their summed error and their per-site terms.
+def _magnitude(e: FpExpr, mags, lift: Callable):
+    """The exact bound on |e| that `_Propagation.walk` finds, from the magnitudes alone."""
+    if isinstance(e, Var):
+        return mags[e.name]
+    if isinstance(e, Double):
+        return lift(abs(e.v))
+    if isinstance(e, Fma):
+        return _magnitude(e.a, mags, lift) * _magnitude(e.b, mags, lift) + _magnitude(e.c, mags, lift)
+    lhs, rhs = _magnitude(e.lhs, mags, lift), _magnitude(e.rhs, mags, lift)
+    return lhs + rhs if isinstance(e, Add) else lhs * rhs
 
-    Over `lift`'s coefficient type, as `_Propagation` is: one magnitude
-    bound when both sides' agree and two otherwise, and each term as (label,
-    error after the operation, error of its operands).
+
+def _propagate(original: FpExpr, optimized: FpExpr, mags, delta, eta, lift: Callable):
+    """Both sides' exact magnitude bounds (one when they agree), their summed error and their per-site terms.
+
+    Over `_Propagation`'s coefficient type, each term as (label, error after the operation, error of its operands).
     """
-    p_orig = _Propagation(mags, params, "original", lift)
-    m1, e1 = p_orig.walk(original)
     if original == optimized:
-        # Structurally identical computations round identically, so only the
-        # comparison subtraction can contribute.
-        return (m1,), p_orig.zero, []
-    p_opt = _Propagation(mags, params, "optimized", lift)
-    m2, e2 = p_opt.walk(optimized)
+        # identical computations round identically: only the comparison contributes, and no error is walked
+        return (_magnitude(original, mags, lift),), lift(0.0), []
+    p_orig = _Propagation(mags, delta, eta, "original", lift)
+    p_opt = _Propagation(mags, delta, eta, "optimized", lift)
+    (m1, e1), (m2, e2) = p_orig.walk(original), p_opt.walk(optimized)
     return ((m1,) if m1 == m2 else (m1, m2)), e1 + e2, p_orig.terms + p_opt.terms
 
 
@@ -236,22 +237,23 @@ def derive_bound(
     original: FpExpr,
     optimized: FpExpr,
     mags: Mapping[str, Union[Binary64, int, Fraction]],
-    params: ErrorModelParams = ErrorModelParams(),
+    params: ErrorModelParams | None = None,
 ) -> BoundResult:
-    """Bound |original - optimized| as computed in binary64.
+    """Bound |original - optimized| as computed in binary64, under `params` or the default model.
 
-    Both expressions are evaluated over the same inputs, of which only
-    magnitude bounds are known: `mags[v] >= |value of v|`.  The result
-    over-approximates the worst-case distance between the two computed
-    values, including the final rounding incurred when the comparison itself
-    subtracts them.
+    Both expressions read the same inputs, known only by magnitude bounds
+    `mags[v] >= |value of v|`; the result over-approximates the distance
+    between the two computed values, the comparison's own rounding included.
     """
+    from fractions import Fraction
+
+    params = ErrorModelParams() if params is None else params
     vs = _shared_variables(original, optimized)
     missing = sorted(v for v in vs if v not in mags)
     if missing:
         raise UnknownVariableError(f"no magnitude for {', '.join(missing)}")
     qmags = {v: _coerce_mag(v, mags[v]) for v in vs}
-    ms, err, terms = _propagate(original, optimized, qmags, params, Fraction)
+    ms, err, terms = _propagate(original, optimized, qmags, params.delta, params.eta, Fraction)
     # The verdict compares the two computed doubles with one more binary64
     # subtraction; both share the exact magnitude bound max(m1, m2).
     cmp_term = params.delta * max(ms) + params.eta
@@ -262,20 +264,13 @@ def derive_bound(
 
 
 def _paper_formula(A, B, C, d, h, one, two):
-    """The published formula over any coefficient type with + and *.
-
-    Serves both the exact `epsilon_fma_paper` and the polynomial that
-    `compile_paper_bound` compiles.
-    """
+    """The published formula over any coefficient type with + and *: `epsilon_fma_paper` and `compile_paper_bound`."""
     inner = A * B * C * d + h + A * B * (two * d + d * d) + h * (one + d) + C * d + h
     return inner * (one + d) + h
 
 
 def fma_roles(original: FpExpr, optimized: FpExpr) -> tuple[str, str, str] | None:
-    """The variables in the roles (a, b, c) when the pair is a*b+c against fma(a, b, c).
-
-    Matches modulo commutativity of * and +; None for any other shape.
-    """
+    """The variables in the roles (a, b, c) when the pair is a*b+c against fma(a, b, c), up to commutativity."""
     if not isinstance(optimized, Fma):
         return None
     a, b, c = optimized.a, optimized.b, optimized.c
@@ -289,92 +284,118 @@ def epsilon_fma_paper(
     abs_a: Union[Binary64, Fraction],
     abs_b: Union[Binary64, Fraction],
     abs_c: Union[Binary64, Fraction],
-    params: ErrorModelParams = ErrorModelParams(),
+    params: ErrorModelParams | None = None,
 ) -> Fraction:
-    """Closed-form published bound for a*b+c versus fma(a, b, c), verbatim.
+    """Closed-form published bound for a*b+c versus fma(a, b, c), verbatim, under `params` or the default model.
 
     Transcribed exactly as published, including the first |a*b*c| factor
     (see the audit mode of the validator, which flags inputs where this
     formula and `derive_bound` disagree on the verdict).
     """
-    return _paper_formula(
-        _coerce_mag("abs_a", abs_a),
-        _coerce_mag("abs_b", abs_b),
-        _coerce_mag("abs_c", abs_c),
-        params.delta,
-        params.eta,
-        Fraction(1),
-        Fraction(2),
-    )
+    params = ErrorModelParams() if params is None else params
+    mags = (_coerce_mag(name, q) for name, q in (("abs_a", abs_a), ("abs_b", abs_b), ("abs_c", abs_c)))
+    return _paper_formula(*mags, params.delta, params.eta, 1, 2)
 
 
 # ---------------------------------------------------------------------------
 # Compiled per-sample evaluation
 #
-# For a fixed expression pair the derived bound is a polynomial in the input
-# magnitudes with non-negative coefficients (two polynomials when the exact
-# magnitudes of the sides differ, joined by a pointwise max).  Sampling
-# validators evaluate that polynomial millions of times, so it is compiled
-# once: exact coefficients, rounded upward into floats, then a per-sample
-# float evaluation inflated by a slack that dominates every rounding the
-# evaluation itself can commit (at least 1 + 2**-40 relative plus 2**-1050
-# absolute, widened for very large polynomials).  Magnitudes too large for
-# the float path fall back to exact evaluation (dyadic values as shifted
-# integers, one upward rounding), so the result always lies between the
-# exact bound and slack times it; `derive_bound` remains the exact reference.
+# For a fixed pair the derived bound is a polynomial in the input magnitudes
+# with non-negative coefficients (or the max of two, when the sides' exact
+# magnitudes differ), compiled once: coefficients rounded up to floats, a
+# float evaluation inflated by a slack that dominates its own roundings, and
+# an exact fallback for magnitudes too large for it, so the result lies
+# between the exact bound and slack times it.
 
 
 # the most bits, numerator and denominator together, that the largest
-# coefficients of a product's two factors may take up between them.  Sizes
-# add under multiplication, so each squaring in a chain doubles them, and the
-# time to build the polynomial grows faster still: five squarings of `%0`
-# plus `%1` against their fma reach 35,025 bits, six would reach 71,121
+# coefficients of a product's two factors may take up between them.  Each
+# squaring in a chain doubles them: five squarings of `%0` plus `%1` against
+# their fma reach 35,025 bits, six would reach 71,121
 MAX_COEFF_BITS = 1 << 16
+# the most monomial products one multiplication may take.  An n-term dot
+# product needs n + 1 monomials and a Horner chain of k steps 2k + 1, but a
+# product of sums doubles them with every sum: twelve two-term sums make
+# 4,096, whose exact path compiles in about a second
+MAX_MONOMIALS = 1 << 12
+
+
+def _lowest_terms(n: int, exp: int) -> tuple[int, int]:
+    """`n * 2**exp` as `num * 2**e`, `e <= 0`, with `num / 2**-e` a fraction in lowest terms."""
+    if exp >= 0:
+        return n << exp, 0
+    # the factors of two in n, up to -exp of them, cancel against the denominator
+    t = min((n & -n).bit_length() - 1, -exp)
+    return n >> t, exp + t
 
 
 class _Poly:
-    """Polynomial over named variables with exact Fraction coefficients."""
+    """Polynomial over the input magnitudes: `terms` maps each monomial, a tuple of powers, to an integer.
 
-    __slots__ = ("coeffs",)
+    A coefficient is its integer times `2**exp`.  The form is canonical, so
+    `==` is value equality: no integer is 0, the factors of two they all
+    share are in `exp`, and the polynomial without terms has `exp` 0.
+    `coeffs` is the exact view, as `Fraction`s, built on each read.
+    """
 
-    def __init__(self, coeffs: dict[tuple[int, ...], Fraction]):
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
+    __slots__ = ("terms", "exp")
+
+    def __init__(self, terms: dict[tuple[int, ...], int], exp: int):
+        if 0 in terms.values():
+            terms = {k: v for k, v in terms.items() if v}
+        shared = functools.reduce(or_, terms.values(), 0)
+        shift = (shared & -shared).bit_length() - 1 if shared else 0
+        self.terms = {k: v >> shift for k, v in terms.items()} if shift else terms
+        self.exp = exp + shift if terms else 0
 
     @classmethod
-    def const(cls, q: Fraction, nvars: int) -> _Poly:
-        return cls({(0,) * nvars: q})
+    def const(cls, q, nvars: int, exp: int = 0) -> _Poly:
+        """The constant `q * 2**exp`, for an int, float or Fraction `q` whose denominator is a power of two."""
+        num, den = q.as_integer_ratio()
+        if den & (den - 1):
+            raise ValueError(f"bound polynomial coefficient must be a dyadic rational, got {q}")
+        return cls({(0,) * nvars: num}, exp + 1 - den.bit_length())
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> _Poly:
-        key = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls({key: Fraction(1)})
+        return cls({tuple(1 if i == index else 0 for i in range(nvars)): 1}, 0)
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], Fraction]:
+        from fractions import Fraction
+
+        scale = Fraction(2) ** self.exp
+        return {k: v * scale for k, v in self.terms.items()}
 
     def __add__(self, other: _Poly) -> _Poly:
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return _Poly(out)
+        if not (self.terms and other.terms):
+            return self if self.terms else other
+        low = min(self.exp, other.exp)
+        out = {k: v << self.exp - low for k, v in self.terms.items()} if self.exp > low else dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) + (v << other.exp - low)
+        return _Poly(out, low)
 
     def _bits(self) -> int:
-        """The size of the largest coefficient: numerator bits plus denominator bits."""
-        return max((q.numerator.bit_length() + q.denominator.bit_length() for q in self.coeffs.values()), default=0)
+        """The size of the largest coefficient as a fraction in lowest terms: numerator bits plus denominator bits."""
+        lowest = (_lowest_terms(v, self.exp) for v in self.terms.values())
+        return max((num.bit_length() + 1 - e for num, e in lowest), default=0)
 
     def __mul__(self, other: _Poly) -> _Poly:
-        bits = self._bits() + other._bits()
-        if bits > MAX_COEFF_BITS:
-            # refused before multiplying, since the product is what takes the time
-            raise CoefficientLimitError(
-                f"bound polynomial needs {bits}-bit coefficients, over the error model's limit of {MAX_COEFF_BITS}"
-            )
-        out: dict[tuple[int, ...], Fraction] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return _Poly(out)
+        # refused before multiplying, since the product is what takes the time
+        for n, cap, what in ((self._bits() + other._bits(), MAX_COEFF_BITS, "-bit coefficients"),
+                             (len(self.terms) * len(other.terms), MAX_MONOMIALS, " monomial products")):
+            if n > cap:
+                raise CoefficientLimitError(f"bound polynomial needs {n}{what}, over the error model's limit of {cap}")
+        out: dict[tuple[int, ...], int] = {}
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
+                key = tuple(map(add, k1, k2))
+                out[key] = out.get(key, 0) + v1 * v2
+        return _Poly(out, self.exp + other.exp)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Poly) and self.coeffs == other.coeffs
+        return isinstance(other, _Poly) and self.exp == other.exp and self.terms == other.terms
 
 
 _EVAL_REL_SLACK = 1.0 + 2.0**-40
@@ -382,14 +403,10 @@ _EVAL_ABS_SLACK = 2.0**-1050
 # operands per generated statement, which keeps the compiler's recursion shallow
 _CHUNK = 32
 # exact-path results kept per compiled bound, keyed by the magnitude tuple.
-# A bound reads magnitudes only, and the special corpus's 16 values are 8
-# magnitudes of both signs: while only MAX_FINITE is over the limit, the
-# capped corpus reaches at most 229 distinct exact-path tuples per bound
-# through `check_reference` (169 at three parameters); `validate` skips the
-# bounds of a sample whose differences are all 0.0 and reaches 32 on the
-# canonical pair, 36 on the 8-term dot product.  512 keeps them all with
-# room to spare, while capping what random traffic that never repeats can
-# fill (a 3-tuple entry is about 250 bytes)
+# The capped special corpus reaches at most 229 distinct exact-path tuples
+# per bound through `check_reference`, and 32 (canonical) or 36 (8-term dot
+# product) through `validate`; 512 keeps them all while capping what random
+# traffic can fill (a 3-tuple entry is about 250 bytes)
 _EXACT_MEMO = 512
 
 
@@ -409,43 +426,33 @@ class CompiledBound:
     order the compiler was given; returns a binary64 that over-approximates
     the exact bound, or inf if any magnitude is inf or nan.  Per monomial
     the factors at least 1 are multiplied first, then the coefficient, then
-    the rest, so a subnormal intermediate is never amplified back up;
-    magnitudes large enough that the leading factors alone could overflow,
-    or could amplify the rounding of a subnormal coefficient past the
-    absolute slack, are routed to an exact rational evaluation instead, as
-    are inf and nan.
-    The routing and the float path are defined and compiled once, in
-    `__init__`, and the exact path by `_compile_exact`, behind a memo of the
-    last `_EXACT_MEMO` magnitude tuples; every caller, the refinement
-    checker's generated check included, evaluates the bound by calling it.
+    the rest, so a subnormal intermediate is never amplified back up.
+    Magnitudes that could overflow the leading factors, or amplify a
+    subnormal coefficient's rounding past the absolute slack, and inf and
+    nan, go to the exact path (`_compile_exact`, memoised per `_EXACT_MEMO`).
     """
 
     __slots__ = ("_nvars", "_parts", "_rel_slack", "_mag_limit", "_eval", "_exact")
 
     def __init__(self, polys: tuple[_Poly, ...], nvars: int):
         self._nvars = nvars
-        parts = []
-        exact_parts = []
-        n_ops = 0
-        max_degree = 0
-        max_coeff = Fraction(0)
-        # highest degree of a monomial whose coefficient is subnormal
-        tiny_degree = 0
+        # tiny_degree: the highest degree of a monomial whose coefficient is subnormal
+        parts, exact_parts, n_ops, max_degree, tiny_degree = [], [], 0, 0, 0
         for poly in polys:
-            mons = []
-            exact = []
-            for key in sorted(poly.coeffs):
-                coeff = _nonneg_dyadic("bound polynomial coefficient", poly.coeffs[key])
+            mons, exact = [], []
+            for key in sorted(poly.terms):
+                # the coefficient is num * 2**exp
+                num, exp = _lowest_terms(poly.terms[key], poly.exp)
+                if num < 0:
+                    raise ValueError(f"bound polynomial coefficient must be non-negative, got {poly.coeffs[key]}")
                 idxs = tuple(i for i, p in enumerate(key) for _ in range(p))
-                coeff_f = round_rational_up(coeff)
+                coeff_f = _round_dyadic(num, exp, False)
                 mons.append((coeff_f, idxs))
-                # coeff == numerator * 2**exponent
-                exact.append((coeff.numerator, 1 - coeff.denominator.bit_length(), idxs))
+                exact.append((num, exp, idxs))
                 n_ops += 2 * len(idxs) + 2
                 max_degree = max(max_degree, len(idxs))
                 if coeff_f < MIN_NORMAL:
                     tiny_degree = max(tiny_degree, len(idxs))
-                max_coeff = max(max_coeff, coeff)
             parts.append(tuple(mons))
             exact_parts.append(tuple(exact))
         self._parts = tuple(parts)
@@ -454,18 +461,15 @@ class CompiledBound:
         # keep every prefix product of large factors, times the coefficient,
         # summed over a part's monomials, clear of overflow: above this
         # input magnitude go exact instead (inf and nan always do)
-        coeff_exp = max_coeff.numerator.bit_length() + 1 if max_coeff > 1 else 1
+        coeffs = [(num, exp) for exact in exact_parts for num, exp, _ in exact]
+        low = min((exp for _, exp in coeffs), default=0)
+        top, top_exp = max(coeffs, key=lambda c: c[0] << c[1] - low, default=(0, 0))
+        coeff_exp = top.bit_length() + 1 if top > 1 << -top_exp else 1
         count_exp = max(len(p) for p in parts).bit_length() if parts else 1
-        self._mag_limit = (
-            2.0 ** ((1020 - coeff_exp - count_exp) // max_degree)
-            if max_degree
-            else MAX_FINITE
-        )
+        self._mag_limit = 2.0 ** ((1020 - coeff_exp - count_exp) // max_degree) if max_degree else MAX_FINITE
         if tiny_degree:
-            # a subnormal coefficient rounds up by less than 2**-1074, and
-            # the large factors multiply that: keep their product under
-            # 2**20 over the monomial count, so the sum stays below the
-            # absolute slack
+            # a subnormal coefficient rounds up by less than 2**-1074, times the large factors:
+            # keep their product under 2**20 over the monomial count, below the absolute slack
             self._mag_limit = min(self._mag_limit, 2.0 ** ((20 - count_exp) // tiny_degree))
         # variable i splits into `g{i}`, its magnitude if at least 1 and else
         # 1.0, and `s{i}`, the converse: a monomial g...*coeff*s... keeps the
@@ -492,8 +496,7 @@ class CompiledBound:
     def _eval_exact(self, mags: tuple[float, ...]) -> float:
         """The bound at these magnitudes in exact arithmetic, rounded up once (see `_compile_exact`), memoised.
 
-        Past the limit the float path looks it up on the instance at each call, since the published
-        bound is compiled once per process, maybe before `bench/tracing.py` wraps this method.
+        The float path looks it up on each call: a bound compiled before `bench/tracing.py` wraps it is still traced.
         """
         return self._exact(*mags)
 
@@ -502,16 +505,13 @@ class CompiledBound:
 
 
 def _compile_exact(parts, nvars: int) -> Callable:
-    """The bound at magnitudes `m0` ... `m{nvars-1}` exactly, rounded up, as generated code.
+    """The bound at magnitudes `m0` ... `m{nvars-1}` exactly, rounded up, as generated code; inf or nan gives inf.
 
-    Any magnitude that is inf or nan, read or not, gives inf.  `parts`
-    holds, per part, each monomial as (coefficient numerator, its
-    power-of-two exponent, variable indices).  Every value is an integer
-    times a power of two: magnitude i is `n{i} * 2**(e{i} - 53)`, monomial j
-    of part k is `N{k}_{j} * 2**E{k}_{j}` (the integers multiplied, the
-    exponents added; coefficients are hex literals, free of the decimal
-    digit limit), each part sums its monomials as integers shifted to the
-    least exponent `low`, and the largest is rounded up once (`_round_dyadic`).
+    `parts` holds each monomial as (coefficient numerator, its power-of-two
+    exponent, variable indices).  Magnitude i is `n{i} * 2**(e{i} - 53)`,
+    monomial j of part k `N{k}_{j} * 2**E{k}_{j}` (coefficients as hex
+    literals, free of the decimal digit limit); each part sums its monomials
+    shifted to the least exponent `low`, and the largest is rounded up once.
     """
     ns = {"INF": math.inf, "frexp": math.frexp, "round_dyadic": _round_dyadic}
     # nan < INF is false, so nan gives inf too
@@ -545,24 +545,24 @@ def _compile_exact(parts, nvars: int) -> Callable:
 def compile_derived_bound(original: FpExpr, optimized: FpExpr, var_order: tuple[str, ...]) -> CompiledBound:
     """Compile derive_bound for this pair, under the default model, into a fast per-sample evaluator.
 
-    `var_order` fixes the positional meaning of the magnitude tuple the
-    evaluator takes; it must cover every variable the expressions read.
+    `var_order`, covering every variable the expressions read, orders the magnitude tuple it takes.
     """
-    return CompiledBound(_derived_polys(original, optimized, var_order, ErrorModelParams()), len(var_order))
+    return CompiledBound(_derived_polys(original, optimized, var_order), len(var_order))
 
 
 def _derived_polys(
-    original: FpExpr, optimized: FpExpr, var_order: tuple[str, ...], params: ErrorModelParams
+    original: FpExpr, optimized: FpExpr, var_order: tuple[str, ...], params: ErrorModelParams | None = None
 ) -> tuple[_Poly, ...]:
-    """derive_bound for this pair as polynomials in the magnitudes; the bound is their maximum."""
+    """derive_bound for this pair, under `params` or the default model, as polynomials; the bound is their maximum."""
     vs = _shared_variables(original, optimized)
     missing = sorted(v for v in vs if v not in var_order)
     if missing:
         raise UnknownVariableError(f"no position for {', '.join(missing)}")
     n = len(var_order)
     mags = {v: _Poly.variable(i, n) for i, v in enumerate(var_order)}
-    ms, err, _ = _propagate(original, optimized, mags, params, lambda q: _Poly.const(q, n))
-    delta, eta = _Poly.const(params.delta, n), _Poly.const(params.eta, n)
+    consts = ((1, DELTA_EXP), (1, ETA_EXP)) if params is None else ((params.delta, 0), (params.eta, 0))
+    delta, eta = (_Poly.const(q, n, exp) for q, exp in consts)
+    ms, err, _ = _propagate(original, optimized, mags, delta, eta, lambda q: _Poly.const(q, n))
     return tuple(err + delta * m + eta for m in ms)
 
 
@@ -570,5 +570,5 @@ def _derived_polys(
 def compile_paper_bound() -> CompiledBound:
     """Compile epsilon_fma_paper into a fast evaluator over (|a|, |b|, |c|), once per process."""
     A, B, C = (_Poly.variable(i, 3) for i in range(3))
-    d, h, one, two = (_Poly.const(q, 3) for q in (DEFAULT_DELTA, DEFAULT_ETA, Fraction(1), Fraction(2)))
+    d, h, one, two = (_Poly.const(1, 3, exp) for exp in (DELTA_EXP, ETA_EXP, 0, 1))
     return CompiledBound((_paper_formula(A, B, C, d, h, one, two),), 3)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from fractions import Fraction
 
 from ._bits import Double, Record, float_of_bits, hex_of
 
@@ -92,6 +91,8 @@ def _round_dyadic(n: int, e: int, to_nearest: bool) -> Binary64:
 
 def round_rational_up(q: Fraction | int) -> Binary64:
     """Least binary64 that is >= the dyadic rational `q`; any other `q` raises ValueError."""
+    from fractions import Fraction
+
     q = Fraction(q)
     d = q.denominator
     if d & (d - 1):

@@ -39,7 +39,7 @@ from fma_tv.cli import (
     _parse_value,
 )
 from fma_tv.denotation import INTRINSIC_INPUT_ERROR
-from fma_tv.error_model import MAX_COEFF_BITS, compile_paper_bound
+from fma_tv.error_model import MAX_COEFF_BITS, MAX_MONOMIALS, compile_paper_bound
 from fma_tv.fp_semantics import (
     MAX_FINITE,
     MIN_SUBNORMAL,
@@ -1024,18 +1024,18 @@ def test_report_bytes_are_pinned(tmp_path, capsys, variant):
 # expressions past the error model's limits
 
 
-def chain_block(n, doubling):
-    """%t{i} = fadd of %t{i-1} with %b (a chain of depth n), or with itself (2^n nodes)."""
+def chain_block(n, doubling, op="fadd"):
+    """%t{i} = `op` of %t{i-1} with %b (a chain of depth n), or with itself (2^n nodes)."""
     rhs = "%t{}" if doubling else "%b"
-    lines = ["define double @f(double %a, double %b) {", "  %t0 = fadd double %a, %b"]
-    lines += [f"  %t{i} = fadd double %t{i - 1}, {rhs.format(i - 1)}" for i in range(1, n)]
+    lines = ["define double @f(double %a, double %b) {", f"  %t0 = {op} double %a, %b"]
+    lines += [f"  %t{i} = {op} double %t{i - 1}, {rhs.format(i - 1)}" for i in range(1, n)]
     return "\n".join(lines + [f"  ret double %t{n - 1}", "}"]) + "\n"
 
 
-def run_chain(tmp_path, n, doubling):
+def run_chain(tmp_path, n, doubling, op="fadd"):
     """`bound` and `validate --bound derived` on the chain paired with itself."""
     block = tmp_path / "chain.ll"
-    block.write_text(chain_block(n, doubling))
+    block.write_text(chain_block(n, doubling, op))
     alignment = tmp_path / "empty.json"
     alignment.write_text("{}")
     started = time.perf_counter()
@@ -1066,6 +1066,13 @@ def test_expression_within_limits_gets_its_bound(tmp_path, capsys):
     assert v_code == 0
     assert doc["verdict"] == "pass"
     assert doc["counts"]["pass"] == 10
+    # a product chain of the same depth: identical sides take no error walk, so it builds at once
+    (code, out, _), v_code, doc, elapsed = run_chain(tmp_path, 300, False, "fmul")
+    assert code == 0 and out.startswith("derived bound:")
+    assert v_code == 0
+    assert doc["verdict"] == "pass"
+    assert doc["counts"]["pass"] == 10
+    assert elapsed < 2.0
 
 
 def test_squaring_chain_past_the_coefficient_limit_is_refused_with_a_reason(tmp_path, capsys):
@@ -1088,6 +1095,31 @@ def test_squaring_chain_past_the_coefficient_limit_is_refused_with_a_reason(tmp_
     assert doc["unsupported_reason"].startswith("no bound available: bound polynomial needs ")
     assert doc["unsupported_reason"].endswith(f"-bit coefficients, over the error model's limit of {MAX_COEFF_BITS}")
     assert elapsed < 5.0
+
+
+def test_product_of_sums_past_the_monomial_limit_is_refused_with_a_reason(tmp_path, capsys):
+    # thirteen two-term sums multiplied together, then plus %26 against the fma
+    # of the last product: 26 operations, but the bound polynomial's monomials
+    # multiply with every sum
+    n_params = 27
+    head = "define double @f({}) {{\n".format(", ".join(f"double %{i}" for i in range(n_params)))
+    sums = [f"  %s{i} = fadd double %{2 * i}, %{2 * i + 1}\n" for i in range(13)]
+    prods = [f"  %p{i} = fmul double {'%s0' if i == 1 else f'%p{i - 1}'}, %s{i}\n" for i in range(1, 12)]
+    shared, ret = head + "".join(sums + prods), "  ret double %r\n}\n"
+    paths = [tmp_path / name for name in ("orig.ll", "opt.ll", "align.json", "report.json")]
+    paths[0].write_text(shared + "  %m = fmul double %p11, %s12\n  %r = fadd double %m, %26\n" + ret)
+    paths[1].write_text(shared + "  %r = call double @llvm.fmuladd.f64(double %p11, double %s12, double %26)\n" + ret)
+    paths[2].write_text('{"pairs": [["%r", "%r"]], "fresh_optimized": ["%r"], "fresh_original": ["%m", "%r"]}')
+    started = time.perf_counter()
+    code = main(["validate", "--original", str(paths[0]), "--optimized", str(paths[1]), "--alignment", str(paths[2]),
+                 "--samples", "10", "--report", str(paths[3])])
+    elapsed = time.perf_counter() - started
+    doc = json.loads(paths[3].read_text())
+    assert code == 1
+    assert doc["verdict"] == "unsupported"
+    assert doc["unsupported_reason"].startswith("no bound available: bound polynomial needs ")
+    assert doc["unsupported_reason"].endswith(f" monomial products, over the error model's limit of {MAX_MONOMIALS}")
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -1185,16 +1217,19 @@ def test_cli_import_does_not_load_ctypes():
 
 
 @pytest.mark.parametrize("entry", ["import", "validate"])
-def test_start_up_loads_no_dataclass_machinery(tmp_path, entry):
+def test_start_up_loads_no_dataclass_or_fraction_machinery(tmp_path, entry):
     # the package's records share one base instead of `dataclasses`, whose
-    # import brings in the other three; runpy runs `-m fma_tv` as `python -m` does
+    # import brings in the next three, and the compiled bounds hold integers, not
+    # `Fraction`s, whose import brings in the last two; runpy runs `-m fma_tv` as
+    # `python -m` does
     src = str(Path(fma_tv.__file__).resolve().parent.parent)
     argv = ["fma_tv", "validate", "--original", NON_FMA, "--optimized", FMA, "--alignment", ALIGNMENT,
             "--samples", "100", "--report", str(tmp_path / "report.json")]
     run = ("import fma_tv.cli" if entry == "import" else
            f"import runpy\nsys.argv = {argv!r}\ntry:\n    runpy.run_module('fma_tv', run_name='__main__')\n"
            "except SystemExit as e:\n    assert e.code == 0, e.code")
-    script = f"import sys\n{run}\nprint([m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])"
+    modules = ("dataclasses", "inspect", "ast", "dis", "fractions", "decimal", "numbers")
+    script = f"import sys\n{run}\nprint([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )

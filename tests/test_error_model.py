@@ -33,6 +33,7 @@ from fma_tv.error_model import (
     _Poly,
     _derived_polys,
     _paper_formula,
+    _propagate,
 )
 from fma_tv.fp_semantics import (
     MAX_FINITE,
@@ -421,6 +422,72 @@ def product_of_sums(n_sums):
 
 DEFAULT_PARAMS = ErrorModelParams()
 DOT16 = dot_pair(8)
+
+
+# the integer polynomials against Fraction ones through the same propagation
+
+
+class FractionPoly:
+    """A polynomial with `Fraction` coefficients: the reference for `_Poly`'s integers over one scale."""
+
+    def __init__(self, coeffs):
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, 0) + v
+        return FractionPoly(out)
+
+    def __mul__(self, other):
+        out = {}
+        for k1, v1 in self.coeffs.items():
+            for k2, v2 in other.coeffs.items():
+                key = tuple(a + b for a, b in zip(k1, k2))
+                out[key] = out.get(key, 0) + v1 * v2
+        return FractionPoly(out)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+
+def fraction_polys(original, optimized, var_order):
+    """`_derived_polys` under the default model, over `FractionPoly`."""
+    n = len(var_order)
+
+    def const(q):
+        return FractionPoly({(0,) * n: Fraction(q)})
+
+    mags = {v: FractionPoly({tuple(int(i == j) for j in range(n)): Fraction(1)}) for i, v in enumerate(var_order)}
+    delta, eta = const(DEFAULT_PARAMS.delta), const(DEFAULT_PARAMS.eta)
+    ms, err, _ = _propagate(original, optimized, mags, delta, eta, const)
+    return tuple(err + delta * m + eta for m in ms)
+
+
+@given(st.one_of(
+    pairs,
+    st.tuples(expr_trees(), expr_trees()),
+    expr_trees().map(lambda e: (e, e)),
+    st.just(TINY_COEFF_PAIR),
+    st.just((Mul(Var("a"), Var("b")), Add(Var("a"), Var("b")))),
+))
+def test_integer_polys_equal_fraction_polys(pair):
+    want = fraction_polys(*pair, ("a", "b", "c"))
+    bits = [max((q.numerator.bit_length() + q.denominator.bit_length() for q in p.coeffs.values()), default=0)
+            for p in want]
+    for got in (_derived_polys(*pair, ("a", "b", "c")), _derived_polys(*pair, ("a", "b", "c"), DEFAULT_PARAMS)):
+        assert [p.coeffs for p in got] == [p.coeffs for p in want]
+        # the size `MAX_COEFF_BITS` limits is that of the Fractions
+        assert [p._bits() for p in got] == bits
+
+
+def test_poly_equality_is_value_equality():
+    half, one, x = _Poly.const(Fraction(1, 2), 2), _Poly.const(1, 2), _Poly.variable(0, 2)
+    assert half + half == one and (half + half).exp == 0
+    assert x * (half + half) == x
+    assert x * _Poly.const(12.0, 2) == x + x + x + x + x * _Poly.const(8, 2) != x * _Poly.const(13, 2)
+    assert _Poly.const(0.0, 2) == _Poly.const(Fraction(0), 2) == x * _Poly.const(0, 2)
+    assert _Poly.const(Fraction(3, 4), 2).coeffs == {(0, 0): Fraction(3, 4)}
 # a normal mantissa over every binade, subnormal results included
 binade_mags = st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), st.integers(-1126, 971))
 edge_mags = st.sampled_from([0.0, MIN_SUBNORMAL, MIN_NORMAL, 1.0, MAX_FINITE])
