@@ -53,31 +53,48 @@ def same_bits(x: float, y: float) -> bool:
     return bits_of(x) == bits_of(y)
 
 
-# sets a field past a record's frozen `__setattr__`: each record's `__init__` writes its fields with it
-set_field = object.__setattr__
-
-
 class Record:
-    """A frozen value record: compared, hashed and printed by its fields, in `__slots__` order.
+    """A frozen value record: built, compared, hashed and printed by its fields.
 
-    A record declares its fields as `__slots__` and sets them in its own
-    `__init__` through `set_field`.  Equality holds between records of the
-    same class with equal fields, so `Add(x, y) != Mul(x, y)` and a record
-    never equals a tuple; the hash agrees with it, `repr` reads
-    `Cls(field=value, ...)`, and assigning or deleting a field raises
-    AttributeError.  Every record shares these methods rather than having
-    them generated per class: `dataclasses` builds each of its classes by
-    executing generated source, which, with the modules it imports, would
-    make up much of the package's start-up time.
+    A record declares its fields as `__slots__` (a subclass declaring
+    `__slots__ = ()` keeps its parent's).  The shared `__init__` takes them
+    in that order or by keyword; a missing, extra, unknown or repeated
+    field raises TypeError naming the class.  A record that validates its
+    fields or has defaults checks them in its own `__init__`, which ends by
+    passing every field to this one.  Records of one class are equal when
+    their fields are, so `Add(x, y) != Mul(x, y)` and a record never equals
+    a tuple; the hash agrees, `repr` reads `Cls(field=value, ...)`, and
+    assigning or deleting a field raises AttributeError.  These methods are
+    shared, not generated per class as `dataclasses` does by executing
+    source, which with the modules it imports would make up much of the
+    package's start-up time.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
+        cls._fields = fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        # each field's position and the setter of its slot, which writes past the frozen `__setattr__`
+        cls._setters = tuple(enumerate(getattr(cls, name).__set__ for name in fields))
         # a record's field values: the value of its one field, a tuple of
         # several, or, for a record without fields, its class
-        cls._values = attrgetter(*(cls.__dict__["__slots__"] or ("__class__",)))
+        cls._values = attrgetter(*(fields or ("__class__",)))
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            fields = self._fields
+            values = dict(zip(fields, args))
+            repeated = values.keys() & kwargs.keys()
+            values.update(kwargs)
+            if len(args) > len(fields) or repeated or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__qualname__}() takes the fields ({', '.join(fields)}); "
+                                f"got {len(args)} positional and the keywords ({', '.join(kwargs)})")
+            args = [values[field] for field in fields]
+        for i, set_field in setters:
+            set_field(self, args[i])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -89,7 +106,7 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -103,9 +120,6 @@ class Double(Record):
     """A defined double value; equality is by bit pattern, so NaN == NaN and -0.0 != 0.0."""
 
     __slots__ = ("v",)
-
-    def __init__(self, v: float):
-        set_field(self, "v", v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Double):

@@ -26,7 +26,7 @@ import time
 from collections.abc import Callable, Iterator
 
 from . import __version__
-from ._bits import Record, dual_of, float_from_hex, hex_of, set_field
+from ._bits import Record, dual_of, float_from_hex, hex_of
 from .denotation import EvalError, GlobalEnv, LocalEnv, interp_cfg2, strip_taus, value_to_str
 from .error_model import (
     DELTA_EXP,
@@ -85,11 +85,7 @@ class SamplerConfig(Record):
                 f"exponent range must satisfy -1074 <= min <= max <= 1023, "
                 f"got [{exp_min}, {exp_max}]"
             )
-        set_field(self, "samples", samples)
-        set_field(self, "seed", seed)
-        set_field(self, "exp_min", exp_min)
-        set_field(self, "exp_max", exp_max)
-        set_field(self, "include_special_corpus", include_special_corpus)
+        super().__init__(samples, seed, exp_min, exp_max, include_special_corpus)
 
 
 def special_values() -> tuple[float, ...]:

@@ -14,7 +14,7 @@ as the `b64_*` operations do, and tests hold the two bit-identical.
 
 from __future__ import annotations
 
-from ._bits import Record, set_field
+from ._bits import Record
 from .fp_semantics import Double, Poison, Value, b64_add, b64_fma, b64_mul, b64_sub, value_to_str
 from .ir_core import (
     Expr,
@@ -60,10 +60,6 @@ class UnknownIntrinsicError(EvalError):
 class LocalWrite(Record):
     __slots__ = ("id", "value")
 
-    def __init__(self, id: LocalId, value: Value):
-        set_field(self, "id", id)
-        set_field(self, "value", value)
-
     def __str__(self) -> str:
         return f"LocalWrite {self.id} <- {value_to_str(self.value)}"
 
@@ -71,21 +67,12 @@ class LocalWrite(Record):
 class LocalRead(Record):
     __slots__ = ("id", "value")
 
-    def __init__(self, id: LocalId, value: Value):
-        set_field(self, "id", id)
-        set_field(self, "value", value)
-
     def __str__(self) -> str:
         return f"LocalRead {self.id} -> {value_to_str(self.value)}"
 
 
 class IntrinsicCallEvent(Record):
     __slots__ = ("callee", "args", "result")
-
-    def __init__(self, callee: GlobalId, args: tuple[Value, ...], result: Value):
-        set_field(self, "callee", callee)
-        set_field(self, "args", args)
-        set_field(self, "result", result)
 
     def __str__(self) -> str:
         args = ", ".join(value_to_str(a) for a in self.args)
@@ -105,9 +92,6 @@ TAU = Tau()
 class Ret(Record):
     __slots__ = ("value",)
 
-    def __init__(self, value: Value):
-        set_field(self, "value", value)
-
     def __str__(self) -> str:
         return f"Ret {value_to_str(self.value)}"
 
@@ -117,9 +101,6 @@ Event = LocalWrite | LocalRead | IntrinsicCallEvent | Tau | Ret
 
 class Trace(Record):
     __slots__ = ("events",)
-
-    def __init__(self, events: tuple[Event, ...]):
-        set_field(self, "events", events)
 
     def __iter__(self):
         return iter(self.events)
@@ -143,7 +124,7 @@ class LocalEnv(Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[tuple[LocalId, Value], ...] = ()):
-        set_field(self, "entries", entries)
+        super().__init__(entries)
 
     @classmethod
     def empty(cls) -> LocalEnv:
@@ -169,7 +150,7 @@ class GlobalEnv(Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[tuple[GlobalId, Value], ...] = ()):
-        set_field(self, "entries", entries)
+        super().__init__(entries)
 
     @classmethod
     def empty(cls) -> GlobalEnv:
@@ -178,11 +159,6 @@ class GlobalEnv(Record):
 
 class MachineState(Record):
     __slots__ = ("globals", "locals", "result")
-
-    def __init__(self, globals: GlobalEnv, locals: LocalEnv, result: Value):
-        set_field(self, "globals", globals)
-        set_field(self, "locals", locals)
-        set_field(self, "result", result)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from operator import add, or_
 from typing import Callable, Mapping, Union
 
 from .fp_semantics import MAX_FINITE, MIN_NORMAL, Binary64, _round_dyadic, compile_function, is_finite, round_rational_up
-from ._bits import Double, Record, set_field
+from ._bits import Double, Record
 
 # the default model: delta = 2**DELTA_EXP, the binary64 unit roundoff, and eta = 2**ETA_EXP
 DELTA_EXP, ETA_EXP = -53, -1075
@@ -71,42 +71,27 @@ class ErrorModelParams(Record):
     def __init__(self, delta: Fraction | None = None, eta: Fraction | None = None):
         from fractions import Fraction
 
-        for name, q, exp in (("delta", delta, DELTA_EXP), ("eta", eta, ETA_EXP)):
-            set_field(self, name, _nonneg_dyadic(name, Fraction(2) ** exp if q is None else Fraction(q)))
-        if self.delta >= 1:
-            raise ValueError(f"delta must be below 1, got {self.delta}")
+        delta, eta = (_nonneg_dyadic(name, Fraction(2) ** exp if q is None else Fraction(q))
+                      for name, q, exp in (("delta", delta, DELTA_EXP), ("eta", eta, ETA_EXP)))
+        if delta >= 1:
+            raise ValueError(f"delta must be below 1, got {delta}")
+        super().__init__(delta, eta)
 
 
 class Var(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        set_field(self, "name", name)
-
 
 class Add(Record):
     __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: FpExpr, rhs: FpExpr):
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
 
 
 class Mul(Record):
     __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs: FpExpr, rhs: FpExpr):
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-
 
 class Fma(Record):
     __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: FpExpr, b: FpExpr, c: FpExpr):
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
 
 
 FpExpr = Union[Var, Double, Add, Mul, Fma]
@@ -143,10 +128,6 @@ class BoundResult(Record):
     """
 
     __slots__ = ("magnitude_bound", "terms")
-
-    def __init__(self, magnitude_bound: Fraction, terms: tuple[tuple[str, Fraction], ...]):
-        set_field(self, "magnitude_bound", magnitude_bound)
-        set_field(self, "terms", terms)
 
 
 def eval_bound(b: BoundResult) -> Binary64:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import re
 from collections.abc import Callable, Collection
-from ._bits import Double, Record, float_of_bits, set_field
+from ._bits import Double, Record, float_of_bits
 
 FMULADD_F64 = "llvm.fmuladd.f64"
 
@@ -38,9 +38,6 @@ class LocalId(Record):
 
     __slots__ = ("text",)
 
-    def __init__(self, text: str):
-        set_field(self, "text", text)
-
     @classmethod
     def anon(cls, n: int) -> LocalId:
         return cls(str(n))
@@ -60,9 +57,6 @@ class GlobalId(Record):
 
     __slots__ = ("text",)
 
-    def __init__(self, text: str):
-        set_field(self, "text", text)
-
     def __str__(self) -> str:
         return "@" + self.text
 
@@ -73,9 +67,6 @@ class GlobalId(Record):
 
 class LocalRef(Record):
     __slots__ = ("id",)
-
-    def __init__(self, id: LocalId):
-        set_field(self, "id", id)
 
     def __str__(self) -> str:
         return str(self.id)
@@ -101,13 +92,6 @@ class FBinop(Record):
 
     __slots__ = ("dest", "kind", "fm_flags", "lhs", "rhs")
 
-    def __init__(self, dest: LocalId, kind: FBinopKind, fm_flags: tuple[str, ...], lhs: Expr, rhs: Expr):
-        set_field(self, "dest", dest)
-        set_field(self, "kind", kind)
-        set_field(self, "fm_flags", fm_flags)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-
     def __str__(self) -> str:
         flags = "".join(f + " " for f in self.fm_flags)
         return f"{self.dest} = {self.kind} {flags}double {self.lhs}, {self.rhs}"
@@ -117,12 +101,6 @@ class IntrinsicCall(Record):
     """`dest = [tail] call double @callee(double a, double b, double c)`."""
 
     __slots__ = ("dest", "callee", "args", "tail")
-
-    def __init__(self, dest: LocalId, callee: GlobalId, args: tuple[Expr, ...], tail: bool):
-        set_field(self, "dest", dest)
-        set_field(self, "callee", callee)
-        set_field(self, "args", args)
-        set_field(self, "tail", tail)
 
     def __str__(self) -> str:
         args = ", ".join(f"double {a}" for a in self.args)
@@ -138,9 +116,6 @@ class Ret(Record):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Expr):
-        set_field(self, "value", value)
-
     def __str__(self) -> str:
         return f"ret double {self.value}"
 
@@ -148,20 +123,9 @@ class Ret(Record):
 class BasicBlock(Record):
     __slots__ = ("blk_id", "blk_phis", "blk_code", "blk_term")
 
-    def __init__(self, blk_id: LocalId, blk_phis: tuple[()], blk_code: tuple[Instruction, ...], blk_term: Ret):
-        set_field(self, "blk_id", blk_id)
-        set_field(self, "blk_phis", blk_phis)
-        set_field(self, "blk_code", blk_code)
-        set_field(self, "blk_term", blk_term)
-
 
 class FunctionDef(Record):
     __slots__ = ("name", "params", "body")
-
-    def __init__(self, name: GlobalId, params: tuple[LocalId, ...], body: BasicBlock):
-        set_field(self, "name", name)
-        set_field(self, "params", params)
-        set_field(self, "body", body)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +182,6 @@ _TOKEN_RE = re.compile(
 
 class _Token(Record):
     __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        set_field(self, "kind", kind)
-        set_field(self, "text", text)
-        set_field(self, "line", line)
-        set_field(self, "col", col)
 
 
 def _lex(text: str) -> list[_Token]:

@@ -29,7 +29,7 @@ import json
 from math import inf, isfinite
 from typing import NamedTuple
 
-from ._bits import Record, dual_of, same_bits, set_field
+from ._bits import Record, dual_of, same_bits
 from . import denotation
 from .denotation import GlobalEnv, LocalEnv, interp_cfg2
 from .error_model import (
@@ -106,9 +106,7 @@ class AlignmentSpec(Record):
                 raise AlignmentError(f"paired id {opt_id} missing from fresh_optimized")
             if orig_id not in fresh_original:
                 raise AlignmentError(f"paired id {orig_id} missing from fresh_original")
-        set_field(self, "pairs", pairs)
-        set_field(self, "fresh_optimized", fresh_optimized)
-        set_field(self, "fresh_original", fresh_original)
+        super().__init__(pairs, fresh_optimized, fresh_original)
 
     def validate_against(self, params: tuple[LocalId, ...]) -> None:
         """Fresh sets may not claim shared inputs."""
@@ -183,8 +181,7 @@ class RefinementConfig(Record):
     __slots__ = ("mode", "bound_source")
 
     def __init__(self, mode: Mode = Mode.LENIENT, bound_source: BoundSource = BoundSource.BOTH):
-        set_field(self, "mode", mode)
-        set_field(self, "bound_source", bound_source)
+        super().__init__(mode, bound_source)
 
 
 class Verdict(NamedTuple):
@@ -324,6 +321,12 @@ MAX_EXPR_NODES = 10_000
 MAX_EXPR_DEPTH = 300
 
 
+def _unsupported_call(instr: IntrinsicCall) -> str | None:
+    """Why a call has no counterpart in the error model, or None for a three-argument fmuladd.f64."""
+    if instr.callee.text != FMULADD_F64 or len(instr.args) != 3:
+        return f"unsupported call to {instr.callee}"
+
+
 def recover_expr(f: FunctionDef) -> FpExpr:
     """The returned value of `f` as an expression over its parameters.
 
@@ -354,8 +357,8 @@ def recover_expr(f: FunctionDef) -> FpExpr:
                 raise UnsupportedExprError(f"no error model for {instr.kind}")
             operands = (instr.lhs, instr.rhs)
         else:
-            if instr.callee.text != FMULADD_F64 or len(instr.args) != 3:
-                raise UnsupportedExprError(f"unsupported call to {instr.callee}")
+            if why := _unsupported_call(instr):
+                raise UnsupportedExprError(why)
             make, operands = Fma, instr.args
         exprs, nodes, depths = zip(*map(conv, operands))
         env[instr.dest] = (make(*exprs), 1 + sum(nodes), 1 + max(depths))
@@ -430,10 +433,8 @@ class EquivChecker:
                     raise
                 flagged = flagged or f"{tag}: {e}"
             for instr in f.body.blk_code:
-                if foreign is None and isinstance(instr, IntrinsicCall) and (
-                    instr.callee.text != FMULADD_F64 or len(instr.args) != 3
-                ):
-                    foreign = f"{tag}: unsupported call to {instr.callee}"
+                if foreign is None and isinstance(instr, IntrinsicCall) and (why := _unsupported_call(instr)):
+                    foreign = f"{tag}: {why}"
         unsupported = flagged or foreign
 
         # the bound plan: each evaluator, or None where it is unavailable,

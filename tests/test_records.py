@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given
 
 from fma_tv import denotation, ir_core
-from fma_tv._bits import Double
+from fma_tv._bits import Double, Record
 from fma_tv.cli import Report, SamplerConfig, compile_draw
-from fma_tv.denotation import TAU, GlobalEnv, LocalEnv, LocalRead, LocalWrite, Trace
+from fma_tv.denotation import TAU, GlobalEnv, IntrinsicCallEvent, LocalEnv, LocalRead, LocalWrite, MachineState, Trace
 from fma_tv.error_model import Add, ErrorModelParams, Fma, Mul, Var, derive_bound
 from fma_tv.fp_semantics import Poison
-from fma_tv.ir_core import FBinop, FBinopKind, GlobalId, LocalId, LocalRef, parse_module, print_block
+from fma_tv.ir_core import (
+    FMULADD_F64, BasicBlock, FBinop, FBinopKind, FunctionDef, GlobalId, IntrinsicCall, LocalId, LocalRef, parse_module,
+    print_block,
+)
 from fma_tv.refinement import AlignmentError, AlignmentSpec, RefinementConfig
 from records import fields
 from strategies import function_defs
@@ -25,6 +28,9 @@ L4, L5 = LocalId("4"), LocalId("5")
 def samples():
     """One record of each kind, all built afresh: two calls give equal records that are distinct objects."""
     l4, l5, x, y = LocalId("4"), LocalId("5"), Var("x"), Var("y")
+    fmuladd = GlobalId(FMULADD_F64)
+    block = BasicBlock(LocalId("0"), (), (IntrinsicCall(l4, fmuladd, (LocalRef(l5), Double(1.0), Double(2.0)), True),),
+                       ir_core.Ret(LocalRef(l4)))
     return [
         Double(1.5), Poison(), l4, GlobalId("f"), LocalRef(l4),
         FBinop(l4, FBinopKind.FMUL, (), LocalRef(l5), Double(2.0)),
@@ -33,7 +39,23 @@ def samples():
         LocalEnv(((l4, Double(1.0)),)), GlobalEnv(), x, Add(x, y), Mul(x, y), Fma(x, y, Double(3.0)),
         ErrorModelParams(), derive_bound(Add(Mul(x, y), Var("z")), Fma(x, y, Var("z")), {"x": 1.0, "y": 1.0, "z": 1.0}),
         AlignmentSpec(((l4, l5),), frozenset({l4}), frozenset({l5})), RefinementConfig(), SamplerConfig(seed=3),
+        IntrinsicCall(l4, fmuladd, (LocalRef(l5), Double(1.0), Poison()), False),
+        IntrinsicCallEvent(fmuladd, (Double(1.0), Double(2.0), Poison()), Poison()),
+        block, FunctionDef(GlobalId("f"), (l5,), block),
+        MachineState(GlobalEnv(), LocalEnv(((l4, Double(3.0)),)), Double(3.0)), ir_core._Token("local", "%4", 2, 3),
     ]
+
+
+def _record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_classes(sub)
+
+
+def test_samples_cover_every_record_but_the_report():
+    """`fma_tv.cli` imports every module of the package, so each record class is defined by now."""
+    package = {cls for cls in _record_classes() if cls.__module__.startswith("fma_tv.")}
+    assert package - {type(record) for record in samples()} == {Report}
 
 
 def test_equal_records_hash_equal():
@@ -108,6 +130,49 @@ def test_a_report_is_mutable_and_unhashable():
 ])
 def test_repr_names_the_class_and_each_field(record, text):
     assert repr(record) == text
+
+
+R4, R5 = LocalRef(L4), LocalRef(L5)
+
+
+@pytest.mark.parametrize("cls, args, kwargs", [
+    (Poison, (1.0,), {}),
+    (Poison, (), {"v": 1.0}),
+    (LocalId, ("4", "5"), {}),
+    (LocalId, (), {}),
+    (LocalId, (), {"txt": "4"}),
+    (LocalId, ("4",), {"text": "4"}),
+    (FBinop, (L4, FBinopKind.FADD, (), R4, R5, R5), {}),
+    (FBinop, (L4, FBinopKind.FADD, (), R4), {}),
+    (FBinop, (L4, FBinopKind.FADD), {"fm_flags": (), "lhs": R4}),
+    (FBinop, (L4, FBinopKind.FADD, (), R4, R5), {"flags": ()}),
+    (FBinop, (L4, FBinopKind.FADD, (), R4), {"lhs": R4, "rhs": R5}),
+])
+def test_a_wrong_field_list_raises_a_type_error_naming_the_class(cls, args, kwargs):
+    """Too many fields, a missing one, an unknown keyword, or a field given by position and by keyword."""
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\b"):
+        cls(*args, **kwargs)
+
+
+def test_fields_bind_by_position_keyword_or_both():
+    built = FBinop(L4, FBinopKind.FADD, (), R4, R5)
+    assert FBinop(rhs=R5, lhs=R4, fm_flags=(), kind=FBinopKind.FADD, dest=L4) == built
+    assert FBinop(L4, FBinopKind.FADD, (), rhs=R5, lhs=R4) == built
+    assert (built.dest, built.kind, built.fm_flags, built.lhs, built.rhs) == (L4, FBinopKind.FADD, (), R4, R5)
+
+
+def test_a_subclass_without_slots_keeps_its_parents_fields():
+    class Flagged(FBinop):
+        __slots__ = ()
+
+    flagged = Flagged(L4, FBinopKind.FADD, ("fast",), R4, rhs=R5)
+    assert flagged.fm_flags == ("fast",) and flagged.rhs == R5
+    plain = FBinop(L4, FBinopKind.FADD, ("fast",), R4, R5)
+    assert repr(flagged) == repr(plain).replace("FBinop", Flagged.__qualname__, 1)
+    assert flagged != plain
+    assert flagged == Flagged(L4, FBinopKind.FADD, ("fast",), R4, R5) != Flagged(L4, FBinopKind.FADD, (), R4, R5)
+    with pytest.raises(TypeError, match=r"\.Flagged\(\)"):
+        Flagged(L4)
 
 
 def test_keyword_construction_and_defaults():
