@@ -48,7 +48,7 @@ from .fp_semantics import (
     is_finite,
     round_rational_up,
 )
-from .ir_core import FunctionDef, ParseError, WellformednessError, WfKind, check_wellformed, parse_module
+from .ir_core import FunctionDef, ParseError, WellformednessError, check_wellformed, parse_module
 from .refinement import (
     AlignmentError,
     BoundSource,
@@ -230,11 +230,7 @@ def _single_function(path: str) -> FunctionDef:
     functions = parse_module(_read_file(path))
     if len(functions) != 1:
         raise ValueError(f"{path}: expected exactly one function definition, found {len(functions)}")
-    try:
-        check_wellformed(functions[0])
-    except WellformednessError as e:
-        if e.kind is not WfKind.UNSUPPORTED_FLAGS:  # each subcommand treats flags its own way
-            raise
+    check_wellformed(functions[0])
     return functions[0]
 
 

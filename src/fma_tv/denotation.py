@@ -26,6 +26,7 @@ from .ir_core import (
     Instruction,
     LocalId,
     LocalRef,
+    unsupported_reason,
 )
 
 _BINOP = {FBinopKind.FMUL: b64_mul, FBinopKind.FADD: b64_add, FBinopKind.FSUB: b64_sub}
@@ -123,9 +124,6 @@ class LocalEnv(Record):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[LocalId, Value], ...] = ()):
-        super().__init__(entries)
-
     @classmethod
     def empty(cls) -> LocalEnv:
         return cls(())
@@ -149,12 +147,9 @@ class GlobalEnv(Record):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[GlobalId, Value], ...] = ()):
-        super().__init__(entries)
-
     @classmethod
     def empty(cls) -> GlobalEnv:
-        return cls()
+        return cls(())
 
 
 class MachineState(Record):
@@ -200,7 +195,7 @@ def denote_instr(instr: Instruction, locals_: LocalEnv) -> tuple[LocalEnv, tuple
     """Denote one instruction: the updated environment and emitted events."""
     events: list[Event] = []
     if isinstance(instr, FBinop):
-        if instr.fm_flags:
+        if unsupported_reason(instr):
             raise EvalError(f"fast-math flags have no semantics here: {instr.dest}")
         lhs = _read_operand(instr.lhs, locals_, events)
         rhs = _read_operand(instr.rhs, locals_, events)

@@ -289,6 +289,11 @@ def epsilon_fma_paper(
 # between the exact bound and slack times it.
 
 
+# The package has four size limits, and each refusal names its limit:
+# `MAX_EXPR_NODES` and `MAX_EXPR_DEPTH` in `refinement`, which
+# `recover_expr` checks before any bound is built, and the two below, which
+# `_Poly.__mul__` checks before each product.
+
 # the most bits, numerator and denominator together, that the largest
 # coefficients of a product's two factors may take up between them.  Each
 # squaring in a chain doubles them: five squarings of `%0` plus `%1` against

@@ -2,13 +2,15 @@
 
 The fragment covers single-basic-block function definitions over `double`:
 `fmul`/`fadd`/`fsub` binary operations, calls to `@llvm.fmuladd.f64`, and a
-`ret double` terminator.  Fast-math flags are parsed but rejected by the
-wellformedness check; attributes and attribute groups, string attributes
-included, are parsed and discarded, as are the `source_filename`,
-`target datalayout` and `target triple` header lines.  A quoted string
-anywhere else is a parse error.  Control flow is out of scope and is
-reported as such at parse time.  A literal operand is a `Double` (defined
-in `_bits`), equal to another only if their bit patterns are.
+`ret double` terminator.  Fast-math flags and calls to other callees are
+parsed, and `unsupported_reason` is the one rule that says they have no
+semantics here; `check_wellformed` checks structure only.  Attributes and
+attribute groups, string attributes included, are parsed and discarded, as
+are the `source_filename`, `target datalayout` and `target triple` header
+lines.  A quoted string anywhere else is a parse error.  Control flow is
+out of scope and is reported as such at parse time.  A literal operand is
+a `Double` (defined in `_bits`), equal to another only if their bit
+patterns are.
 """
 
 from __future__ import annotations
@@ -111,6 +113,20 @@ class IntrinsicCall(Record):
 Instruction = FBinop | IntrinsicCall
 
 
+def unsupported_reason(instr: Instruction) -> str | None:
+    """Why `instr` has no semantics here, or None.
+
+    No fast-math flag has semantics here, and the only callee is a
+    three-argument `@llvm.fmuladd.f64`.
+    """
+    if isinstance(instr, FBinop):
+        if instr.fm_flags:
+            return f"fast-math flags present: {instr.dest}"
+    elif instr.callee.text != FMULADD_F64 or len(instr.args) != 3:
+        return f"unsupported call to {instr.callee}"
+    return None
+
+
 class Ret(Record):
     """`ret double <value>` terminator."""
 
@@ -146,7 +162,6 @@ class WfKind(enum.Enum):
     UNDEFINED_LOCAL = "undefined local"
     DUPLICATE_DEST = "duplicate destination"
     NON_EMPTY_PHIS = "non-empty phi list"
-    UNSUPPORTED_FLAGS = "fast-math flags present"
 
 
 class WellformednessError(Exception):
@@ -429,8 +444,8 @@ def check_wellformed(f: FunctionDef) -> None:
     """Raise WellformednessError at the first structural violation, in source order.
 
     Checks: empty phi list, distinct parameter names, every operand defined
-    before use, no destination redefined.  A fast-math flag raises only
-    after these, at the first flagged instruction, so structure wins.
+    before use, no destination redefined.  Whether an instruction has
+    semantics here is `unsupported_reason`'s question, not this one's.
     """
     if f.body.blk_phis:
         raise WellformednessError(WfKind.NON_EMPTY_PHIS, str(f.body.blk_id))
@@ -439,14 +454,8 @@ def check_wellformed(f: FunctionDef) -> None:
         if p in defined:
             raise WellformednessError(WfKind.DUPLICATE_DEST, str(p))
         defined.add(p)
-    flagged: LocalId | None = None
     for instr in f.body.blk_code:
-        if isinstance(instr, FBinop):
-            if instr.fm_flags and flagged is None:
-                flagged = instr.dest
-            operands: tuple[Expr, ...] = (instr.lhs, instr.rhs)
-        else:
-            operands = instr.args
+        operands = (instr.lhs, instr.rhs) if isinstance(instr, FBinop) else instr.args
         for op in operands:
             if isinstance(op, LocalRef) and op.id not in defined:
                 raise WellformednessError(WfKind.UNDEFINED_LOCAL, str(op.id))
@@ -456,5 +465,3 @@ def check_wellformed(f: FunctionDef) -> None:
     ret = f.body.blk_term.value
     if isinstance(ret, LocalRef) and ret.id not in defined:
         raise WellformednessError(WfKind.UNDEFINED_LOCAL, str(ret.id))
-    if flagged is not None:
-        raise WellformednessError(WfKind.UNSUPPORTED_FLAGS, str(flagged))

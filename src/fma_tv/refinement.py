@@ -47,14 +47,12 @@ from .fp_semantics import Double, Poison, Value, b64_sub, compile_function, fma_
 from .ir_core import (
     FBinop,
     FBinopKind,
-    FMULADD_F64,
     FunctionDef,
     IntrinsicCall,
     LocalId,
     LocalRef,
-    WellformednessError,
-    WfKind,
     check_wellformed,
+    unsupported_reason,
 )
 
 
@@ -321,17 +319,12 @@ MAX_EXPR_NODES = 10_000
 MAX_EXPR_DEPTH = 300
 
 
-def _unsupported_call(instr: IntrinsicCall) -> str | None:
-    """Why a call has no counterpart in the error model, or None for a three-argument fmuladd.f64."""
-    if instr.callee.text != FMULADD_F64 or len(instr.args) != 3:
-        return f"unsupported call to {instr.callee}"
-
-
 def recover_expr(f: FunctionDef) -> FpExpr:
     """The returned value of `f` as an expression over its parameters.
 
-    Only fmul, fadd and the fmuladd intrinsic have counterparts in the
-    error model; anything else raises UnsupportedExprError, as do a
+    Only unflagged fmul and fadd and the fmuladd intrinsic have counterparts
+    in the error model; anything else raises UnsupportedExprError, with
+    `unsupported_reason`'s text where it has one, as do a
     non-finite literal and a returned expression with more than
     MAX_EXPR_NODES nodes once shared locals are expanded, or more than
     MAX_EXPR_DEPTH nested operations.
@@ -349,16 +342,14 @@ def recover_expr(f: FunctionDef) -> FpExpr:
         return e, 1, 0
 
     for instr in f.body.blk_code:
+        if why := unsupported_reason(instr):
+            raise UnsupportedExprError(why)
         if isinstance(instr, FBinop):
-            if instr.fm_flags:
-                raise UnsupportedExprError(f"{WfKind.UNSUPPORTED_FLAGS.value}: {instr.dest}")
             make = _FBINOP[instr.kind][1]
             if make is None:
                 raise UnsupportedExprError(f"no error model for {instr.kind}")
             operands = (instr.lhs, instr.rhs)
         else:
-            if why := _unsupported_call(instr):
-                raise UnsupportedExprError(why)
             make, operands = Fma, instr.args
         exprs, nodes, depths = zip(*map(conv, operands))
         env[instr.dest] = (make(*exprs), 1 + sum(nodes), 1 + max(depths))
@@ -382,10 +373,11 @@ class EquivChecker:
     """Precomputed state for checking one block pair on many inputs.
 
     Construction validates everything input-independent: identical
-    parameter lists, wellformedness, alignment consistency, callee names,
-    and availability of the requested bound.  Violations that make the pair
-    fall outside the supported fragment surface as UNSUPPORTED verdicts;
-    violations that make the request itself ill-posed raise.  Past them no
+    parameter lists, wellformedness, alignment consistency, each
+    instruction's `unsupported_reason`, and availability of the requested
+    bound.  Violations that make the pair fall outside the supported
+    fragment surface as UNSUPPORTED verdicts; violations that make the
+    request itself ill-posed raise.  Past them no
     tuple of floats, `Double`s and poison makes the interpreter fail, so a
     sample's verdict is PASS or FAIL.  It also fixes
     the bound plan: the compiled derived and published bounds (None where
@@ -423,19 +415,13 @@ class EquivChecker:
         self.params = original.params
         alignment.validate_against(self.params)
 
-        # a structural fault raises; the first flag in either block beats the first foreign call
-        flagged = foreign = None
-        for f, tag in ((original, "original"), (optimized, "optimized")):
-            try:
-                check_wellformed(f)
-            except WellformednessError as e:
-                if e.kind is not WfKind.UNSUPPORTED_FLAGS:
-                    raise
-                flagged = flagged or f"{tag}: {e}"
-            for instr in f.body.blk_code:
-                if foreign is None and isinstance(instr, IntrinsicCall) and (why := _unsupported_call(instr)):
-                    foreign = f"{tag}: {why}"
-        unsupported = flagged or foreign
+        # a structural fault raises; then the first flag in either block beats the first foreign call
+        check_wellformed(original)
+        check_wellformed(optimized)
+        reasons = [(isinstance(instr, IntrinsicCall), f"{tag}: {why}")
+                   for f, tag in ((original, "original"), (optimized, "optimized"))
+                   for instr in f.body.blk_code if (why := unsupported_reason(instr))]
+        unsupported = min(reasons, key=lambda r: r[0])[1] if reasons else None  # min keeps the first of equal keys
 
         # the bound plan: each evaluator, or None where it is unavailable,
         # and which bound gates the verdict

@@ -450,6 +450,21 @@ def test_flagged_block_gets_one_reason(tmp_path):
     assert code == 1 and doc["unsupported_reason"] == f"original: {reason}"
 
 
+def test_a_flag_beats_a_foreign_call_in_either_block(tmp_path):
+    """`validate` names a flag in either block first; `bound` and `run` read each block alone."""
+    flagged, renamed = tmp_path / "flagged.ll", tmp_path / "renamed.ll"
+    flagged.write_text(Path(NON_FMA).read_text().replace("fmul double", "fmul fast double"))
+    renamed.write_text(Path(FMA).read_text().replace("fmuladd.f64", "fmuladd.f32"))
+    flags, call = "fast-math flags present: %4", "unsupported call to @llvm.fmuladd.f32"
+    for original, optimized, tag in ((renamed, flagged, "optimized"), (flagged, renamed, "original")):
+        code, doc, _ = run_validate(tmp_path, original=str(original), optimized=str(optimized), samples=5)
+        assert code == 1 and doc["unsupported_reason"] == f"{tag}: {flags}"
+    assert run_cmd_bound(str(renamed), str(flagged), "a=1,b=1,c=1") == (2, "", f"error: {call}\n")
+    assert run_cmd_bound(str(flagged), str(renamed), "a=1,b=1,c=1") == (2, "", f"error: {flags}\n")
+    assert run_cmd_run(str(flagged), "a=1,b=1,c=1") == (1, "", "error: fast-math flags have no semantics here: %4\n")
+    assert run_cmd_run(str(renamed), "a=1,b=1,c=1") == (1, "", "error: no semantics for callee @llvm.fmuladd.f32\n")
+
+
 def test_bound_errors(tmp_path):
     unknown = tmp_path / "sqrt.ll"
     unknown.write_text(

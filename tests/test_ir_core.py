@@ -25,6 +25,7 @@ from fma_tv.ir_core import (
     check_wellformed,
     parse_module,
     print_block,
+    unsupported_reason,
 )
 from records import replace
 from strategies import function_defs
@@ -422,13 +423,18 @@ def test_duplicate_param_detected():
 
 
 def test_fast_math_flags_rejected_by_checker():
+    """A flagged block is wellformed; the support rule names its first flagged destination."""
     (f,) = parse_module(
         "define double @f(double %0, double %1) {\n"
         "  %3 = fadd fast double %0, %1\n"
-        "  ret double %3\n"
+        "  %4 = fmul double %3, %1\n"
+        "  %5 = fmul nnan double %4, %1\n"
+        "  ret double %5\n"
         "}"
     )
-    expect_wf_error(f, WfKind.UNSUPPORTED_FLAGS, "%3")
+    check_wellformed(f)
+    reasons = [unsupported_reason(instr) for instr in f.body.blk_code]
+    assert reasons == ["fast-math flags present: %3", None, "fast-math flags present: %5"]
 
 
 def test_structural_violations_win_over_earlier_flags():
@@ -437,10 +443,25 @@ def test_structural_violations_win_over_earlier_flags():
         ("  %3 = fmul double %3, %1\n  ret double %3\n}", WfKind.DUPLICATE_DEST, "%3"),
         ("  %4 = fmul double %3, %9\n  ret double %4\n}", WfKind.UNDEFINED_LOCAL, "%9"),
         ("  ret double %8\n}", WfKind.UNDEFINED_LOCAL, "%8"),
-        ("  %4 = fmul fast double %3, %1\n  ret double %4\n}", WfKind.UNSUPPORTED_FLAGS, "%3"),
     ):
         (f,) = parse_module(head + rest)
+        assert unsupported_reason(f.body.blk_code[0]) == "fast-math flags present: %3"
         expect_wf_error(f, kind, ident)
+    (f,) = parse_module(head + "  %4 = fmul fast double %3, %1\n  ret double %4\n}")
+    check_wellformed(f)
+
+
+def test_unsupported_reason_admits_only_a_three_argument_fmuladd():
+    fmuladd = "define double @f(double %0, double %1, double %2) {\n  %4 = call double @llvm.fmuladd.f64("
+    for args, reason in (
+        ("double %0, double %1, double %2", None),
+        ("double %0, double %1", "unsupported call to @llvm.fmuladd.f64"),
+    ):
+        (f,) = parse_module(fmuladd + args + ")\n  ret double %4\n}")
+        assert unsupported_reason(f.body.blk_code[0]) == reason
+    (f,) = parse_module(fmuladd.replace("fmuladd.f64", "fmuladd.f32") + "double %0, double %1, double %2)\n"
+                        "  ret double %4\n}")
+    assert unsupported_reason(f.body.blk_code[0]) == "unsupported call to @llvm.fmuladd.f32"
 
 
 def test_non_empty_phis_detected():

@@ -36,13 +36,13 @@ def samples():
         FBinop(l4, FBinopKind.FMUL, (), LocalRef(l5), Double(2.0)),
         ir_core.Ret(LocalRef(l4)), denotation.Ret(Double(0.5)), denotation.Tau(),
         LocalWrite(l4, Poison()), LocalRead(l5, Double(-0.0)), Trace((denotation.Tau(),)),
-        LocalEnv(((l4, Double(1.0)),)), GlobalEnv(), x, Add(x, y), Mul(x, y), Fma(x, y, Double(3.0)),
+        LocalEnv(((l4, Double(1.0)),)), GlobalEnv.empty(), x, Add(x, y), Mul(x, y), Fma(x, y, Double(3.0)),
         ErrorModelParams(), derive_bound(Add(Mul(x, y), Var("z")), Fma(x, y, Var("z")), {"x": 1.0, "y": 1.0, "z": 1.0}),
         AlignmentSpec(((l4, l5),), frozenset({l4}), frozenset({l5})), RefinementConfig(), SamplerConfig(seed=3),
         IntrinsicCall(l4, fmuladd, (LocalRef(l5), Double(1.0), Poison()), False),
         IntrinsicCallEvent(fmuladd, (Double(1.0), Double(2.0), Poison()), Poison()),
         block, FunctionDef(GlobalId("f"), (l5,), block),
-        MachineState(GlobalEnv(), LocalEnv(((l4, Double(3.0)),)), Double(3.0)), ir_core._Token("local", "%4", 2, 3),
+        MachineState(GlobalEnv.empty(), LocalEnv(((l4, Double(3.0)),)), Double(3.0)), ir_core._Token("local", "%4", 2, 3),
     ]
 
 
@@ -121,7 +121,7 @@ def test_a_report_is_mutable_and_unhashable():
     (Add(X, Double(1.5)), "Add(lhs=Var(name='x'), rhs=Double(1.5))"),
     (Poison(), "Poison()"),
     (TAU, "Tau()"),
-    (LocalEnv(), "LocalEnv(entries=())"),
+    (LocalEnv.empty(), "LocalEnv(entries=())"),
     (SamplerConfig(), "SamplerConfig(samples=1000000, seed=0, exp_min=-50, exp_max=50, include_special_corpus=True)"),
     (AlignmentSpec(), "AlignmentSpec(pairs=(), fresh_optimized=frozenset(), fresh_original=frozenset())"),
     (RefinementConfig(),
@@ -180,7 +180,7 @@ def test_keyword_construction_and_defaults():
     assert (cfg.samples, cfg.seed, cfg.exp_min, cfg.exp_max, cfg.include_special_corpus) == (10, 2, -50, 50, True)
     assert Double(v=2.0).v == 2.0
     assert ErrorModelParams(delta=0, eta=0).delta == 0 and isinstance(ErrorModelParams(delta=0).delta, Fraction)
-    assert LocalEnv().entries == GlobalEnv().entries == ()
+    assert LocalEnv.empty().entries == GlobalEnv.empty().entries == ()
 
 
 def test_sampler_config_is_a_cache_key():
