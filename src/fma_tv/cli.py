@@ -494,8 +494,8 @@ def cmd_bound(
     try:
         original = _single_function(original_path)
         optimized = _single_function(optimized_path)
-        expr_orig = recover_expr(original)
-        expr_opt = recover_expr(optimized)
+        interned: dict = {}
+        expr_orig, expr_opt = recover_expr(original, interned), recover_expr(optimized, interned)
         assignments = _parse_assignments(mags, "magnitude")
         raw_values = _resolve_names(original.params, assignments, "magnitude")
         magnitudes = {str(p): _parse_magnitude(v) for p, v in zip(original.params, raw_values)}

@@ -97,14 +97,27 @@ class Fma(Record):
 FpExpr = Union[Var, Double, Add, Mul, Fma]
 
 
+def _operands(e: Add | Mul | Fma) -> tuple[FpExpr, ...]:
+    return (e.a, e.b, e.c) if isinstance(e, Fma) else (e.lhs, e.rhs)
+
+
+def _nodes(*roots: FpExpr) -> list[FpExpr]:
+    """Each distinct node of `roots` once, by identity, operands first, left to right: a tree lists in post-order."""
+    order, seen, stack = [], set(), [(root, False) for root in reversed(roots)]
+    while stack:
+        e, operands_listed = stack.pop()
+        if id(e) in seen:
+            continue
+        if operands_listed or isinstance(e, (Var, Double)):
+            seen.add(id(e))
+            order.append(e)
+        else:
+            stack += [(e, True), *((x, False) for x in reversed(_operands(e)))]
+    return order
+
+
 def expr_variables(e: FpExpr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Double):
-        return frozenset()
-    if isinstance(e, Fma):
-        return expr_variables(e.a) | expr_variables(e.b) | expr_variables(e.c)
-    return expr_variables(e.lhs) | expr_variables(e.rhs)
+    return frozenset(x.name for x in _nodes(e) if isinstance(x, Var))
 
 
 def _shared_variables(original: FpExpr, optimized: FpExpr) -> frozenset[str]:
@@ -122,9 +135,10 @@ def _shared_variables(original: FpExpr, optimized: FpExpr) -> frozenset[str]:
 class BoundResult(Record):
     """A sound upper bound plus its per-operation breakdown.
 
-    `magnitude_bound` is exact; `terms` pairs a per-operation label with the
-    error that operation added on top of its operands' errors (the final
-    entry is the comparison rounding term).  Terms sum to the bound.
+    `magnitude_bound` is exact; `terms` pairs each rounding site's label
+    with the error that operation added on top of its operands' errors,
+    times its number of paths to the result (the final entry is the
+    comparison rounding term).  Terms sum to the bound.
     """
 
     __slots__ = ("magnitude_bound", "terms")
@@ -149,69 +163,55 @@ def _coerce_mag(name: str, value) -> Fraction:
     return _nonneg_dyadic(f"magnitude for {name!r}", q)
 
 
-class _Propagation:
-    """Walks an expression accumulating (magnitude, error) pairs.
+def _magnitudes(roots: tuple[FpExpr, ...], mags, lift: Callable) -> dict[int, object]:
+    """The exact bound on |e| of every node e of `roots`, by `id(e)`, from the magnitudes alone."""
+    mag: dict[int, object] = {}
+    for e in _nodes(*roots):
+        if isinstance(e, (Var, Double)):
+            m = mags[e.name] if isinstance(e, Var) else lift(abs(e.v))
+        elif isinstance(e, Fma):
+            m = mag[id(e.a)] * mag[id(e.b)] + mag[id(e.c)]
+        else:
+            lhs, rhs = mag[id(e.lhs)], mag[id(e.rhs)]
+            m = lhs + rhs if isinstance(e, Add) else lhs * rhs
+        mag[id(e)] = m
+    return mag
 
-    Generic over the coefficient arithmetic: `delta` and `eta` come in any
-    type with + and *, and `lift` maps a constant's magnitude (a float) into
-    it, so the same walk yields exact bounds (over `Fraction`) and the
-    compiled polynomial form.
+
+def _errors(root: FpExpr, mag: dict[int, object], delta, eta, zero, prefix: str):
+    """The error bound of `root` over the node magnitudes `mag`, and one term per rounding site.
+
+    A term is (label, weight, error after the operation, error of its
+    operands).  The weight, shown in the label past 1, is the site's number
+    of paths to `root`: its own error counts once per path.
     """
-
-    def __init__(self, mags, delta, eta, prefix: str, lift: Callable):
-        self.mags, self.delta, self.eta, self.prefix, self.lift = mags, delta, eta, prefix, lift
-        self.zero = lift(0.0)
-        # (label, error after the operation, error of its operands)
-        self.terms: list[tuple[str, object, object]] = []
-
-    def _rounded(self, opname: str, mag, pre, child_err):
-        # One rounding on a value of magnitude <= mag + pre, where pre bounds
-        # the accumulated distance from the exact result.
-        err = pre + self.delta * (mag + pre) + self.eta
-        self.terms.append((f"{self.prefix}:{opname}[{len(self.terms)}]", err, child_err))
-        return err
-
-    def walk(self, e: FpExpr):
-        if isinstance(e, Var):
-            return self.mags[e.name], self.zero
-        if isinstance(e, Double):
-            return self.lift(abs(e.v)), self.zero
-        if isinstance(e, Fma):
-            (ma, ea), (mb, eb), (mc, ec) = self.walk(e.a), self.walk(e.b), self.walk(e.c)
-            mag = ma * mb + mc
-            return mag, self._rounded("fma", mag, ea * mb + ma * eb + ea * eb + ec, ea + eb + ec)
-        (ml, el), (mr, er) = self.walk(e.lhs), self.walk(e.rhs)
-        if isinstance(e, Add):
-            mag, pre = ml + mr, el + er
-            return mag, self._rounded("add", mag, pre, pre)
-        mag = ml * mr
-        return mag, self._rounded("mul", mag, el * mr + ml * er + el * er, el + er)
-
-
-def _magnitude(e: FpExpr, mags, lift: Callable):
-    """The exact bound on |e| that `_Propagation.walk` finds, from the magnitudes alone."""
-    if isinstance(e, Var):
-        return mags[e.name]
-    if isinstance(e, Double):
-        return lift(abs(e.v))
-    if isinstance(e, Fma):
-        return _magnitude(e.a, mags, lift) * _magnitude(e.b, mags, lift) + _magnitude(e.c, mags, lift)
-    lhs, rhs = _magnitude(e.lhs, mags, lift), _magnitude(e.rhs, mags, lift)
-    return lhs + rhs if isinstance(e, Add) else lhs * rhs
+    ops = [e for e in _nodes(root) if not isinstance(e, (Var, Double))]
+    err, befores = {}, []
+    for e in ops:
+        ms, es = zip(*((mag[id(x)], err.get(id(x), zero)) for x in _operands(e)))
+        befores.append(before := functools.reduce(add, es))
+        # a product's operand errors scale by the other factor's magnitude, and an fma adds its addend's
+        pre = before if isinstance(e, Add) else sum(es[2:], es[0] * ms[1] + ms[0] * es[1] + es[0] * es[1])
+        err[id(e)] = pre + delta * (mag[id(e)] + pre) + eta
+    paths = {id(root): 1}
+    for e in reversed(ops):
+        for x in _operands(e):
+            paths[id(x)] = paths.get(id(x), 0) + paths[id(e)]
+    terms = [(f"{prefix}:{type(e).__name__.lower()}[{i}]" + (f" x{w}" if (w := paths[id(e)]) > 1 else ""),
+              w, err[id(e)], before) for i, (e, before) in enumerate(zip(ops, befores))]
+    return err.get(id(root), zero), terms
 
 
 def _propagate(original: FpExpr, optimized: FpExpr, mags, delta, eta, lift: Callable):
-    """Both sides' exact magnitude bounds (one when they agree), their summed error and their per-site terms.
-
-    Over `_Propagation`'s coefficient type, each term as (label, error after the operation, error of its operands).
-    """
+    """Both sides' magnitude bounds (one if they agree), summed error and `_errors` terms, in `lift`'s coefficients."""
+    mag = _magnitudes((original, optimized), mags, lift)
+    m1, m2 = mag[id(original)], mag[id(optimized)]
     if original == optimized:
         # identical computations round identically: only the comparison contributes, and no error is walked
-        return (_magnitude(original, mags, lift),), lift(0.0), []
-    p_orig = _Propagation(mags, delta, eta, "original", lift)
-    p_opt = _Propagation(mags, delta, eta, "optimized", lift)
-    (m1, e1), (m2, e2) = p_orig.walk(original), p_opt.walk(optimized)
-    return ((m1,) if m1 == m2 else (m1, m2)), e1 + e2, p_orig.terms + p_opt.terms
+        return (m1,), lift(0.0), []
+    (e1, t1), (e2, t2) = (_errors(e, mag, delta, eta, lift(0.0), prefix)
+                          for e, prefix in ((original, "original"), (optimized, "optimized")))
+    return ((m1,) if m1 == m2 else (m1, m2)), e1 + e2, t1 + t2
 
 
 def derive_bound(
@@ -240,7 +240,7 @@ def derive_bound(
     cmp_term = params.delta * max(ms) + params.eta
     return BoundResult(
         magnitude_bound=err + cmp_term,
-        terms=(*((label, after - before) for label, after, before in terms), ("comparison", cmp_term)),
+        terms=(*((label, w * (after - before)) for label, w, after, before in terms), ("comparison", cmp_term)),
     )
 
 
@@ -289,10 +289,10 @@ def epsilon_fma_paper(
 # between the exact bound and slack times it.
 
 
-# The package has four size limits, and each refusal names its limit:
-# `MAX_EXPR_NODES` and `MAX_EXPR_DEPTH` in `refinement`, which
-# `recover_expr` checks before any bound is built, and the two below, which
-# `_Poly.__mul__` checks before each product.
+# The package has three size limits, and each refusal names its limit:
+# `MAX_EXPR_DEPTH` in `refinement`, which `recover_expr` checks before any
+# bound is built, and the two below, which `_Poly.__mul__` checks before
+# each product.
 
 # the most bits, numerator and denominator together, that the largest
 # coefficients of a product's two factors may take up between them.  Each

@@ -312,34 +312,35 @@ def local_refine(
 # ---------------------------------------------------------------------------
 # Symbolic recovery
 
-# The error model walks the returned expression as a tree, recursively, so
-# a shared local counts once per use.  Past these limits the walk would
-# take exponential time or exhaust the interpreter's recursion limit.
-MAX_EXPR_NODES = 10_000
+# Past this many nested operations the checker's build takes seconds (a
+# 150-step Horner chain 2.4 s, a 300-step one 17 s), and `Record.__eq__` and
+# `__repr__` recurse once per level of the expression.
 MAX_EXPR_DEPTH = 300
 
 
-def recover_expr(f: FunctionDef) -> FpExpr:
-    """The returned value of `f` as an expression over its parameters.
+def recover_expr(f: FunctionDef, interned: dict | None = None) -> FpExpr:
+    """The returned value of `f` as an expression over its parameters, a shared local one node.
 
-    Only unflagged fmul and fadd and the fmuladd intrinsic have counterparts
-    in the error model; anything else raises UnsupportedExprError, with
-    `unsupported_reason`'s text where it has one, as do a
-    non-finite literal and a returned expression with more than
-    MAX_EXPR_NODES nodes once shared locals are expanded, or more than
-    MAX_EXPR_DEPTH nested operations.
+    Equal sub-expressions are one object: `interned` maps a variable or
+    literal, or an operation's class and operands' `id`s, to its node; one
+    table for both blocks of a pair makes them share theirs too.  Only
+    unflagged fmul and fadd and the fmuladd intrinsic have counterparts in
+    the error model; anything else raises UnsupportedExprError, with
+    `unsupported_reason`'s text where it has one, as do a non-finite literal
+    and a returned expression nesting more than MAX_EXPR_DEPTH operations.
     """
-    # each local's expression, expanded node count and operation depth
-    env: dict[LocalId, tuple[FpExpr, int, int]] = {p: (Var(str(p)), 1, 0) for p in f.params}
+    interned = {} if interned is None else interned
+    # each local's expression and operation depth
+    env: dict[LocalId, tuple[FpExpr, int]] = {p: (interned.setdefault(v := Var(str(p)), v), 0) for p in f.params}
 
-    def conv(e) -> tuple[FpExpr, int, int]:
+    def conv(e) -> tuple[FpExpr, int]:
         if isinstance(e, LocalRef):
             if e.id not in env:
                 raise UnsupportedExprError(f"undefined local {e.id}")
             return env[e.id]
         if not isfinite(e.v):
             raise UnsupportedExprError(f"non-finite literal {e} has no magnitude")
-        return e, 1, 0
+        return interned.setdefault(e, e), 0
 
     for instr in f.body.blk_code:
         if why := unsupported_reason(instr):
@@ -351,13 +352,9 @@ def recover_expr(f: FunctionDef) -> FpExpr:
             operands = (instr.lhs, instr.rhs)
         else:
             make, operands = Fma, instr.args
-        exprs, nodes, depths = zip(*map(conv, operands))
-        env[instr.dest] = (make(*exprs), 1 + sum(nodes), 1 + max(depths))
-    expr, nodes, depth = conv(f.body.blk_term.value)
-    if nodes > MAX_EXPR_NODES:
-        raise UnsupportedExprError(
-            f"returned expression has {nodes} nodes, over the error model's limit of {MAX_EXPR_NODES}"
-        )
+        exprs, depths = zip(*map(conv, operands))
+        env[instr.dest] = interned.setdefault((make, *map(id, exprs)), make(*exprs)), 1 + max(depths)
+    expr, depth = conv(f.body.blk_term.value)
     if depth > MAX_EXPR_DEPTH:
         raise UnsupportedExprError(
             f"returned expression nests {depth} operations, over the error model's limit of {MAX_EXPR_DEPTH}"
@@ -430,7 +427,8 @@ class EquivChecker:
         if unsupported is None:
             why_no_derived = None
             try:
-                expr_orig, expr_opt = recover_expr(original), recover_expr(optimized)
+                interned: dict = {}
+                expr_orig, expr_opt = recover_expr(original, interned), recover_expr(optimized, interned)
                 derived_eval = compile_derived_bound(expr_orig, expr_opt, tuple(str(p) for p in self.params))
             except (UnsupportedExprError, MismatchedExpressionsError, CoefficientLimitError) as e:
                 why_no_derived = str(e)

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies: doubles, expression trees, random blocks and block pairs."""
+"""Shared hypothesis strategies: doubles, expression trees and DAGs, random blocks and block pairs."""
 
 from __future__ import annotations
 
@@ -60,6 +60,26 @@ def expr_trees(var_names=("a", "b", "c"), max_leaves=6, leaf_consts=True):
         return e
 
     return tree.map(cover_all)
+
+
+@st.composite
+def expr_dags(draw, var_names=("a", "b", "c"), max_ops=5):
+    """Expressions built as a block builds them: each operation reads earlier values, any of them more than once."""
+    values = [*(Var(v) for v in var_names), Double(draw(moderate_double))]
+    for _ in range(draw(st.integers(min_value=1, max_value=max_ops))):
+        kind = draw(st.sampled_from([Add, Mul, Fma]))
+        values.append(kind(*(draw(st.sampled_from(values)) for _ in range(3 if kind is Fma else 2))))
+    e = values[-1]
+    for v in values[:len(var_names)]:
+        e = Add(e, Mul(Double(0.0), v))
+    return e
+
+
+def unshare(e):
+    """A tree copy of `e`: each use of a shared sub-expression gets a copy of its own."""
+    if isinstance(e, (Var, Double)):
+        return Var(e.name) if isinstance(e, Var) else Double(e.v)
+    return type(e)(*map(unshare, (e.a, e.b, e.c) if isinstance(e, Fma) else (e.lhs, e.rhs)))
 
 
 def contract(e, picks):

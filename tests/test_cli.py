@@ -1062,9 +1062,8 @@ def run_chain(tmp_path, n, doubling, op="fadd"):
     return bound, code, json.loads(report.read_text()), time.perf_counter() - started
 
 
-@pytest.mark.parametrize("n, doubling, reason", [(450, False, "nests 450 operations"),
-                                                 (18, True, "has 524287 nodes")],
-                         ids=["deep", "doubling"])
+@pytest.mark.parametrize("n, doubling, reason", [(450, False, "nests 450 operations")],
+                         ids=["deep"])
 def test_expression_past_limits_is_refused_with_a_reason(tmp_path, capsys, n, doubling, reason):
     (code, out, err), v_code, doc, elapsed = run_chain(tmp_path, n, doubling)
     assert code == 2 and out == ""
@@ -1072,6 +1071,16 @@ def test_expression_past_limits_is_refused_with_a_reason(tmp_path, capsys, n, do
     assert v_code == 1
     assert doc["verdict"] == "unsupported"
     assert reason in doc["unsupported_reason"]
+    assert elapsed < 2.0
+
+
+def test_doubling_chain_gets_its_bound(tmp_path, capsys):
+    # 18 doublings expand to a tree of 524,287 nodes, but a shared local is one node: 18 operations to walk
+    (code, out, _), v_code, doc, elapsed = run_chain(tmp_path, 18, True)
+    assert code == 0 and out.startswith("derived bound:")
+    assert v_code == 0
+    assert doc["verdict"] == "pass"
+    assert doc["counts"]["pass"] == 10
     assert elapsed < 2.0
 
 

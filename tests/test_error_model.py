@@ -47,7 +47,7 @@ from fma_tv.fp_semantics import (
 from fma_tv._bits import bits_of
 from fma_tv.cli import special_values
 from oracles import oracle_add, oracle_fma, oracle_mul, oracle_sub
-from strategies import contract, expr_trees, moderate_double
+from strategies import contract, expr_dags, expr_trees, moderate_double, unshare
 
 D = Fraction(1, 2**53)
 H = Fraction(1, 2**1075)
@@ -94,6 +94,14 @@ def test_expr_variables():
     assert expr_variables(ORIG) == frozenset({"a", "b", "c"})
     assert expr_variables(Double(3.0)) == frozenset()
     assert expr_variables(Fma(Var("x"), Double(1.0), Var("x"))) == frozenset({"x"})
+
+
+def test_expr_variables_of_a_deep_chain_does_not_recurse():
+    # past the interpreter's recursion limit; its bound is not built, which at this depth would take minutes
+    e = Var("x0")
+    for i in range(1, 5000):
+        e = Add(e, Var(f"x{i % 7}"))
+    assert expr_variables(e) == frozenset(f"x{i}" for i in range(7))
 
 
 def eval_oracle(e, env):
@@ -420,8 +428,18 @@ def product_of_sums(n_sums):
     return (poly,)
 
 
+def doubling(n):
+    """a + b doubled `n - 1` times: `n` operations, whose tree has 2**n - 1."""
+    t = Add(Var("a"), Var("b"))
+    for _ in range(n - 1):
+        t = Add(t, t)
+    return t
+
+
 DEFAULT_PARAMS = ErrorModelParams()
 DOT16 = dot_pair(8)
+# a shared local read in two roles, as in %t * %b + %t against its fmuladd
+SHARED_PAIR = (Add(Mul(SHARED_T := doubling(4), Var("b")), SHARED_T), Fma(SHARED_T, Var("b"), SHARED_T))
 
 
 # the integer polynomials against Fraction ones through the same propagation
@@ -464,21 +482,49 @@ def fraction_polys(original, optimized, var_order):
     return tuple(err + delta * m + eta for m in ms)
 
 
+def site_weight(label):
+    return int(label.rpartition(" x")[2]) if " x" in label else 1
+
+
+def distinct_sites(e):
+    """The number of distinct operations in `e`, by identity."""
+    seen, stack = {}, [e]
+    while stack:
+        x = stack.pop()
+        if not isinstance(x, (Var, Double)) and id(x) not in seen:
+            seen[id(x)] = x
+            stack.extend((x.a, x.b, x.c) if isinstance(x, Fma) else (x.lhs, x.rhs))
+    return len(seen)
+
+
 @given(st.one_of(
     pairs,
     st.tuples(expr_trees(), expr_trees()),
     expr_trees().map(lambda e: (e, e)),
     st.just(TINY_COEFF_PAIR),
     st.just((Mul(Var("a"), Var("b")), Add(Var("a"), Var("b")))),
+    st.just(SHARED_PAIR),
+    st.tuples(expr_dags(), st.lists(st.booleans(), max_size=8)).map(lambda t: (t[0], contract(t[0], picks_from(t[1])))),
+    st.tuples(expr_dags(), expr_dags()),
 ))
 def test_integer_polys_equal_fraction_polys(pair):
-    want = fraction_polys(*pair, ("a", "b", "c"))
+    # the reference walks the pair with its sharing removed, each use of a shared local a tree of its own
+    trees = tuple(map(unshare, pair))
+    want = fraction_polys(*trees, ("a", "b", "c"))
     bits = [max((q.numerator.bit_length() + q.denominator.bit_length() for q in p.coeffs.values()), default=0)
             for p in want]
     for got in (_derived_polys(*pair, ("a", "b", "c")), _derived_polys(*pair, ("a", "b", "c"), DEFAULT_PARAMS)):
         assert [p.coeffs for p in got] == [p.coeffs for p in want]
         # the size `MAX_COEFF_BITS` limits is that of the Fractions
         assert [p._bits() for p in got] == bits
+    # each rounding site is listed once, weighted by its paths to the result, which the tree lists one by one
+    mags = {"a": 3, "b": Fraction(3, 4), "c": 1.5}
+    br, tree_br = derive_bound(*pair, mags), derive_bound(*trees, mags)
+    assert br.magnitude_bound == tree_br.magnitude_bound == sum(t for _, t in br.terms)
+    labels = [label for label, _ in br.terms]
+    assert len(labels) == 1 + (0 if pair[0] == pair[1] else sum(map(distinct_sites, pair)))
+    assert len(set(labels)) == len(labels)
+    assert sum(map(site_weight, labels)) == len(tree_br.terms)
 
 
 def test_poly_equality_is_value_equality():
@@ -498,8 +544,9 @@ exact_path_mags = st.one_of(edge_mags, binade_mags)
     _derived_polys(ORIG, OPT, ("a", "b", "c"), DEFAULT_PARAMS),
     _derived_polys(ORIG, OPT, ("a", "b", "c", "unread"), DEFAULT_PARAMS),
     _derived_polys(Mul(Var("a"), Var("b")), Add(Var("a"), Var("b")), ("a", "b"), DEFAULT_PARAMS),
+    _derived_polys(*SHARED_PAIR, ("a", "b"), DEFAULT_PARAMS),
     paper_polys(),
-], ids=["canonical-derived", "canonical-derived-unread", "two-part", "paper"])
+], ids=["canonical-derived", "canonical-derived-unread", "two-part", "shared", "paper"])
 @given(data=st.data())
 def test_generated_exact_path_equals_fraction_polys(polys, data):
     ms = data.draw(st.tuples(*[exact_path_mags] * len(next(iter(polys[0].coeffs)))))

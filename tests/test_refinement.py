@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -248,7 +249,60 @@ def test_recover_expr_shared_subexpression():
         "}"
     )
     sq = Mul(Var("%0"), Var("%0"))
-    assert recover_expr(f) == Add(sq, sq)
+    e = recover_expr(f)
+    assert e == Add(sq, sq)
+    # a shared local is one node, walked once, and so is a recomputation of an equal value
+    assert e.lhs is e.rhs
+    (g,) = parse_module(
+        "define double @g(double %0) {\n"
+        "  %2 = fmul double %0, %0\n"
+        "  %3 = fmul double %0, %0\n"
+        "  %4 = fadd double %2, %3\n"
+        "  ret double %4\n"
+        "}"
+    )
+    e = recover_expr(g)
+    assert e == Add(sq, sq) and e.lhs is e.rhs
+
+
+def test_one_table_shares_equal_subexpressions_across_blocks():
+    (f,) = parse_module("define double @f(double %0, double %1) {\n"
+                        "  %3 = fmul double %0, 2.0\n  %4 = fadd double %3, %1\n  ret double %4\n}")
+    (g,) = parse_module("define double @g(double %0, double %1) {\n"
+                        "  %5 = fmul double %0, 2.0\n  %6 = fmul double %5, %1\n  ret double %6\n}")
+    interned = {}
+    e, h = recover_expr(f, interned), recover_expr(g, interned)
+    assert e.lhs is h.lhs and e.rhs is h.rhs
+    assert recover_expr(f, interned) is e
+    # without a shared table the blocks share nothing
+    assert recover_expr(f).lhs is not recover_expr(g).lhs
+
+
+def doubling_pair(n):
+    """`n` doublings of %a + %b to %t, then %t * %b + %t against the fmuladd of the same."""
+    head = ["define double @f(double %a, double %b) {", "  %t0 = fadd double %a, %b"]
+    head += [f"  %t{i} = fadd double %t{i - 1}, %t{i - 1}" for i in range(1, n)]
+    t, ret = f"%t{n - 1}", ["  ret double %r", "}"]
+    orig = [*head, f"  %p = fmul double {t}, %b", f"  %r = fadd double %p, {t}", *ret]
+    opt = [*head, f"  %r = call double @llvm.fmuladd.f64(double {t}, double %b, double {t})", *ret]
+    return [parse_module("\n".join(lines) + "\n")[0] for lines in (orig, opt)]
+
+
+@pytest.mark.parametrize("fma_tail", [False, True], ids=["self", "fma-tailed"])
+def test_doubling_chain_of_60_builds_its_checker_at_once(fma_tail):
+    # expanded into a tree the chain has 2^60 nodes; as recovered it has 60 operations
+    orig, opt = doubling_pair(60)
+    align = load_alignment('{"pairs": [["%r", "%r"]], "fresh_optimized": ["%r"], "fresh_original": ["%p", "%r"]}')
+    if not fma_tail:
+        # parsed apart, so only the checker's one table makes the two sides one object
+        opt, align = doubling_pair(60)[0], identity_alignment()
+    started = time.perf_counter()
+    checker = EquivChecker(orig, opt, align)
+    assert time.perf_counter() - started < 0.5
+    assert checker.static_unsupported is None and checker._derived_eval is not None
+    for args in ((1.5, -0.75), (2.0**-900, 3.0), (0.0, -0.0)):
+        v = checker.check(args)
+        assert v.status is Status.PASS and v.bound_derived is not None
 
 
 def test_recover_expr_unsupported():
